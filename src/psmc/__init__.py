@@ -1,6 +1,6 @@
 """Codes that mask partially-stuck-at-1 memory cells and correct errors."""
 
-from .alphabet import Alphabet, Polynomial, make_field, make_ring
+from .alphabet import Alphabet, Polynomial, make_field
 from .constructions import (
     DecodingFailure,
     MaskingImpossible,
@@ -23,7 +23,7 @@ from .cyclic import (
     cyclotomic_coset,
     minimal_polynomial,
 )
-from .linear import DistanceReport, LinearCode, min_distance, systematize
+from .linear import BudgetExceeded, DistanceReport, LinearCode, min_distance, systematize
 from .presets import PRESETS, get_preset
 from .sim import CampaignReport, ChannelConfig, inject, run_campaign
 
@@ -31,6 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
+    "BudgetExceeded",
     "CampaignReport",
     "ChannelConfig",
     "CyclicCodeSpec",
@@ -54,7 +55,6 @@ __all__ = [
     "improved_masking_value",
     "inject",
     "make_field",
-    "make_ring",
     "masking_probability",
     "min_distance",
     "minimal_polynomial",

@@ -1,7 +1,7 @@
-"""Symbol arithmetic over prime fields, extension fields, and residue rings.
+"""Symbol arithmetic over prime fields and extension fields.
 
-Symbols are plain ints in ``[0, q)``.  Prime fields and residue rings use
-ordinary modular arithmetic.  Extension fields GF(p^m) use a polynomial
+Symbols are plain ints in ``[0, q)``.  Prime fields use ordinary modular
+arithmetic.  Extension fields GF(p^m) use a polynomial
 basis: the integer whose base-p digits are ``(c0, c1, ..., c_{m-1})``
 stands for ``c0 + c1*X + ... + c_{m-1}*X^{m-1}``.  The reducing modulus is
 deterministic: among all monic irreducible polynomials of degree m over
@@ -10,9 +10,18 @@ constant term least significant, is smallest.  For p = 2 this reproduces
 the familiar textbook moduli (x^2+x+1, x^3+x+1, x^4+x+1, ...), so element
 labels are reproducible across runs and across ports of this library.
 
-Alphabets of order up to ``MAX_ORDER`` (2^20) are supported.  Fields with
-q <= 2^16 build exp/log tables on first multiplication; larger fields
-multiply digit vectors directly.
+Scalar arithmetic covers every field of order up to ``MAX_ORDER`` (2^20).
+Fields with q <= 2^16 build exp/log tables on first multiplication;
+larger fields multiply digit vectors directly.
+
+The array operations (:meth:`Alphabet.vadd`, ``vsub``, ``vneg``, ``vmul``
+and :meth:`Alphabet.matmul`) act element-wise on int64 arrays of symbols
+and are the only place that knows how symbols are represented: prime
+fields reduce mod q, characteristic 2 adds by XOR, other extension fields
+index dense q x q tables up to q = 1024 and add base-p digits above, and
+extension-field products use exp/log arrays up to q = 2^16.  Codes and
+everything built on them therefore support every prime field up to 2^20
+and extension fields up to 2^16.
 
 All objects in this module are immutable after construction and all
 operations are pure, so instances can be shared freely across threads.
@@ -26,10 +35,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_ORDER = 1 << 20
-
-PRIME_FIELD = "prime-field"
-EXTENSION_FIELD = "extension-field"
-RESIDUE_RING = "residue-ring"
 
 _TABLE_ORDER_LIMIT = 1 << 10  # dense q x q add/mul tables only below this
 _EXPLOG_ORDER_LIMIT = 1 << 16
@@ -161,31 +166,25 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class Alphabet:
-    """A finite field GF(p^m) or residue ring Z_q with symbols 0..q-1.
+    """The finite field GF(p^m) with symbols 0..q-1.
 
-    Use :func:`make_field` / :func:`make_ring`, which cache and reuse
-    instances, instead of calling this constructor directly.
+    Use :func:`make_field`, which caches and reuses instances, instead of
+    calling this constructor directly.
     """
 
-    def __init__(self, kind: str, p: int, m: int):
-        self.kind = kind
+    def __init__(self, p: int, m: int):
         self.p = p
         self.m = m
-        self.q = p ** m if kind != RESIDUE_RING else p
-        self._mod_digits: tuple[int, ...] | None = None
-        if kind == EXTENSION_FIELD:
-            self._mod_digits = _find_modulus(p, m)
+        self.q = p ** m
+        self._mod_digits = _find_modulus(p, m) if m > 1 else None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._explog_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._primitive: int | None = None
         self._add_table: np.ndarray | None = None
         self._mul_table: np.ndarray | None = None
 
     # -- basic structure ----------------------------------------------------
-
-    @property
-    def is_field(self) -> bool:
-        return self.kind != RESIDUE_RING
 
     def elements(self) -> range:
         return range(self.q)
@@ -251,11 +250,6 @@ class Alphabet:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.kind == RESIDUE_RING:
-            try:
-                return pow(a, -1, self.q)
-            except ValueError:
-                raise ValueError(f"{a} is not a unit in Z_{self.q}") from None
         if self.m == 1:
             return pow(a, -1, self.q)
         if self.q <= _EXPLOG_ORDER_LIMIT:
@@ -293,8 +287,6 @@ class Alphabet:
 
     def element_order(self, a: int) -> int:
         """Multiplicative order of a nonzero field element."""
-        if not self.is_field:
-            raise ValueError("element_order is defined for fields only")
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         n = self.q - 1
@@ -306,9 +298,7 @@ class Alphabet:
 
     @property
     def primitive(self) -> int:
-        """Smallest element generating the multiplicative group (fields)."""
-        if not self.is_field:
-            raise ValueError(f"{self!r} has no primitive element")
+        """Smallest element generating the multiplicative group."""
         if self._primitive is None:
             for g in range(1, self.q):
                 if self.element_order(g) == self.q - 1:
@@ -329,68 +319,119 @@ class Alphabet:
             self._exp, self._log = exp, log
         return self._exp, self._log
 
-    # -- vectorized tables (small alphabets) ---------------------------------
+    def _explog(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp/log arrays with exp[log[a] + log[b]] == a * b for every a, b.
+
+        log[0] points past the doubled exp cycle into a run of zeros, so a
+        product with 0 needs neither a modulus nor a mask.  Extension
+        fields of order <= 2^16 only.
+        """
+        if self._explog_arrays is None:
+            exp, log = self._tables()
+            cycle = 2 * (self.q - 1)
+            e = np.zeros(2 * cycle + 1, dtype=np.int64)
+            e[:cycle] = exp + exp
+            l = np.array(log, dtype=np.int64)
+            l[0] = cycle
+            self._explog_arrays = e, l
+        return self._explog_arrays
+
+    def _digitwise(self, a, b, sign: int) -> np.ndarray:
+        """a + sign * b computed on base-p digits, element-wise."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        scale = 1
+        for _ in range(self.m):
+            out += (a // scale + sign * (b // scale)) % self.p * scale
+            scale *= self.p
+        return out
+
+    def _check_table_order(self) -> None:
+        if self.q > _TABLE_ORDER_LIMIT:
+            raise ValueError(f"dense tables limited to q <= {_TABLE_ORDER_LIMIT}")
 
     def add_table(self) -> np.ndarray:
         """q x q numpy addition table; only for q <= 1024."""
-        if self.q > _TABLE_ORDER_LIMIT:
-            raise ValueError(f"dense tables limited to q <= {_TABLE_ORDER_LIMIT}")
+        self._check_table_order()
         if self._add_table is None:
             idx = np.arange(self.q)
-            if self.m == 1:
-                t = (idx[:, None] + idx[None, :]) % self.q
-            else:
-                digs = np.empty((self.q, self.m), dtype=np.int64)
-                x = idx.copy()
-                for i in range(self.m):
-                    digs[:, i] = x % self.p
-                    x //= self.p
-                s = (digs[:, None, :] + digs[None, :, :]) % self.p
-                t = (s * self.p ** np.arange(self.m)).sum(axis=2)
-            self._add_table = t.astype(np.int64)
+            self._add_table = self._digitwise(idx[:, None], idx[None, :], 1)
         return self._add_table
 
     def mul_table(self) -> np.ndarray:
         """q x q numpy multiplication table; only for q <= 1024."""
-        if self.q > _TABLE_ORDER_LIMIT:
-            raise ValueError(f"dense tables limited to q <= {_TABLE_ORDER_LIMIT}")
+        self._check_table_order()
         if self._mul_table is None:
-            idx = np.arange(self.q)
+            idx = np.arange(self.q, dtype=np.int64)
             if self.m == 1:
-                t = (idx[:, None] * idx[None, :]) % self.q
+                self._mul_table = idx[:, None] * idx[None, :] % self.q
             else:
-                exp, log = self._tables()
-                e = np.array(exp + [0], dtype=np.int64)
-                l = np.array(log, dtype=np.int64)
-                t = e[(l[:, None] + l[None, :]) % (self.q - 1)]
-                t[0, :] = 0
-                t[:, 0] = 0
-            self._mul_table = t.astype(np.int64)
+                exp, log = self._explog()
+                self._mul_table = exp[log[:, None] + log[None, :]]
         return self._mul_table
+
+    # -- array arithmetic (element-wise, numpy broadcasting) ------------------
+
+    def vadd(self, a, b) -> np.ndarray:
+        if self.m == 1:
+            return np.add(a, b) % self.q
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        if self.q <= _TABLE_ORDER_LIMIT:
+            return self.add_table()[a, b]
+        return self._digitwise(a, b, 1)
+
+    def vsub(self, a, b) -> np.ndarray:
+        if self.m == 1:
+            return np.subtract(a, b) % self.q
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        return self.vadd(a, self.vneg(b))
+
+    def vneg(self, a) -> np.ndarray:
+        if self.m == 1:
+            return np.negative(a) % self.q
+        if self.p == 2:
+            return np.array(a, dtype=np.int64)
+        return self._digitwise(0, a, -1)
+
+    def vmul(self, a, b) -> np.ndarray:
+        if self.m == 1:
+            return np.multiply(a, b) % self.q
+        if self.q <= _TABLE_ORDER_LIMIT:
+            return self.mul_table()[a, b]
+        if self.q <= _EXPLOG_ORDER_LIMIT:
+            exp, log = self._explog()
+            return exp[log[a] + log[b]]
+        raise ValueError(
+            f"array arithmetic over {self!r} needs an extension field of order <= {_EXPLOG_ORDER_LIMIT}"
+        )
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of 2-D int64 symbol matrices."""
+        if self.m == 1:
+            return a @ b % self.q
+        acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        for i in range(a.shape[1]):
+            acc = self.vadd(acc, self.vmul(a[:, i, None], b[i]))
+        return acc
 
     # -- identity -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Alphabet)
-            and self.kind == other.kind
-            and self.p == other.p
-            and self.m == other.m
-        )
+        return isinstance(other, Alphabet) and self.p == other.p and self.m == other.m
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.p, self.m))
+        return hash((self.p, self.m))
 
     def __repr__(self) -> str:
-        if self.kind == RESIDUE_RING:
-            return f"Z_{self.q}"
         if self.m == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m})"
 
 
 _FIELDS: dict[tuple[int, int], Alphabet] = {}
-_RINGS: dict[int, Alphabet] = {}
 
 
 def make_field(p: int, m: int = 1) -> Alphabet:
@@ -406,25 +447,20 @@ def make_field(p: int, m: int = 1) -> Alphabet:
             raise ValueError("extension degree must be >= 1")
         if p ** m > MAX_ORDER:
             raise ValueError(f"field order {p}^{m} exceeds supported bound 2^20")
-        kind = PRIME_FIELD if m == 1 else EXTENSION_FIELD
-        _FIELDS[key] = Alphabet(kind, p, m)
+        _FIELDS[key] = Alphabet(p, m)
     return _FIELDS[key]
 
 
-def make_ring(q: int) -> Alphabet:
-    """Return the residue ring Z_q (q >= 2, composite q allowed).
-
-    Z_q supports multiplication but no division by non-units; for prime q
-    it has the same arithmetic as GF(q) but is a distinct object so that
-    field-only code paths can tell the two apart.
-    """
-    if q not in _RINGS:
-        if q < 2:
-            raise ValueError("ring modulus must be >= 2")
-        if q > MAX_ORDER:
-            raise ValueError(f"ring order {q} exceeds supported bound 2^20")
-        _RINGS[q] = Alphabet(RESIDUE_RING, q, 1)
-    return _RINGS[q]
+def field_of_order(q: int) -> Alphabet:
+    """GF(q) for a prime power q; ValueError for any other q."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p, m = factors[0], 0
+    while q > 1:
+        q //= p
+        m += 1
+    return make_field(p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +579,7 @@ class Polynomial:
         A = self.alphabet
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not A.is_field and other.lc != 1:
-            raise ValueError("over a ring the divisor must be monic")
-        inv_lc = A.inv(other.lc) if A.is_field else 1
+        inv_lc = A.inv(other.lc)
         dd = len(other.coeffs) - 1
         rem = list(self.coeffs)
         if len(rem) <= dd:
@@ -597,9 +631,7 @@ class Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over a field alphabet."""
-    if not a.alphabet.is_field:
-        raise ValueError("gcd requires a field alphabet")
+    """Monic greatest common divisor."""
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()

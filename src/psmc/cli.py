@@ -4,8 +4,9 @@ Subcommands: tables, factor, encode, decode, prob, simulate.
 
 Words travel as digit strings when q <= 10 (e.g. "0210210210") and as
 comma-separated integers otherwise.  Exit codes: 0 success, 1 usage
-error, 2 domain error (masking impossible / decoding failure) with a
-machine-readable JSON object on stderr.
+error, 2 domain or resource error (masking impossible, decoding failure,
+or an exact computation over its budget) with a machine-readable JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alphabet import format_poly, make_field, poly_pretty
+from .alphabet import field_of_order, format_poly, poly_pretty
 from .constructions import (
     DecodingFailure,
     MaskingImpossible,
@@ -26,6 +27,7 @@ from .constructions import (
     masking_probability,
 )
 from .cyclic import all_cosets, minimal_polynomial
+from .linear import BudgetExceeded
 from .presets import PRESETS, get_preset
 from .sim import ChannelConfig, run_campaign
 from .tables import build_table, render_csv, render_json, render_text, table_footnotes
@@ -77,20 +79,8 @@ def _resolve_code(args):
             raise UsageError(str(exc)) from None
     if args.n is None or args.q is None:
         raise UsageError("need --preset or both --n and --q")
-    field = make_field(*_prime_power(args.q))
     reps = parse_positions(args.factors)
-    return PsmcCyclicCode(args.n, field, reps)
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    p = next((f for f in range(2, q + 1) if q % f == 0), q)
-    m, qq = 0, q
-    while qq % p == 0 and qq > 1:
-        qq //= p
-        m += 1
-    if qq != 1 or m == 0:
-        raise UsageError(f"q = {q} is not a prime power")
-    return p, m
+    return PsmcCyclicCode(args.n, field_of_order(args.q), reps)
 
 
 def _probability_digits(frac: Fraction, digits: int) -> str:
@@ -134,7 +124,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    field = make_field(*_prime_power(args.q))
+    field = field_of_order(args.q)
     print(f"x^{args.n} - 1 over {field!r}: cyclotomic cosets and minimal polynomials")
     for coset in all_cosets(args.n, field.q):
         mp = minimal_polynomial(coset.representative, args.n, field)
@@ -313,7 +303,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (MaskingImpossible, DecodingFailure) as exc:
+    except (MaskingImpossible, DecodingFailure, BudgetExceeded) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 2

@@ -1,24 +1,32 @@
 """Masking codes for partially-stuck-at-1 cells with error correction.
 
 A cell that is partially stuck at level 1 can store any value >= 1 but
-not 0.  All constructions here pick the codeword inside a coset of a
-small masking code so that every stuck position ends up nonzero, while an
-outer error-correcting structure absorbs up to t substitution errors on
-read-back.
+not 0.  All constructions here are one coset-shift scheme.  The stored
+word is
 
-Three constructions are provided:
+    c = m G1 + z H0,
 
-* :class:`PsmcMatrixCode` stacks an ECC generator G1 = [0 | I | P] on top
-  of the all-ones row.  A single redundancy symbol masks any u < q stuck
-  cells: the values of the intermediate word at u < q positions cannot
-  cover the whole alphabet, so adding a suitable constant to every cell
-  avoids 0 everywhere needed.
-* :class:`PsmcCyclicCode` is the partitioned cyclic variant: codewords
-  are m(x) g1(x) + z0 g0(x) with g0 = 1 + x + ... + x^(n-1) (whose
-  coefficient vector is the all-ones word) and g1 a degree-r divisor of
-  g0.  The BCH bound of g1's defining set bounds the error correction.
-* :class:`PsmcExtendedCode` replaces the all-ones row with a systematic
-  l x n parity-check matrix H0 of an [n, n-l, d0] code, which pushes the
+where the k1 x n matrix G1 carries the message m and the l x n masking
+matrix H0 turns the masking vector z into a shift of the whole word.
+The encoder scans the q^l candidates in a fixed order (z = -v, v
+lexicographic) and keeps the first whose shift leaves every stuck cell
+nonzero.  The stacked code [G1 ; H0] corrects up to t substitution errors
+on read-back, and the decoder reads [m | z] back off an information set
+of the stacked generator.
+
+The three constructors differ only in G1 and H0:
+
+* :class:`PsmcMatrixCode`: G1 = [0 | I | P] over the all-ones row.  A
+  single redundancy symbol masks any u < q stuck cells: the values of
+  m G1 at u < q positions cannot cover the whole alphabet, so adding a
+  suitable constant to every cell avoids 0 everywhere needed.
+* :class:`PsmcCyclicCode`: the partitioned cyclic variant, codewords
+  m(x) g1(x) + z0 g0(x) with g0 = 1 + x + ... + x^(n-1) (whose
+  coefficient vector is the all-ones row) and g1 a degree-r divisor of
+  g0; G1 holds the first k1 cyclic shifts of g1.  The BCH bound of g1's
+  defining set bounds the error correction.
+* :class:`PsmcExtendedCode`: G1 = [0 | I | P] over a systematic l x n
+  parity-check matrix H0 of an [n, n-l, d0] code, which pushes the
   guaranteed number of maskable cells up to q + d0 - 3 at the cost of l
   masking symbols.
 
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb, floor, log
 
@@ -52,24 +61,15 @@ class DecodingFailure(Exception):
 
 @dataclass(frozen=True)
 class StuckCellProfile:
-    """Positions of partially stuck cells; all levels are fixed at 1.
-
-    The level field exists for forward compatibility, but only level-1
-    profiles are accepted.
-    """
+    """Positions of partially-stuck-at-1 cells, sorted."""
 
     positions: tuple[int, ...]
-    levels: tuple[int, ...] = ()
 
     def __post_init__(self):
         pos = tuple(sorted(int(p) for p in self.positions))
         if len(set(pos)) != len(pos) or (pos and pos[0] < 0):
             raise ValueError("stuck positions must be distinct and non-negative")
         object.__setattr__(self, "positions", pos)
-        levels = self.levels or (1,) * len(pos)
-        if len(levels) != len(pos) or any(lv != 1 for lv in levels):
-            raise ValueError("only partially-stuck-at-1 profiles are supported")
-        object.__setattr__(self, "levels", tuple(levels))
 
     @property
     def u(self) -> int:
@@ -88,7 +88,11 @@ def _coerce_profile(profile) -> StuckCellProfile:
 
 @dataclass(frozen=True)
 class MaskingOutcome:
-    """Encoder output: the stored word, the masking value(s), and v."""
+    """Encoder output: the stored word, the masking vector z, and v.
+
+    v is the masking value (z = (-v,)) when there is one masking symbol,
+    and None when there are several.
+    """
 
     codeword: np.ndarray
     z: tuple[int, ...]
@@ -98,26 +102,106 @@ class MaskingOutcome:
         object.__setattr__(self, "codeword", np.asarray(self.codeword, dtype=np.int64))
 
 
-def smallest_avoiding(values, q: int) -> int | None:
-    """Smallest symbol of [0, q) not present in values, or None."""
-    taken = set(int(v) for v in values)
-    for v in range(q):
-        if v not in taken:
-            return v
-    return None
-
-
 def _derive_t(code: LinearCode, t: int | None, budget: int = ENUM_BUDGET) -> int:
     if t is not None:
         return int(t)
     return min_distance(code, budget=budget).t
 
 
-# ---------------------------------------------------------------------------
-# generator-matrix construction (single masking symbol, u < q)
-# ---------------------------------------------------------------------------
+def _systematic_g1(n: int, l: int, ecc_columns) -> tuple[np.ndarray, int]:
+    """G1 = [0 | I_k1 | P] with l leading zero columns; returns (G1, r)."""
+    P = None if ecc_columns is None else np.asarray(ecc_columns, dtype=np.int64)
+    r = 0 if P is None else P.shape[1]
+    k1 = n - l - r
+    if k1 < 1:
+        raise ValueError("no room for information symbols")
+    if P is None:
+        P = np.zeros((k1, 0), dtype=np.int64)
+    if P.shape[0] != k1:
+        raise ValueError(f"ecc_columns must have {k1} rows, got {P.shape[0]}")
+    return np.hstack([np.zeros((k1, l), dtype=np.int64), np.eye(k1, dtype=np.int64), P]), r
 
-class PsmcMatrixCode:
+
+class _MaskingCode:
+    """The coset-shift scheme c = m G1 + z H0 shared by all constructions.
+
+    Subclasses build G1 and H0 and call :meth:`_build`.  d0 is the
+    minimum distance of the code H0 checks; the all-ones row checks a
+    code of distance 2.
+    """
+
+    d0 = 2
+
+    def _build(self, alphabet: Alphabet, G1: np.ndarray, H0: np.ndarray, t: int | None) -> None:
+        self.alphabet = alphabet
+        self.G1, self.H0 = G1, H0
+        self.k1, self.n = G1.shape
+        self.l = H0.shape[0]
+        self.base = LinearCode(np.vstack([G1, H0]), alphabet)
+        self.t = _derive_t(self.base, t)
+
+    @cached_property
+    def _candidates(self) -> tuple[np.ndarray, list, list, list]:
+        """The masking candidates in scan order, built by the first encode.
+
+        Returns the shift z H0, z and v of each candidate, and
+        zeroing[j][w]: the candidates that leave cell j at 0 when m G1
+        holds w there.
+        """
+        A, q = self.alphabet, self.alphabet.q
+        v = np.array(list(product(range(q), repeat=self.l)), dtype=np.int64)
+        # z H0 = -(v H0), so candidate i drops cell j to 0 iff m G1 holds hits[i, j].
+        hits = mat_mul(v, self.H0, A)
+        zeroing = [[[] for _ in range(q)] for _ in range(self.n)]
+        for i, row in enumerate(hits.tolist()):
+            for j, w in enumerate(row):
+                zeroing[j][w].append(i)
+        zs = [tuple(row) for row in A.vneg(v).tolist()]
+        vs = [row[0] if self.l == 1 else None for row in v.tolist()]
+        return A.vneg(hits), zs, vs, zeroing
+
+    @property
+    def u_max(self) -> int:
+        return min(self.n, self.alphabet.q + self.d0 - 3)
+
+    def encode(self, message, profile=(), *, probabilistic: bool = False) -> MaskingOutcome:
+        """Mask the stuck positions and attach the ECC structure.
+
+        The intermediate word is w = m G1, and the stored word is w + z H0
+        for the first masking vector z (in the order z = -v, v
+        lexicographic) that leaves every stuck cell nonzero.
+        """
+        prof = _coerce_profile(profile)
+        prof.check_length(self.n)
+        if not probabilistic and prof.u > self.u_max:
+            raise ValueError(
+                f"u={prof.u} exceeds the guaranteed bound {self.u_max}; "
+                "pass probabilistic=True to attempt masking anyway"
+            )
+        m = as_word(message, self.alphabet, self.k1)
+        w = mat_mul(m[None, :], self.G1, self.alphabet)[0]
+        shifts, zs, vs, zeroing = self._candidates
+        values = w.tolist()
+        zeroed: set[int] = set()
+        for j in prof.positions:
+            zeroed.update(zeroing[j][values[j]])
+        i = next((i for i in range(len(zs)) if i not in zeroed), None)
+        if i is None:
+            if prof.u <= self.u_max:
+                raise AssertionError("guaranteed regime violated: no masking vector found")
+            raise MaskingImpossible(f"no masking vector z for positions {prof.positions}")
+        c = self.alphabet.vadd(w, shifts[i])
+        return MaskingOutcome(codeword=c, z=zs[i], v=vs[i])
+
+    def decode(self, word) -> np.ndarray:
+        """Correct up to t errors and return the message m."""
+        c = self.base.decode_bounded(word, self.t)
+        if c is None:
+            raise DecodingFailure(f"no codeword within distance {self.t}")
+        return self.base.message_of(c)[: self.k1]
+
+
+class PsmcMatrixCode(_MaskingCode):
     """Masking code with generator [G1 ; all-ones], G1 = [0 | I_k1 | P].
 
     Stores k1 = n - 1 - r information symbols; masks any u <= min(n, q-1)
@@ -127,26 +211,9 @@ class PsmcMatrixCode:
     """
 
     def __init__(self, n: int, alphabet: Alphabet, ecc_columns=None, *, t: int | None = None):
-        if not alphabet.is_field:
-            raise ValueError("construction requires a field alphabet")
-        P = None if ecc_columns is None else np.asarray(ecc_columns, dtype=np.int64)
-        r = 0 if P is None else P.shape[1]
-        k1 = n - 1 - r
-        if k1 < 1:
-            raise ValueError("no room for information symbols")
-        if P is not None and P.shape[0] != k1:
-            raise ValueError(f"ecc_columns must have {k1} rows, got {P.shape[0]}")
-        self.n = n
-        self.alphabet = alphabet
-        self.r = r
-        self.k1 = k1
-        blocks = [np.zeros((k1, 1), dtype=np.int64), np.eye(k1, dtype=np.int64)]
-        if P is not None:
-            blocks.append(P % alphabet.q if alphabet.m == 1 else P)
-        self.G1 = np.hstack(blocks)
+        G1, self.r = _systematic_g1(n, 1, ecc_columns)
         self.G0 = np.ones(n, dtype=np.int64)
-        self.base = LinearCode(np.vstack([self.G1, self.G0[None, :]]), alphabet)
-        self.t = _derive_t(self.base, t)
+        self._build(alphabet, G1, self.G0[None, :], t)
 
     @classmethod
     def from_linear(cls, code: LinearCode, *, t: int | None = None) -> tuple["PsmcMatrixCode", tuple[int, ...]]:
@@ -162,81 +229,31 @@ class PsmcMatrixCode:
         P = M[:k1, k1 + 1 :]
         return cls(code.n, code.alphabet, P if P.size else None, t=t), perm
 
-    @property
-    def u_max(self) -> int:
-        return min(self.n, self.alphabet.q - 1)
-
     def __repr__(self) -> str:
         return f"PsmcMatrixCode(n={self.n}, k1={self.k1}, r={self.r}, t={self.t}, {self.alphabet!r})"
 
-    def encode(self, message, profile=(), *, probabilistic: bool = False) -> MaskingOutcome:
-        """Mask the stuck positions and attach the ECC structure.
 
-        The intermediate word is w = m G1; v is the smallest symbol absent
-        from w at the stuck positions, and the stored word is w + z0 * 1
-        with z0 = -v.  Every stuck cell of the result is >= 1.
-        """
-        prof = _coerce_profile(profile)
-        prof.check_length(self.n)
-        q = self.alphabet.q
-        if not probabilistic and prof.u > self.u_max:
-            raise ValueError(
-                f"u={prof.u} exceeds the guaranteed bound {self.u_max}; "
-                "pass probabilistic=True to attempt masking anyway"
-            )
-        m = as_word(message, self.alphabet, self.k1)
-        w = mat_mul(m[None, :], self.G1, self.alphabet)[0]
-        v = smallest_avoiding(w[list(prof.positions)], q)
-        if v is None:
-            raise MaskingImpossible(
-                f"stuck values cover the whole alphabet at positions {prof.positions}"
-            )
-        z0 = self.alphabet.neg(v)
-        c = (w + z0) % q if self.alphabet.m == 1 else np.array(
-            [self.alphabet.add(int(x), z0) for x in w], dtype=np.int64
-        )
-        return MaskingOutcome(codeword=c, z=(z0,), v=v)
-
-    def decode(self, word) -> np.ndarray:
-        """Correct up to t errors, strip the masking shift, return m."""
-        y = as_word(word, self.alphabet, self.n)
-        c = self.base.decode_bounded(y, self.t)
-        if c is None:
-            raise DecodingFailure(f"no codeword within distance {self.t}")
-        z0 = int(c[0])
-        q = self.alphabet.q
-        if self.alphabet.m == 1:
-            w = (c - z0) % q
-        else:
-            w = np.array([self.alphabet.sub(int(x), z0) for x in c], dtype=np.int64)
-        return w[1 : self.k1 + 1]
-
-
-# ---------------------------------------------------------------------------
-# partitioned cyclic construction
-# ---------------------------------------------------------------------------
-
-class PsmcCyclicCode:
+class PsmcCyclicCode(_MaskingCode):
     """Partitioned cyclic masking code: c(x) = m(x) g1(x) + z0 g0(x).
 
     g0 = 1 + x + ... + x^(n-1), so the z0 term shifts every cell by z0,
     exactly like the all-ones row of the matrix construction.  g1 is the
     product of the minimal polynomials of the given coset representatives
     and must divide g0 (equivalently, 0 must not be in its defining set).
-    Messages are coefficient vectors of length k1 = n - r - 1.
+    Messages are coefficient vectors of length k1 = n - r - 1.  The
+    stacked code is the cyclic code g1 generates, also available as
+    ``ecc``.
     """
 
     def __init__(self, n: int, alphabet: Alphabet, g1_coset_reps=(), *, t: int | None = None):
         spec = build_cyclic_code(n, alphabet, g1_coset_reps)
         if 0 in spec.defining_set:
             raise ValueError("g1 must divide g0: coset of 0 (root 1) is not allowed")
-        self.n = n
-        self.alphabet = alphabet
         self.spec: CyclicCodeSpec = spec
         self.g1 = spec.g
         self.r = len(spec.defining_set)
-        self.k1 = n - self.r - 1
-        if self.k1 < 1:
+        k1 = n - self.r - 1
+        if k1 < 1:
             raise ValueError("no room for information symbols (deg g1 too large)")
         self.g0 = Polynomial(alphabet, (1,) * n)
         self.h0 = Polynomial(alphabet, (alphabet.neg(1), 1))  # x - 1
@@ -246,12 +263,8 @@ class PsmcCyclicCode:
         # Sanity: g1 | g0 exactly.
         if not (self.g0 % self.g1).is_zero:
             raise ArithmeticError("g1 does not divide g0")
-        self.ecc = spec.to_linear_code()  # the [n, n-r] code generated by g1
-        self.t = _derive_t(self.ecc, t)
-
-    @property
-    def u_max(self) -> int:
-        return min(self.n, self.alphabet.q - 1)
+        self._build(alphabet, spec.generator_matrix()[:k1], self.g0.vector(n)[None, :], t)
+        self.ecc = self.base  # the [n, n-r] code generated by g1
 
     def __repr__(self) -> str:
         return (
@@ -259,143 +272,33 @@ class PsmcCyclicCode:
             f"delta1>={self.delta1}, t={self.t}, {self.alphabet!r})"
         )
 
-    def encode(self, message, profile=(), *, probabilistic: bool = False) -> MaskingOutcome:
-        prof = _coerce_profile(profile)
-        prof.check_length(self.n)
-        q = self.alphabet.q
-        if not probabilistic and prof.u > self.u_max:
-            raise ValueError(
-                f"u={prof.u} exceeds the guaranteed bound {self.u_max}; "
-                "pass probabilistic=True to attempt masking anyway"
-            )
-        m = as_word(message, self.alphabet, self.k1)
-        mpoly = Polynomial(self.alphabet, m.tolist())
-        c1 = (mpoly * self.g1).vector(self.n)  # degree < n-1, so no reduction
-        v = smallest_avoiding(c1[list(prof.positions)], q)
-        if v is None:
-            raise MaskingImpossible(
-                f"stuck values cover the whole alphabet at positions {prof.positions}"
-            )
-        z0 = self.alphabet.neg(v)
-        if self.alphabet.m == 1:
-            c = (c1 + z0) % q
-        else:
-            c = np.array([self.alphabet.add(int(x), z0) for x in c1], dtype=np.int64)
-        return MaskingOutcome(codeword=c, z=(z0,), v=v)
 
-    def decode(self, word) -> np.ndarray:
-        """Decode in <g1>, reduce mod g0, divide by g1, return m."""
-        y = as_word(word, self.alphabet, self.n)
-        c = self.ecc.decode_bounded(y, self.t)
-        if c is None:
-            raise DecodingFailure(f"no codeword within distance {self.t}")
-        cpoly = Polynomial(self.alphabet, c.tolist())
-        mhat, rem = divmod(cpoly % self.g0, self.g1)
-        if not rem.is_zero:
-            raise ArithmeticError("residue not divisible by g1; inconsistent input")
-        return mhat.vector(self.k1)
-
-
-# ---------------------------------------------------------------------------
-# extended construction (u may reach q + d0 - 3)
-# ---------------------------------------------------------------------------
-
-class PsmcExtendedCode:
+class PsmcExtendedCode(_MaskingCode):
     """Masking code [G1 ; H0] with H0 a systematic l x n parity check.
 
-    H0 checks an [n, n-l, d0] code; the encoder scans all q^l masking
-    vectors in a fixed order (z = -v, v lexicographic) and keeps the
-    first whose shift d = z H0 leaves every stuck cell nonzero.  With
-    u <= q + d0 - 3 a valid z always exists.  l = 1 with H0 = all-ones
-    reduces to the matrix construction, codeword for codeword.
+    H0 checks an [n, n-l, d0] code; with u <= q + d0 - 3 a valid masking
+    vector always exists.  l = 1 with H0 = all-ones is the matrix
+    construction, codeword for codeword.
     """
 
     def __init__(self, alphabet: Alphabet, masking_check, ecc_columns=None, *, t: int | None = None):
-        if not alphabet.is_field:
-            raise ValueError("construction requires a field alphabet")
         H0 = np.asarray(masking_check, dtype=np.int64)
         if H0.ndim != 2:
             raise ValueError("masking check must be an l x n matrix")
         l, n = H0.shape
         if (H0[:, :l] != np.eye(l, dtype=np.int64)).any():
             raise ValueError("masking check must be systematic in its first l columns")
-        P = None if ecc_columns is None else np.asarray(ecc_columns, dtype=np.int64)
-        r = 0 if P is None else P.shape[1]
-        k1 = n - l - r
-        if k1 < 1:
-            raise ValueError("no room for information symbols")
-        if P is not None and P.shape[0] != k1:
-            raise ValueError(f"ecc_columns must have {k1} rows, got {P.shape[0]}")
-        self.alphabet = alphabet
-        self.n, self.l, self.r, self.k1 = n, l, r, k1
-        blocks = [np.zeros((k1, l), dtype=np.int64), np.eye(k1, dtype=np.int64)]
-        if P is not None:
-            blocks.append(P % alphabet.q if alphabet.m == 1 else P)
-        self.G1 = np.hstack(blocks)
-        self.H0 = H0
-        stacked = np.vstack([self.G1, self.H0])
-        self.base = LinearCode(stacked, alphabet)
-        if self.base.k != k1 + l:
-            raise ValueError("stacked [G1 ; H0] is rank deficient")
+        G1, self.r = _systematic_g1(n, l, ecc_columns)
+        self._build(alphabet, G1, H0, t)
         # d0 is the exact minimum distance of the code H0 checks.
         self.masked_code = LinearCode(parity_check_matrix(H0, alphabet), alphabet)
         self.d0 = min_distance(self.masked_code).d
-        self.t = _derive_t(self.base, t)
-
-    @property
-    def u_max(self) -> int:
-        return min(self.n, self.alphabet.q + self.d0 - 3)
 
     def __repr__(self) -> str:
         return (
             f"PsmcExtendedCode(n={self.n}, k1={self.k1}, l={self.l}, r={self.r}, "
             f"d0={self.d0}, t={self.t}, {self.alphabet!r})"
         )
-
-    def encode(self, message, profile=(), *, probabilistic: bool = False) -> MaskingOutcome:
-        prof = _coerce_profile(profile)
-        prof.check_length(self.n)
-        q = self.alphabet.q
-        if not probabilistic and prof.u > self.u_max:
-            raise ValueError(
-                f"u={prof.u} exceeds the guaranteed bound {self.u_max}; "
-                "pass probabilistic=True to attempt masking anyway"
-            )
-        m = as_word(message, self.alphabet, self.k1)
-        w = mat_mul(m[None, :], self.G1, self.alphabet)[0]
-        pos = list(prof.positions)
-        # Candidates are scanned as z = -v with v lexicographic, so the
-        # l = 1 all-ones case picks the same codeword as PsmcMatrixCode.
-        for v in product(range(q), repeat=self.l):
-            zv = np.array([self.alphabet.neg(x) for x in v], dtype=np.int64)
-            d = mat_mul(zv[None, :], self.H0, self.alphabet)[0]
-            if self.alphabet.m == 1:
-                c = (w + d) % q
-            else:
-                c = np.array(
-                    [self.alphabet.add(int(a), int(b)) for a, b in zip(w, d)], dtype=np.int64
-                )
-            if not pos or (c[pos] >= 1).all():
-                return MaskingOutcome(codeword=c, z=tuple(int(x) for x in zv), v=None)
-        if prof.u <= self.u_max:
-            raise AssertionError("guaranteed regime violated: no masking vector found")
-        raise MaskingImpossible(f"no masking vector z for positions {prof.positions}")
-
-    def decode(self, word) -> np.ndarray:
-        y = as_word(word, self.alphabet, self.n)
-        c = self.base.decode_bounded(y, self.t)
-        if c is None:
-            raise DecodingFailure(f"no codeword within distance {self.t}")
-        z = c[: self.l]
-        d = mat_mul(z[None, :], self.H0, self.alphabet)[0]
-        q = self.alphabet.q
-        if self.alphabet.m == 1:
-            w = (c - d) % q
-        else:
-            w = np.array(
-                [self.alphabet.sub(int(a), int(b)) for a, b in zip(c, d)], dtype=np.int64
-            )
-        return w[self.l : self.l + self.k1]
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,6 @@ class _RootContext:
     """GF(q^m) together with a fixed order-n root and GF(q) embedding."""
 
     def __init__(self, n: int, base: Alphabet):
-        if not base.is_field:
-            raise ValueError("cyclic codes require a field alphabet")
         m = extension_degree(n, base.q)
         self.n = n
         self.base = base
@@ -154,11 +152,11 @@ def _eval_prime_poly(field: Alphabet, coeffs: tuple[int, ...], point: int) -> in
     return acc
 
 
-_CONTEXTS: dict[tuple[int, int, int, int], _RootContext] = {}
+_CONTEXTS: dict[tuple[int, int, int], _RootContext] = {}
 
 
 def root_context(n: int, base: Alphabet) -> _RootContext:
-    key = (n, base.p, base.m, 0)
+    key = (n, base.p, base.m)
     if key not in _CONTEXTS:
         _CONTEXTS[key] = _RootContext(n, base)
     return _CONTEXTS[key]

@@ -9,7 +9,8 @@ Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  When the caller asks
 for a radius t beyond the code's true capability, syndromes reachable
 from two error patterns of equal weight are marked ambiguous and decode
-as failures rather than an arbitrary pick.
+as failures rather than an arbitrary pick.  Work that would exceed an
+explicit budget raises :class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -20,10 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .alphabet import Alphabet, make_field
+from .alphabet import Alphabet, field_of_order
 
 ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
 TABLE_BUDGET = 1 << 21    # max syndrome-table entries (~256 MiB at desk-scale n)
+
+
+class BudgetExceeded(Exception):
+    """Raised when exact enumeration or table building would exceed its budget."""
 
 
 def as_word(values, alphabet: Alphabet, n: int | None = None) -> np.ndarray:
@@ -39,60 +44,53 @@ def as_word(values, alphabet: Alphabet, n: int | None = None) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, alphabet: Alphabet) -> np.ndarray:
-    """Matrix product over the alphabet (fast path for m == 1)."""
+    """Matrix product over the alphabet."""
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
     b = np.atleast_2d(np.asarray(b, dtype=np.int64))
-    if alphabet.m == 1:
-        return (a @ b) % alphabet.q
-    add_t, mul_t = alphabet.add_table(), alphabet.mul_table()
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i in range(a.shape[1]):
-        acc = add_t[acc, mul_t[a[:, i][:, None], b[i, :][None, :]]]
-    return acc
+    return alphabet.matmul(a, b)
 
 
 def rref(matrix: np.ndarray, alphabet: Alphabet) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form over a field; returns (R, pivot columns)."""
-    if not alphabet.is_field:
-        raise ValueError("row reduction requires a field alphabet")
-    R = np.array(matrix, dtype=np.int64) % alphabet.q if alphabet.m == 1 else np.array(matrix, dtype=np.int64)
+    """Reduced row echelon form of a symbol matrix; returns (R, pivot columns)."""
+    R = np.array(matrix, dtype=np.int64)
     rows, cols = R.shape
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if R[i, c] != 0), None)
-        if pivot is None:
-            continue
-        R[[r, pivot]] = R[[pivot, r]]
-        inv = alphabet.inv(int(R[r, c]))
-        if alphabet.m == 1:
-            R[r] = R[r] * inv % alphabet.q
-            for i in range(rows):
-                if i != r and R[i, c]:
-                    R[i] = (R[i] - R[i, c] * R[r]) % alphabet.q
-        else:
-            R[r] = [alphabet.mul(int(x), inv) for x in R[r]]
-            for i in range(rows):
-                if i != r and R[i, c]:
-                    f = int(R[i, c])
-                    R[i] = [
-                        alphabet.sub(int(x), alphabet.mul(f, int(y)))
-                        for x, y in zip(R[i], R[r])
-                    ]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
+        col = R[:, c].tolist()
+        pivot = next((i for i in range(r, rows) if col[i]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            R[[r, pivot]] = R[[pivot, r]]
+            col[r], col[pivot] = col[pivot], col[r]
+        if col[r] != 1:
+            R[r] = alphabet.vmul(R[r], alphabet.inv(col[r]))
+        col[r] = 0
+        if any(col):
+            R = alphabet.vsub(R, alphabet.vmul(np.array(col)[:, None], R[r]))
+        pivots.append(c)
     return R, tuple(pivots)
 
 
-def parity_check_matrix(generator: np.ndarray, alphabet: Alphabet) -> np.ndarray:
-    """An (n-k) x n matrix H with G H^T = 0, in systematic-complement form."""
+def _reduce_generator(generator: np.ndarray, alphabet: Alphabet):
+    """Row-reduce [G | I] once: (R, pivots, T) with T G = R and R[:, pivots] = I.
+
+    The pivots are an information set of G, and T recovers a message
+    from the codeword symbols on it: x = c[pivots] T.
+    """
     G = np.asarray(generator, dtype=np.int64)
     k, n = G.shape
-    R, pivots = rref(G, alphabet)
-    if len(pivots) != k:
+    R, pivots = rref(np.hstack([G, np.eye(k, dtype=np.int64)]), alphabet)
+    if pivots and pivots[-1] >= n:
         raise ValueError("generator matrix is not full rank")
+    return R[:, :n], pivots, R[:, n:]
+
+
+def _check_from_rref(R: np.ndarray, pivots: tuple[int, ...], alphabet: Alphabet) -> np.ndarray:
+    k, n = R.shape
     nonpivots = [c for c in range(n) if c not in pivots]
     H = np.zeros((n - k, n), dtype=np.int64)
     for t, c in enumerate(nonpivots):
@@ -102,12 +100,16 @@ def parity_check_matrix(generator: np.ndarray, alphabet: Alphabet) -> np.ndarray
     return H
 
 
+def parity_check_matrix(generator: np.ndarray, alphabet: Alphabet) -> np.ndarray:
+    """An (n-k) x n matrix H with G H^T = 0, in systematic-complement form."""
+    R, pivots, _ = _reduce_generator(generator, alphabet)
+    return _check_from_rref(R, pivots, alphabet)
+
+
 class LinearCode:
     """An [n, k] linear code over a field, held as generator G and check H."""
 
     def __init__(self, generator, alphabet: Alphabet, parity_check=None):
-        if not alphabet.is_field:
-            raise ValueError("linear codes require a field alphabet")
         G = np.asarray(generator, dtype=np.int64)
         if G.ndim != 2:
             raise ValueError("generator must be a 2-D matrix")
@@ -116,8 +118,10 @@ class LinearCode:
         self.alphabet = alphabet
         self.G = G
         self.k, self.n = G.shape
+        R, pivots, self._info_inverse = _reduce_generator(G, alphabet)
+        self._info_set = np.array(pivots, dtype=np.intp)
         if parity_check is None:
-            self.H = parity_check_matrix(G, alphabet)
+            self.H = _check_from_rref(R, pivots, alphabet)
         else:
             self.H = np.asarray(parity_check, dtype=np.int64)
             if self.H.shape != (self.n - self.k, self.n):
@@ -137,13 +141,21 @@ class LinearCode:
         return mat_mul(m[None, :], self.G, self.alphabet)[0]
 
     def syndrome(self, word) -> np.ndarray:
-        y = as_word(word, self.alphabet, self.n)
+        return self._syndromes(as_word(word, self.alphabet, self.n)[None, :])[0]
+
+    def _syndromes(self, words: np.ndarray) -> np.ndarray:
+        """Syndromes of the rows of a 2-D symbol array."""
         if self.H.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        return mat_mul(y[None, :], self.H.T, self.alphabet)[0]
+            return np.zeros((words.shape[0], 0), dtype=np.int64)
+        return mat_mul(words, self.H.T, self.alphabet)
 
     def is_codeword(self, word) -> bool:
         return not self.syndrome(word).any()
+
+    def message_of(self, codeword) -> np.ndarray:
+        """The message x with x G = codeword, read off an information set."""
+        c = np.asarray(codeword, dtype=np.int64)
+        return self.alphabet.matmul(c[None, self._info_set], self._info_inverse)[0]
 
     # -- bounded-distance decoding -----------------------------------------
 
@@ -155,18 +167,24 @@ class LinearCode:
     def _syndrome_table(self, t: int) -> dict[bytes, tuple[int, np.ndarray | None]]:
         if t not in self._tables:
             q, n = self.alphabet.q, self.n
+            patterns = [
+                (w, pos, vals)
+                for w in range(t + 1)
+                for pos in combinations(range(n), w)
+                for vals in product(range(1, q), repeat=w)
+            ]
+            E = np.zeros((len(patterns), n), dtype=np.int64)
+            for row, (_, pos, vals) in zip(E, patterns):
+                row[list(pos)] = vals
+            S = self._syndromes(E)
             table: dict[bytes, tuple[int, np.ndarray | None]] = {}
-            for w in range(t + 1):
-                for pos in combinations(range(n), w):
-                    for vals in product(range(1, q), repeat=w):
-                        e = np.zeros(n, dtype=np.int64)
-                        e[list(pos)] = vals
-                        key = self.syndrome(e).tobytes()
-                        prev = table.get(key)
-                        if prev is None:
-                            table[key] = (w, e)
-                        elif prev[0] == w:
-                            table[key] = (w, None)  # tie at equal weight
+            for (w, _, _), e, s in zip(patterns, E, S):
+                key = s.tobytes()
+                prev = table.get(key)
+                if prev is None:
+                    table[key] = (w, e)
+                elif prev[0] == w:
+                    table[key] = (w, None)  # tie at equal weight
             self._tables[t] = table
         return self._tables[t]
 
@@ -191,14 +209,9 @@ class LinearCode:
             entry = self._syndrome_table(t).get(self.syndrome(y).tobytes())
             if entry is None or entry[1] is None:
                 return None
-            if self.alphabet.m == 1:
-                return (y - entry[1]) % q
-            return np.array(
-                [self.alphabet.sub(int(a), int(b)) for a, b in zip(y, entry[1])],
-                dtype=np.int64,
-            )
+            return self.alphabet.vsub(y, entry[1])
         if q ** self.k > enum_budget:
-            raise ValueError("code too large for both syndrome table and enumeration")
+            raise BudgetExceeded("code too large for both syndrome table and enumeration")
         best_d = self.n + 1
         best_cw = None
         best_count = 0
@@ -229,7 +242,7 @@ def _codeword_chunks(code: LinearCode, budget: int, chunk: int = 8192):
     q, k = code.alphabet.q, code.k
     total = q ** k
     if total > budget:
-        raise ValueError(f"enumeration of {total} codewords exceeds budget {budget}")
+        raise BudgetExceeded(f"enumeration of {total} codewords exceeds budget {budget}")
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         yield mat_mul(_message_block(start, stop, k, q), code.G, code.alphabet)
@@ -296,16 +309,8 @@ def read_generator(path) -> LinearCode:
         n, k, q = (int(x) for x in rows[0].split())
     except (ValueError, IndexError):
         raise ValueError("matrix file must start with a header line 'n k q'") from None
-    # q must be a prime power; recover (p, m).
-    p = next((f for f in range(2, q + 1) if q % f == 0), q)
-    m = 0
-    qq = q
-    while qq % p == 0 and qq > 1:
-        qq //= p
-        m += 1
-    if qq != 1:
-        raise ValueError(f"q = {q} in matrix file is not a prime power")
+    field = field_of_order(q)
     G = np.array([[int(x) for x in ln.split()] for ln in rows[1:]], dtype=np.int64)
     if G.shape != (k, n):
         raise ValueError(f"matrix body {G.shape} does not match header ({k}, {n})")
-    return LinearCode(G, make_field(p, m))
+    return LinearCode(G, field)

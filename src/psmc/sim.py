@@ -7,10 +7,11 @@ positions, uniform nonzero magnitudes), and decodes.  Memory words are
 plain numpy symbol vectors.
 
 Determinism: trial i uses its own counter-based generator,
-``numpy.random.Philox`` keyed with ``seed XOR i``, so campaigns replay
-bit-identically for a given config and can be parallelized or resumed
-per trial without changing results.  Aggregation is a commutative count,
-independent of trial order.
+``numpy.random.Philox`` keyed with the two 64-bit words ``(seed, i)``, so
+campaigns replay bit-identically for a given config and can be
+parallelized or resumed per trial without changing results, and no two
+(seed, trial) pairs share a stream.  Seeds must lie in [0, 2^64).
+Aggregation is a commutative count, independent of trial order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ from .constructions import (
     masking_probability,
 )
 
-RNG_SPEC = "numpy.random.Philox (4x64 counter-based), per-trial key = seed XOR trial index"
+RNG_SPEC = (
+    "numpy.random.Philox (4x64 counter-based), stream v2: "
+    "per-trial 128-bit key = the 64-bit words (seed, trial index)"
+)
 
 CSV_COLUMNS = [
     "n", "q", "u", "t_inj", "trials",
@@ -58,6 +62,8 @@ class ChannelConfig:
             raise ValueError(f"t_inj = {self.t_inj} out of range [0, {self.n}]")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed = {self.seed} out of range [0, 2^64)")
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
@@ -125,13 +131,12 @@ def inject(word, profile: StuckCellProfile, error, alphabet) -> np.ndarray:
     e = np.asarray(error, dtype=np.int64)
     if c.shape != e.shape:
         raise ValueError("word and error must have the same length")
-    if alphabet.m == 1:
-        return (c + e) % alphabet.q
-    return np.array([alphabet.add(int(a), int(b)) for a, b in zip(c, e)], dtype=np.int64)
+    return alphabet.vadd(c, e)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed ^ trial) & (2**64 - 1)))
+    # Philox reads an int key as two 64-bit words, low word first.
+    return np.random.Generator(np.random.Philox(key=seed | trial << 64))
 
 
 def run_campaign(code, cfg: ChannelConfig, *, failure_log_cap: int = FAILURE_LOG_CAP) -> CampaignReport:

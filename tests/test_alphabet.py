@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from psmc.alphabet import (
     Polynomial,
+    field_of_order,
     format_poly,
     make_field,
-    make_ring,
     parse_poly,
     poly_gcd,
     poly_pretty,
@@ -49,7 +49,6 @@ def test_gf3_prime_field():
     f = make_field(3)
     assert f.q == 3 and f.p == 3 and f.m == 1
     assert list(f.elements()) == [0, 1, 2]
-    assert f.is_field
 
 
 def test_gf2_trivial():
@@ -100,30 +99,19 @@ def test_make_field_supports_2_pow_20():
     assert f.mul(ab, f.inv(b)) == a
 
 
-def test_make_ring():
-    r = make_ring(6)
-    assert r.q == 6 and not r.is_field
-    assert r.mul(2, 3) == 0  # zero divisor
-    assert r.inv(5) == 5
+def test_field_of_order():
+    assert field_of_order(9) is make_field(3, 2)
+    assert field_of_order(7) is make_field(7)
+    assert field_of_order(1 << 11) is make_field(2, 11)
+    for q in (-4, 0, 1, 6, 12, 100):
+        with pytest.raises(ValueError, match="prime power"):
+            field_of_order(q)
     with pytest.raises(ValueError):
-        r.inv(2)
-    with pytest.raises(ValueError):
-        make_ring(1)
-
-
-def test_ring_vs_field_addition_tables():
-    # Z_q and GF(p^m) of equal order agree on addition iff m == 1.
-    z2, gf2 = make_ring(2), make_field(2)
-    assert np.array_equal(z2.add_table(), gf2.add_table())
-    assert np.array_equal(z2.mul_table(), gf2.mul_table())
-    z4, gf4 = make_ring(4), make_field(2, 2)
-    assert not np.array_equal(z4.add_table(), gf4.add_table())
+        field_of_order(1 << 21)
 
 
 def test_alphabets_are_cached():
     assert make_field(3, 2) is make_field(3, 2)
-    assert make_ring(6) is make_ring(6)
-    assert make_field(3) != make_ring(3)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +152,57 @@ def test_field_axioms_sampled_gf8192(a, b, c):
     assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.mul(a, f.inv(a)) == 1
+
+
+# ---------------------------------------------------------------------------
+# array arithmetic
+# ---------------------------------------------------------------------------
+
+def assert_array_ops_match_scalar(f, a, b):
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.vadd(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+    assert f.vsub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
+    assert f.vmul(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
+    assert f.vneg(a).tolist() == [f.neg(x) for x in a.tolist()]
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 3), (3, 2)], ids=["GF(7)", "GF(2^3)", "GF(3^2)"])
+def test_array_ops_match_scalar_exhaustive(p, m):
+    f = make_field(p, m)
+    grid = np.indices((f.q, f.q)).reshape(2, -1)
+    assert_array_ops_match_scalar(f, grid[0], grid[1])
+
+
+@pytest.mark.parametrize("p,m", [(2, 11), (3, 7), (1009, 1)], ids=["GF(2^11)", "GF(3^7)", "GF(1009)"])
+def test_array_ops_match_scalar_sampled(p, m):
+    f = make_field(p, m)
+    rng = np.random.default_rng(2048)
+    a, b = rng.integers(0, f.q, size=(2, 3000))
+    a[:5] = 0  # products and sums with zero
+    b[5:10] = 0
+    assert_array_ops_match_scalar(f, a, b)
+
+
+def test_matmul_matches_scalar_dot_products():
+    rng = np.random.default_rng(3)
+    for f in (make_field(5), make_field(2, 4), make_field(3, 3), make_field(2, 11)):
+        a = rng.integers(0, f.q, size=(3, 4))
+        b = rng.integers(0, f.q, size=(4, 5))
+        for i in range(3):
+            for j in range(5):
+                acc = 0
+                for t in range(4):
+                    acc = f.add(acc, f.mul(int(a[i, t]), int(b[t, j])))
+                assert f.matmul(a, b)[i, j] == acc
+
+
+def test_array_mul_above_2_pow_16_is_refused():
+    f = make_field(2, 17)
+    assert f.vadd(np.array([3]), np.array([5])).tolist() == [6]
+    with pytest.raises(ValueError, match="65536"):
+        f.vmul(np.array([3]), np.array([5]))
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +253,6 @@ def test_poly_division_by_zero():
     gf3 = make_field(3)
     with pytest.raises(ZeroDivisionError):
         divmod(Polynomial.one(gf3), Polynomial.zero(gf3))
-
-
-def test_poly_ring_division_requires_monic():
-    z6 = make_ring(6)
-    a = Polynomial(z6, (1, 2, 1))
-    with pytest.raises(ValueError):
-        divmod(a, Polynomial(z6, (1, 2)))
-    quot, rem = divmod(a, Polynomial(z6, (1, 1)))  # monic is fine
-    assert quot * Polynomial(z6, (1, 1)) + rem == a
 
 
 @st.composite

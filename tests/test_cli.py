@@ -116,6 +116,30 @@ def test_encode_masking_impossible_exits_2(capsys):
     assert json.loads(err)["error"] == "MaskingImpossible"
 
 
+def test_budget_overrun_exits_2_with_json(capsys):
+    # Deriving t for this code would enumerate 3^23 codewords.
+    code, out, err = run_cli(
+        capsys, "decode", "--n", "26", "--q", "3", "--factors", "1", "--y", "0" * 26,
+    )
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BudgetExceeded"
+    assert "exceeds budget" in payload["message"]
+
+
+def test_non_prime_power_q_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "encode", "--n", "8", "--q", "6", "--m", "0")
+    assert code == 1 and "not a prime power" in err
+
+
+def test_out_of_range_seed_is_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "--preset", "masking-n8-r0", "--u", "1",
+        "--trials", "1", "--seed", "-1",
+    )
+    assert code == 1 and "seed" in err
+
+
 def test_guaranteed_mode_overload_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "encode", "--preset", "masking-n8-r0",

@@ -3,9 +3,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from psmc.alphabet import make_field, make_ring
+from psmc.alphabet import make_field
 from psmc.cyclic import build_cyclic_code
 from psmc.linear import (
+    BudgetExceeded,
     LinearCode,
     mat_mul,
     min_distance,
@@ -51,16 +52,41 @@ def test_rejects_rank_deficient_generator():
         LinearCode(np.array([[1, 2, 0], [2, 4 % 3, 0]]) % 3, GF3)
 
 
-def test_rejects_ring_alphabet():
-    with pytest.raises(ValueError):
-        LinearCode(np.eye(2, dtype=int), make_ring(4))
-
-
 def test_explicit_parity_check_is_validated():
     G = np.array([[1, 0, 1], [0, 1, 1]])
     LinearCode(G, GF2, parity_check=np.array([[1, 1, 1]]))
     with pytest.raises(ValueError):
         LinearCode(G, GF2, parity_check=np.array([[1, 0, 1]]))
+
+
+def test_message_of_inverts_encode():
+    rng = np.random.default_rng(8)
+    codes = [row3_code(), build_cyclic_code(9, make_field(2, 3), (1,)).to_linear_code()]
+    for code in codes:
+        for _ in range(20):
+            m = rng.integers(0, code.alphabet.q, size=code.k)
+            assert (code.message_of(code.encode(m)) == m).all()
+
+
+def test_gf2048_linear_code_builds_encodes_decodes():
+    F = make_field(2, 11)
+    parity = LinearCode(np.array([[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 1500]]), F)
+    repetition = LinearCode(np.array([[1, 5, 2047]]), F)  # d = 3, decoded by enumeration
+    rng = np.random.default_rng(11)
+    for code in (parity, repetition):
+        assert not mat_mul(code.G, code.H.T, F).any()
+        for _ in range(10):
+            m = rng.integers(0, F.q, size=code.k)
+            c = code.encode(m)
+            assert code.is_codeword(c)
+            assert (code.message_of(c) == m).all()
+            y = c.copy()
+            y[1] = F.add(int(y[1]), int(rng.integers(1, F.q)))
+            if code is parity:
+                assert (code.decode_bounded(c, 0) == c).all()
+                assert code.decode_bounded(y, 0) is None
+            else:
+                assert (code.decode_bounded(y, 1) == c).all()
 
 
 def test_full_rate_code_has_empty_parity_check():
@@ -108,7 +134,7 @@ def test_min_distance_matches_exhaustive_oracle():
 
 def test_min_distance_budget():
     code = LinearCode(np.hstack([np.eye(15, dtype=int), np.ones((15, 1), dtype=int)]), GF3)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
         min_distance(code, budget=10**6)  # 3^15 > 10^6
 
 

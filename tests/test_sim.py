@@ -11,6 +11,7 @@ from psmc.sim import (
     CSV_COLUMNS,
     CampaignReport,
     ChannelConfig,
+    _trial_rng,
     inject,
     run_campaign,
     wilson_interval,
@@ -26,6 +27,29 @@ def test_config_validation():
         ChannelConfig(n=8, q=3, u=1, t_inj=0, trials=-1, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        ChannelConfig(n=8, q=3, u=1, t_inj=0, trials=1, seed=seed)
+    ChannelConfig(n=8, q=3, u=1, t_inj=0, trials=1, seed=2**64 - 1)
+
+
+def test_trial_streams_of_neighbouring_seeds_differ():
+    # 20260811 ^ 7 == 20260812 ^ 0: XOR keying gave these two trials one stream.
+    a = _trial_rng(20260811, 7).integers(0, 2**63, size=4)
+    b = _trial_rng(20260812, 0).integers(0, 2**63, size=4)
+    assert (a != b).any()
+
+
+def test_neighbouring_seeds_give_different_campaigns():
+    code = masking8_code()
+    runs = [
+        run_campaign(code, ChannelConfig(n=8, q=3, u=7, t_inj=0, trials=4096, seed=s))
+        for s in (0, 1)
+    ]
+    assert runs[0].masking_successes != runs[1].masking_successes
+
+
 def test_config_code_mismatch():
     cfg = ChannelConfig(n=9, q=3, u=1, t_inj=0, trials=1, seed=0)
     with pytest.raises(ValueError, match="does not match"):
@@ -36,6 +60,14 @@ def test_inject_no_error():
     c = np.array([1, 2, 0, 1])
     y = inject(c, StuckCellProfile((1,)), np.zeros(4, dtype=int), make_field(3))
     assert (y == c).all()
+
+
+def test_inject_extension_field_matches_scalar_add():
+    f = make_field(3, 2)
+    c = np.array([0, 4, 8, 5])
+    e = np.array([7, 5, 1, 0])
+    y = inject(c, StuckCellProfile(()), e, f)
+    assert y.tolist() == [f.add(int(a), int(b)) for a, b in zip(c, e)]
 
 
 def test_inject_appendix_single_error():
