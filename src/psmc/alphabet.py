@@ -14,6 +14,13 @@ Scalar arithmetic covers every field of order up to ``MAX_ORDER`` (2^20).
 Fields with q <= 2^16 build exp/log tables on first multiplication;
 larger fields multiply digit vectors directly.
 
+One set of polynomial kernels on coefficient tuples (add/sub, mul,
+divmod, gcd, power mod f) works over any :class:`Alphabet`.
+:class:`Polynomial` and :func:`poly_gcd` wrap them, and an extension field
+is bootstrapped with them over its prime field: Rabin's irreducibility
+test picks the modulus, and the primitive element and the exp/log tables
+are found by multiplying digit tuples modulo it.
+
 The array operations (:meth:`Alphabet.vadd`, ``vsub``, ``vneg``, ``vmul``
 and :meth:`Alphabet.matmul`) act element-wise on int64 arrays of symbols
 and are the only place that knows how symbols are represented: prime
@@ -30,6 +37,7 @@ operations are pure, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,19 +46,6 @@ MAX_ORDER = 1 << 20
 
 _TABLE_ORDER_LIMIT = 1 << 10  # dense q x q add/mul tables only below this
 _EXPLOG_ORDER_LIMIT = 1 << 16
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -68,80 +63,78 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Raw dense polynomials over GF(p), used to bootstrap extension fields.
-# Tuples of ints, lowest degree first, no trailing zeros.
+# Polynomial kernels: coefficient tuples over any Alphabet, lowest degree
+# first, no trailing zeros.  Polynomial wraps them, and extension fields run
+# them over their prime field before their own arithmetic exists.
 # ---------------------------------------------------------------------------
 
-def _tstrip(c: list[int]) -> tuple[int, ...]:
+def _strip(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
 
 
-def _tmul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+def _pzip(op, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Coefficient-wise op (an Alphabet's add or sub) of a and b."""
+    return _strip([op(x, y) for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _pmul(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     if not a or not b:
         return ()
+    add, mul = A.add, A.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _tstrip(out)
+                out[i + j] = add(out[i + j], mul(ai, bj))
+    return _strip(out)
 
 
-def _tmod(a: Sequence[int], f: Sequence[int], p: int) -> tuple[int, ...]:
-    # f must be monic
-    r = list(a)
-    df = len(f) - 1
-    for i in range(len(r) - 1, df - 1, -1):
-        c = r[i]
+def _pdivmod(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of a by b; b must be nonzero with no trailing zeros."""
+    dd = len(b) - 1
+    rem = list(a)
+    if len(rem) <= dd:
+        return (), _strip(rem)
+    sub, mul, inv_lc = A.sub, A.mul, A.inv(b[-1])
+    quot = [0] * (len(rem) - dd)
+    for shift in range(len(rem) - dd - 1, -1, -1):
+        c = rem[shift + dd]
         if c:
-            for j in range(df + 1):
-                r[i - df + j] = (r[i - df + j] - c * f[j]) % p
-    return _tstrip(r)
+            f = mul(c, inv_lc)
+            quot[shift] = f
+            for i, bc in enumerate(b):
+                rem[shift + i] = sub(rem[shift + i], mul(f, bc))
+    return _strip(quot), _strip(rem)
 
 
-def _tsub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _tstrip(out)
-
-
-def _tgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+def _pgcd(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Monic greatest common divisor (empty when a and b are both zero)."""
     while b:
-        inv = pow(b[-1], -1, p)
-        nb = tuple(c * inv % p for c in b)
-        a, b = b, _tmod(a, nb, p)
-    return a
+        a, b = b, _pdivmod(A, a, b)[1]
+    return _pmul(A, (A.inv(a[-1]),), a) if a else ()
 
 
-def _tpowmod(base: tuple[int, ...], e: int, f: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    acc = _tmod(base, f, p)
+def _ppowmod(A: "Alphabet", a: Sequence[int], e: int, f: Sequence[int]) -> tuple[int, ...]:
+    """a^e mod f."""
+    result, acc = (1,), _pdivmod(A, a, f)[1]
     while e:
         if e & 1:
-            result = _tmod(_tmul(result, acc, p), f, p)
-        acc = _tmod(_tmul(acc, acc, p), f, p)
+            result = _pdivmod(A, _pmul(A, result, acc), f)[1]
+        acc = _pdivmod(A, _pmul(A, acc, acc), f)[1]
         e >>= 1
     return result
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Rabin test for a monic polynomial over GF(p)."""
+    """Rabin test for a monic polynomial of degree >= 2 over GF(p)."""
     m = len(f) - 1
-    if m < 1 or f[-1] != 1:
-        return False
-    if m == 1:
-        return True
-    x = (0, 1)
-    if _tpowmod(x, p ** m, f, p) != x:
+    F, x = make_field(p), (0, 1)
+    if _ppowmod(F, x, p ** m, f) != x:
         return False
     for d in _prime_factors(m):
-        g = _tgcd(_tsub(_tpowmod(x, p ** (m // d), f, p), x, p), f, p)
-        if len(g) - 1 > 0:
+        if len(_pgcd(F, _pzip(F.sub, _ppowmod(F, x, p ** (m // d), f), x), f)) > 1:
             return False
     return True
 
@@ -150,12 +143,7 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     # Candidates ordered by the base-p integer formed by the non-leading
     # coefficients; the first irreducible one is the fixed modulus.
     for v in range(p ** m):
-        digits = []
-        x = v
-        for _ in range(m):
-            digits.append(x % p)
-            x //= p
-        f = tuple(digits) + (1,)
+        f = tuple(v // p ** i % p for i in range(m)) + (1,)
         if _is_irreducible(f, p):
             return f
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
@@ -233,9 +221,10 @@ class Alphabet:
         return self.from_digits((-x) % self.p for x in self.digits(a))
 
     def _ext_mul_raw(self, a: int, b: int) -> int:
-        prod = _tmul(self.digits(a), self.digits(b), self.p)
-        red = _tmod(prod, self._mod_digits, self.p)
-        return self.from_digits(red + (0,) * (self.m - len(red)))
+        # Table-free product of digit tuples modulo the field's modulus.
+        F = make_field(self.p)
+        prod = _pmul(F, _strip(list(self.digits(a))), _strip(list(self.digits(b))))
+        return self.from_digits(_pdivmod(F, prod, self._mod_digits)[1])
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -257,33 +246,19 @@ class Alphabet:
             return exp[(self.q - 1 - log[a]) % (self.q - 1)]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
+        if self.m > 1 and self.q <= _EXPLOG_ORDER_LIMIT and a:
+            exp, log = self._tables()
+            return exp[log[a] * e % (self.q - 1)]
+        return self._pow_raw(a, e)
 
     def _pow_raw(self, a: int, e: int) -> int:
         # Table-free powering, usable while exp/log tables are being built.
         if self.m == 1:
             return pow(a, e, self.q)
-        result = 1
-        acc = a
-        while e:
-            if e & 1:
-                result = self._ext_mul_raw(result, acc)
-            acc = self._ext_mul_raw(acc, acc)
-            e >>= 1
-        return result
+        return self.from_digits(_ppowmod(make_field(self.p), self.digits(a), e, self._mod_digits))
 
     def element_order(self, a: int) -> int:
         """Multiplicative order of a nonzero field element."""
@@ -307,6 +282,7 @@ class Alphabet:
         return self._primitive
 
     def _tables(self) -> tuple[list[int], list[int]]:
+        # Extension fields only: prime fields multiply mod q.
         if self._exp is None:
             g = self.primitive
             exp = [1] * (self.q - 1)
@@ -315,7 +291,7 @@ class Alphabet:
             for i in range(self.q - 1):
                 exp[i] = acc
                 log[acc] = i
-                acc = self._ext_mul_raw(acc, g) if self.m > 1 else (acc * g) % self.q
+                acc = self._ext_mul_raw(acc, g)
             self._exp, self._log = exp, log
         return self._exp, self._log
 
@@ -441,7 +417,7 @@ def make_field(p: int, m: int = 1) -> Alphabet:
     """
     key = (p, m)
     if key not in _FIELDS:
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
@@ -480,16 +456,21 @@ class Polynomial:
     __slots__ = ("alphabet", "coeffs")
 
     def __init__(self, alphabet: Alphabet, coeffs: Iterable[int] = ()):
-        cs = [alphabet.check(int(c)) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _strip([alphabet.check(int(c)) for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, coeffs: tuple[int, ...]) -> "Polynomial":
+        """Wrap a kernel result, which is already checked and stripped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "alphabet", alphabet)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "Polynomial":
@@ -502,10 +483,6 @@ class Polynomial:
     @classmethod
     def x(cls, alphabet: Alphabet) -> "Polynomial":
         return cls(alphabet, (0, 1))
-
-    @classmethod
-    def monomial(cls, alphabet: Alphabet, c: int, k: int) -> "Polynomial":
-        return cls(alphabet, (0,) * k + (c,))
 
     # -- structure ------------------------------------------------------------
 
@@ -543,57 +520,29 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._same(other)
-        A = self.alphabet
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(A, (A.add(self.coeff(i), other.coeff(i)) for i in range(n)))
+        return Polynomial._of(self.alphabet, _pzip(self.alphabet.add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._same(other)
-        A = self.alphabet
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(A, (A.sub(self.coeff(i), other.coeff(i)) for i in range(n)))
+        return Polynomial._of(self.alphabet, _pzip(self.alphabet.sub, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Polynomial":
-        A = self.alphabet
-        return Polynomial(A, (A.neg(c) for c in self.coeffs))
+        return Polynomial._of(self.alphabet, _pzip(self.alphabet.sub, (), self.coeffs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._same(other)
-        A = self.alphabet
-        if self.is_zero or other.is_zero:
-            return Polynomial(A)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = A.add(out[i + j], A.mul(a, b))
-        return Polynomial(A, out)
+        return Polynomial._of(self.alphabet, _pmul(self.alphabet, self.coeffs, other.coeffs))
 
     def scale(self, s: int) -> "Polynomial":
         A = self.alphabet
-        A.check(s)
-        return Polynomial(A, (A.mul(s, c) for c in self.coeffs))
+        return Polynomial._of(A, _pmul(A, (A.check(s),), self.coeffs))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._same(other)
-        A = self.alphabet
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        inv_lc = A.inv(other.lc)
-        dd = len(other.coeffs) - 1
-        rem = list(self.coeffs)
-        if len(rem) <= dd:
-            return Polynomial(A), Polynomial(A, rem)
-        quot = [0] * (len(rem) - dd)
-        for shift in range(len(rem) - dd - 1, -1, -1):
-            c = rem[shift + dd]
-            if c == 0:
-                continue
-            f = A.mul(c, inv_lc)
-            quot[shift] = f
-            for i, dc in enumerate(other.coeffs):
-                rem[shift + i] = A.sub(rem[shift + i], A.mul(f, dc))
-        return Polynomial(A, quot), Polynomial(A, rem)
+        quot, rem = _pdivmod(self.alphabet, self.coeffs, other.coeffs)
+        return Polynomial._of(self.alphabet, quot), Polynomial._of(self.alphabet, rem)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -632,9 +581,8 @@ class Polynomial:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    a._same(b)
+    return Polynomial._of(a.alphabet, _pgcd(a.alphabet, a.coeffs, b.coeffs))
 
 
 def parse_poly(alphabet: Alphabet, text: str) -> Polynomial:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import ENUM_BUDGET, LinearCode, as_word, mat_mul, min_distance, parity_check_matrix
+from .linear import LinearCode, as_word, mat_mul, min_distance, parity_check_matrix
 
 
 class MaskingImpossible(Exception):
@@ -102,12 +102,6 @@ class MaskingOutcome:
         object.__setattr__(self, "codeword", np.asarray(self.codeword, dtype=np.int64))
 
 
-def _derive_t(code: LinearCode, t: int | None, budget: int = ENUM_BUDGET) -> int:
-    if t is not None:
-        return int(t)
-    return min_distance(code, budget=budget).t
-
-
 def _systematic_g1(n: int, l: int, ecc_columns) -> tuple[np.ndarray, int]:
     """G1 = [0 | I_k1 | P] with l leading zero columns; returns (G1, r)."""
     P = None if ecc_columns is None else np.asarray(ecc_columns, dtype=np.int64)
@@ -138,7 +132,14 @@ class _MaskingCode:
         self.k1, self.n = G1.shape
         self.l = H0.shape[0]
         self.base = LinearCode(np.vstack([G1, H0]), alphabet)
-        self.t = _derive_t(self.base, t)
+        if t is not None:
+            self.t = int(t)
+
+    @cached_property
+    def t(self) -> int:
+        """Errors corrected on read-back; unless given, derived on first use
+        from the exact minimum distance of the stacked code."""
+        return min_distance(self.base).t
 
     @cached_property
     def _candidates(self) -> tuple[np.ndarray, list, list, list]:
@@ -197,7 +198,7 @@ class _MaskingCode:
         """Correct up to t errors and return the message m."""
         c = self.base.decode_bounded(word, self.t)
         if c is None:
-            raise DecodingFailure(f"no codeword within distance {self.t}")
+            raise DecodingFailure(f"no unique codeword within distance {self.t}")
         return self.base.message_of(c)[: self.k1]
 
 

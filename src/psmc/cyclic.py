@@ -8,6 +8,14 @@ the power (q^m - 1)/n, where m is the smallest extension degree with
 n | q^m - 1.  Coset labels therefore depend only on (n, q), never on the
 run.
 
+GF(q^m) is built by :func:`psmc.alphabet.make_field`, which bootstraps
+every extension field over its prime field.  GF(q) sits inside GF(q^m)
+through a fixed embedding: a prime field embeds as the constants of the
+polynomial basis, and a larger GF(q) sends its primitive element to the
+first root, in power order, of that element's minimal polynomial over the
+prime field.  Minimal polynomials are products of linear factors x - b
+over a Frobenius orbit.
+
 The BCH lower bound reported for a defining set counts the longest run of
 cyclically consecutive members (a run may wrap n-1 -> 0) plus one, which
 covers runs starting at any offset.
@@ -77,43 +85,27 @@ class _RootContext:
     """GF(q^m) together with a fixed order-n root and GF(q) embedding."""
 
     def __init__(self, n: int, base: Alphabet):
-        m = extension_degree(n, base.q)
-        self.n = n
         self.base = base
-        self.m = m
-        self.ext = base if m == 1 else make_field(base.p, base.m * m)
+        self.ext = make_field(base.p, base.m * extension_degree(n, base.q))
         self._embed, self._project = self._subfield_maps()
         self.alpha = self.ext.pow(self.ext.primitive, (self.ext.q - 1) // n)
 
     def _subfield_maps(self):
         base, ext = self.base, self.ext
-        if ext is base:
-            ident = {a: a for a in base.elements()}
-            return ident, dict(ident)
         if base.m == 1:
             # Prime subfield: constants of the polynomial basis.
             emb = {a: a for a in range(base.p)}
-            return emb, {v: k for k, v in emb.items()}
-        # Proper subfield GF(p^e) inside GF(p^(e*m)): send the small
-        # generator to a root (in the big field) of its minimal polynomial
-        # over GF(p); the first root in power order fixes the map.
+            return emb, dict(emb)
+        # GF(p^e) inside GF(p^(e*m)): send the small generator to a root
+        # (in the big field) of its minimal polynomial over GF(p); the
+        # first root in power order fixes the map.  For m = 1 that root is
+        # the generator itself, so the map is the identity.
         gamma = base.primitive
-        minpoly = _minpoly_over_prime(base, gamma)
+        minpoly = Polynomial(ext, _minpoly_over_prime(base, gamma).coeffs)
         step = (ext.q - 1) // (base.q - 1)
-        delta = None
-        for i in range(1, base.q):
-            cand = ext.pow(ext.primitive, step * i)
-            if _eval_prime_poly(ext, minpoly, cand) == 0:
-                delta = cand
-                break
-        if delta is None:
-            raise RuntimeError("subfield embedding not found")  # unreachable
-        emb = {0: 0}
-        small_pow, big_pow = 1, 1
-        for _ in range(base.q - 1):
-            emb[small_pow] = big_pow
-            small_pow = base.mul(small_pow, gamma)
-            big_pow = ext.mul(big_pow, delta)
+        roots = (ext.pow(ext.primitive, step * i) for i in range(1, base.q))
+        delta = next(c for c in roots if minpoly(c) == 0)
+        emb = {0: 0} | {base.pow(gamma, i): ext.pow(delta, i) for i in range(base.q - 1)}
         return emb, {v: k for k, v in emb.items()}
 
     def embed(self, a: int) -> int:
@@ -128,28 +120,19 @@ class _RootContext:
             ) from None
 
 
-def _minpoly_over_prime(field: Alphabet, a: int) -> tuple[int, ...]:
-    """Minimal polynomial of a over GF(p), as a coefficient tuple."""
-    orbit = []
-    x = a
-    while x not in orbit:
-        orbit.append(x)
-        x = field.pow(x, field.p)
-    poly = Polynomial.one(field)
-    xvar = Polynomial.x(field)
-    for b in orbit:
-        poly = poly * (xvar - Polynomial(field, (b,)))
-    coeffs = tuple(poly.coeffs)
-    if any(c >= field.p for c in coeffs):
+def _linear_product(field: Alphabet, roots) -> Polynomial:
+    """The monic polynomial whose roots are the given field elements."""
+    return reduce(
+        lambda acc, b: acc * Polynomial(field, (field.neg(b), 1)), roots, Polynomial.one(field)
+    )
+
+
+def _minpoly_over_prime(field: Alphabet, a: int) -> Polynomial:
+    """Minimal polynomial of a over GF(p): the product over its conjugates a^(p^i)."""
+    poly = _linear_product(field, {field.pow(a, field.p ** i) for i in range(field.m)})
+    if any(c >= field.p for c in poly.coeffs):
         raise ArithmeticError("minimal polynomial has non-prime-field coefficient")
-    return coeffs
-
-
-def _eval_prime_poly(field: Alphabet, coeffs: tuple[int, ...], point: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, point), c)
-    return acc
+    return poly
 
 
 _CONTEXTS: dict[tuple[int, int, int], _RootContext] = {}
@@ -169,13 +152,8 @@ def minimal_polynomial(a: int, n: int, base: Alphabet) -> Polynomial:
     cyclotomic coset of a, and its coefficients lie in the base field.
     """
     ctx = root_context(n, base)
-    coset = cyclotomic_coset(a, n, base.q)
-    ext = ctx.ext
-    poly = Polynomial.one(ext)
-    xvar = Polynomial.x(ext)
-    for b in coset.members:
-        poly = poly * (xvar - Polynomial(ext, (ext.pow(ctx.alpha, b),)))
-    return Polynomial(base, (ctx.project(c) for c in poly.coeffs))
+    roots = (ctx.ext.pow(ctx.alpha, b) for b in cyclotomic_coset(a, n, base.q).members)
+    return Polynomial(base, (ctx.project(c) for c in _linear_product(ctx.ext, roots).coeffs))
 
 
 def bch_bound_from_defining_set(defining_set, n: int) -> int:
@@ -212,7 +190,6 @@ class CyclicCodeSpec:
 
     n: int
     alphabet: Alphabet
-    ext_degree: int
     defining_set: tuple[int, ...]
     g: Polynomial
     h: Polynomial
@@ -236,19 +213,14 @@ class CyclicCodeSpec:
 
 def build_cyclic_code(n: int, base: Alphabet, coset_representatives) -> CyclicCodeSpec:
     """Cyclic code whose defining set is the union of the given cosets."""
-    cosets = []
-    seen: set[int] = set()
-    for a in coset_representatives:
-        c = cyclotomic_coset(a, n, base.q)
-        if c.representative not in seen:
-            seen.add(c.representative)
-            cosets.append(c)
-    defining = sorted(set().union(*(c.members for c in cosets)) if cosets else set())
+    requested = (cyclotomic_coset(a, n, base.q) for a in coset_representatives)
+    cosets = {c.representative: c for c in requested}  # distinct, in first-requested order
+    defining = sorted(set().union(*(c.members for c in cosets.values())))
     if len(defining) >= n:
         raise ValueError("defining set covers [0, n); the code would be zero")
     g = reduce(
         lambda acc, c: acc * minimal_polynomial(c.representative, n, base),
-        cosets,
+        cosets.values(),
         Polynomial.one(base),
     )
     xn_minus_1 = Polynomial(base, (base.neg(1),) + (0,) * (n - 1) + (1,))
@@ -258,7 +230,6 @@ def build_cyclic_code(n: int, base: Alphabet, coset_representatives) -> CyclicCo
     return CyclicCodeSpec(
         n=n,
         alphabet=base,
-        ext_degree=extension_degree(n, base.q),
         defining_set=tuple(defining),
         g=g,
         h=h,

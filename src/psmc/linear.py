@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ def parity_check_matrix(generator: np.ndarray, alphabet: Alphabet) -> np.ndarray
 class LinearCode:
     """An [n, k] linear code over a field, held as generator G and check H."""
 
-    def __init__(self, generator, alphabet: Alphabet, parity_check=None):
+    def __init__(self, generator, alphabet: Alphabet):
         G = np.asarray(generator, dtype=np.int64)
         if G.ndim != 2:
             raise ValueError("generator must be a 2-D matrix")
@@ -120,18 +121,9 @@ class LinearCode:
         self.k, self.n = G.shape
         R, pivots, self._info_inverse = _reduce_generator(G, alphabet)
         self._info_set = np.array(pivots, dtype=np.intp)
-        if parity_check is None:
-            self.H = _check_from_rref(R, pivots, alphabet)
-        else:
-            self.H = np.asarray(parity_check, dtype=np.int64)
-            if self.H.shape != (self.n - self.k, self.n):
-                raise ValueError("parity check has wrong shape")
-            if mat_mul(self.G, self.H.T, alphabet).any():
-                raise ValueError("G H^T != 0")
-            _, hp = rref(self.H, alphabet)
-            if len(hp) != self.n - self.k:
-                raise ValueError("parity check is not full rank")
-        self._tables: dict[int, dict[bytes, tuple[int, np.ndarray | None]]] = {}
+        self.H = _check_from_rref(R, pivots, alphabet)
+        # t -> syndrome table, or None where decoding enumerates codewords
+        self._tables: dict[int, dict[bytes, tuple[int, np.ndarray | None]] | None] = {}
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n}, {self.k}] over {self.alphabet!r})"
@@ -159,14 +151,20 @@ class LinearCode:
 
     # -- bounded-distance decoding -----------------------------------------
 
-    def _pattern_count(self, t: int) -> int:
-        from math import comb
+    def _syndrome_table(self, t: int) -> dict[bytes, tuple[int, np.ndarray | None]] | None:
+        """Syndrome -> (weight, leader) over the patterns of weight <= t.
 
-        return sum(comb(self.n, w) * (self.alphabet.q - 1) ** w for w in range(t + 1))
-
-    def _syndrome_table(self, t: int) -> dict[bytes, tuple[int, np.ndarray | None]]:
+        None when q^(n-k) or the pattern count exceeds ``TABLE_BUDGET``;
+        decoding then enumerates codewords.  Decided and built once per t.
+        """
         if t not in self._tables:
+            if t < 0:
+                raise ValueError("t must be >= 0")
             q, n = self.alphabet.q, self.n
+            count = sum(comb(n, w) * (q - 1) ** w for w in range(t + 1))
+            if q ** (n - self.k) > TABLE_BUDGET or count > TABLE_BUDGET:
+                self._tables[t] = None
+                return None
             patterns = [
                 (w, pos, vals)
                 for w in range(t + 1)
@@ -188,34 +186,27 @@ class LinearCode:
             self._tables[t] = table
         return self._tables[t]
 
-    def decode_bounded(
-        self,
-        word,
-        t: int,
-        *,
-        table_budget: int = TABLE_BUDGET,
-        enum_budget: int = ENUM_BUDGET,
-    ) -> np.ndarray | None:
+    def decode_bounded(self, word, t: int) -> np.ndarray | None:
         """Unique codeword within Hamming distance t of word, or None.
 
         Uses a precomputed syndrome table when q^(n-k) fits the budget,
         otherwise falls back to nearest-codeword enumeration.
         """
-        if t < 0:
-            raise ValueError("t must be >= 0")
         y = as_word(word, self.alphabet, self.n)
-        q = self.alphabet.q
-        if q ** (self.n - self.k) <= table_budget and self._pattern_count(t) <= table_budget:
-            entry = self._syndrome_table(t).get(self.syndrome(y).tobytes())
-            if entry is None or entry[1] is None:
-                return None
-            return self.alphabet.vsub(y, entry[1])
-        if q ** self.k > enum_budget:
-            raise BudgetExceeded("code too large for both syndrome table and enumeration")
+        table = self._syndrome_table(t)
+        if table is None:
+            return self._decode_by_enumeration(y, t)
+        entry = table.get(self._syndromes(y[None, :])[0].tobytes())
+        if entry is None or entry[1] is None:
+            return None
+        return self.alphabet.vsub(y, entry[1])
+
+    def _decode_by_enumeration(self, y: np.ndarray, t: int) -> np.ndarray | None:
+        """decode_bounded by a scan of every codeword for the nearest ones."""
         best_d = self.n + 1
         best_cw = None
         best_count = 0
-        for chunk in _codeword_chunks(self, enum_budget):
+        for chunk in _codeword_chunks(self):
             dist = (chunk != y[None, :]).sum(axis=1)
             dmin = int(dist.min())
             if dmin < best_d:
@@ -238,11 +229,11 @@ def _message_block(start: int, stop: int, k: int, q: int) -> np.ndarray:
     return out
 
 
-def _codeword_chunks(code: LinearCode, budget: int, chunk: int = 8192):
+def _codeword_chunks(code: LinearCode, chunk: int = 8192):
     q, k = code.alphabet.q, code.k
     total = q ** k
-    if total > budget:
-        raise BudgetExceeded(f"enumeration of {total} codewords exceeds budget {budget}")
+    if total > ENUM_BUDGET:
+        raise BudgetExceeded(f"enumeration of {total} codewords exceeds budget {ENUM_BUDGET}")
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         yield mat_mul(_message_block(start, stop, k, q), code.G, code.alphabet)
@@ -257,11 +248,11 @@ class DistanceReport:
     t: int
 
 
-def min_distance(code: LinearCode, *, budget: int = ENUM_BUDGET, bch_lower_bound: int | None = None) -> DistanceReport:
+def min_distance(code: LinearCode, *, bch_lower_bound: int | None = None) -> DistanceReport:
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords."""
     best = code.n
     first = True
-    for chunk in _codeword_chunks(code, budget):
+    for chunk in _codeword_chunks(code):
         w = np.count_nonzero(chunk, axis=1)
         if first:
             w = w[1:]  # skip the zero codeword

@@ -139,7 +139,7 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed | trial << 64))
 
 
-def run_campaign(code, cfg: ChannelConfig, *, failure_log_cap: int = FAILURE_LOG_CAP) -> CampaignReport:
+def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
     """Run encode -> store -> corrupt -> decode trials and aggregate.
 
     ``code`` may be any of the three construction classes (duck-typed:
@@ -158,7 +158,7 @@ def run_campaign(code, cfg: ChannelConfig, *, failure_log_cap: int = FAILURE_LOG
     failures: list[dict] = []
 
     def log_failure(trial, stage, detail):
-        if len(failures) < failure_log_cap:
+        if len(failures) < FAILURE_LOG_CAP:
             failures.append({"trial": trial, "stage": stage, "detail": detail})
 
     for trial in range(cfg.trials):

@@ -69,6 +69,7 @@ def build_table(n: int = 8, q: int = 3, gain_q: int = GAIN_Q, gain_u: int = GAIN
     rows = []
     for spec in TABLE8_ROWS:
         code = PsmcCyclicCode(n, field, spec["g1_reps"])
+        # The row reads t off this report, never code.t, so the code is enumerated once.
         report = min_distance(code.ecc, bch_lower_bound=code.delta1)
         k1_star, l_star = redundancy_gain(gain_q, gain_u, code.k1)
         h0_label = _coset_label(0, n, q)

@@ -72,6 +72,23 @@ def test_gf9_modulus_is_smallest_irreducible():
         assert Polynomial(gf3, (1, 0, 1))(e) != 0
 
 
+def _candidates(p, m):
+    """Monic degree-m polynomials over GF(p) in the documented order: by the
+    base-p integer of the non-leading coefficients, constant term lowest."""
+    gf = make_field(p)
+    for v in range(p ** m):
+        yield Polynomial(gf, [v // p ** i % p for i in range(m)] + [1])
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in range(2, 10) if p ** m <= 729])
+def test_modulus_is_first_candidate_without_a_small_factor(p, m):
+    # Oracle independent of the Rabin test: trial division by every monic
+    # polynomial of degree 1..m/2.
+    divisors = [d for k in range(1, m // 2 + 1) for d in _candidates(p, k)]
+    first = next(f for f in _candidates(p, m) if all(not (f % d).is_zero for d in divisors))
+    assert make_field(p, m).modulus == first
+
+
 def test_canonical_binary_moduli():
     # Deterministic rule reproduces the usual textbook choices.
     assert make_field(2, 2).modulus.coeffs == (1, 1, 1)
@@ -256,14 +273,16 @@ def test_poly_division_by_zero():
 
 
 @st.composite
-def gf3_poly(draw, max_deg=8):
-    coeffs = draw(st.lists(st.integers(0, 2), max_size=max_deg + 1))
-    return Polynomial(make_field(3), coeffs)
+def polys(draw, *max_degs):
+    """Polynomials of at most the given degrees over one field, GF(3) or GF(9)."""
+    f = draw(st.sampled_from([make_field(3), make_field(3, 2)]))
+    return [Polynomial(f, draw(st.lists(st.integers(0, f.q - 1), max_size=d + 1))) for d in max_degs]
 
 
-@given(gf3_poly(), gf3_poly())
+@given(polys(8, 8))
 @settings(max_examples=300, deadline=None)
-def test_poly_divmod_roundtrip(a, b):
+def test_poly_divmod_roundtrip(ab):
+    a, b = ab
     if b.is_zero:
         return
     quot, rem = divmod(a, b)
@@ -271,9 +290,10 @@ def test_poly_divmod_roundtrip(a, b):
     assert rem.degree < b.degree
 
 
-@given(gf3_poly(5), gf3_poly(5), gf3_poly(3))
+@given(polys(5, 5, 3))
 @settings(max_examples=200, deadline=None)
-def test_poly_gcd_divides_both(a, b, c):
+def test_poly_gcd_divides_both(abc):
+    a, b, c = abc
     a, b = a * c, b * c
     if a.is_zero and b.is_zero:
         return

@@ -97,14 +97,17 @@ def test_decode_command_corrects_single_error(capsys):
 
 
 def test_decode_failure_exits_2_with_json(capsys):
-    # Error at position 0 (value 2) shares a syndrome with an equal-weight
-    # pattern at position 5, so bounded decoding reports failure.
+    # An error at position 0 shares a syndrome with an equal-weight pattern
+    # at position 5, so bounded decoding reports failure.  On the zero
+    # codeword the nearest codeword is at distance 1, but it is not unique.
     good = "11021021021000"
-    y = "0" + good[1:]
-    code, out, err = run_cli(capsys, "decode", "--preset", "appendix-n14", "--y", y)
-    assert code == 2 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "DecodingFailure"
+    for y in ("0" + good[1:], "10000000000000"):
+        code, out, err = run_cli(capsys, "decode", "--preset", "appendix-n14", "--y", y)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "DecodingFailure",
+            "message": "no unique codeword within distance 1",
+        }
 
 
 def test_encode_masking_impossible_exits_2(capsys):
@@ -194,6 +197,24 @@ def test_tables_json(capsys):
     blob = json.loads(out)
     assert len(blob["rows"]) == 7
     assert blob["rows"][0]["k1"] == 6
+
+
+def test_build_table_enumerates_each_row_once(monkeypatch):
+    import psmc.constructions
+    import psmc.linear
+    import psmc.tables
+
+    calls = []
+    original = psmc.linear.min_distance
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (psmc.linear, psmc.constructions, psmc.tables):
+        monkeypatch.setattr(module, "min_distance", counted)
+    assert len(psmc.tables.build_table(8, 3)) == 7
+    assert len(calls) == 7
 
 
 def test_table_row_invariants():

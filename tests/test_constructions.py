@@ -234,6 +234,29 @@ def test_cyclic_decoding_failure_surfaces():
     raise AssertionError("expected an uncorrectable double error")
 
 
+def test_tie_failure_message_is_true():
+    # appendix-n14 has d = 2 but t = 1.  A single error on the zero codeword
+    # is within distance 1 of it, yet 4 of the 28 single errors share their
+    # syndrome with another single error, so no codeword is the unique nearest.
+    code = get_preset("appendix-n14")
+    assert not code.encode([0] * code.k1, ()).codeword.any() and code.t == 1
+    singles = {}
+    for j, v in product(range(code.n), (1, 2)):
+        y = np.zeros(code.n, dtype=np.int64)
+        y[j] = v
+        singles[j, v] = y
+    failed = []
+    for (j, v), y in singles.items():
+        try:
+            assert not code.decode(y).any()
+        except DecodingFailure as exc:
+            assert str(exc) == "no unique codeword within distance 1"
+            s = code.base.syndrome(y)
+            assert sum((code.base.syndrome(e) == s).all() for e in singles.values()) == 2
+            failed.append((j, v))
+    assert failed == [(0, 1), (0, 2), (5, 1), (5, 2)]
+
+
 def test_cyclic_message_length_validation():
     code = table8_code(3)
     with pytest.raises(ValueError):

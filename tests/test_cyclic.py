@@ -153,6 +153,18 @@ def test_minpoly_over_extension_base_field():
     assert prod.coeffs == (1,) + (0,) * 4 + (1,)  # x^5 + 1 over GF(4)
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4)], ids=["GF(4)", "GF(8)", "GF(9)", "GF(16)"])
+def test_embedding_is_identity_when_n_divides_q_minus_1(p, m):
+    base = make_field(p, m)
+    for n in (d for d in range(2, base.q) if (base.q - 1) % d == 0):
+        ctx = root_context(n, base)
+        assert ctx.ext is base
+        assert [ctx.embed(a) for a in range(base.q)] == list(range(base.q))
+        assert [ctx.project(a) for a in range(base.q)] == list(range(base.q))
+        # Every n-th root of unity lies in GF(q), so each minimal polynomial is linear.
+        assert all(minimal_polynomial(a, n, base).degree == 1 for a in range(n))
+
+
 # ---------------------------------------------------------------------------
 # BCH bound
 # ---------------------------------------------------------------------------

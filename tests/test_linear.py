@@ -6,6 +6,7 @@ import pytest
 from psmc.alphabet import make_field
 from psmc.cyclic import build_cyclic_code
 from psmc.linear import (
+    ENUM_BUDGET,
     BudgetExceeded,
     LinearCode,
     mat_mul,
@@ -50,13 +51,6 @@ def test_parity_check_orthogonality():
 def test_rejects_rank_deficient_generator():
     with pytest.raises(ValueError):
         LinearCode(np.array([[1, 2, 0], [2, 4 % 3, 0]]) % 3, GF3)
-
-
-def test_explicit_parity_check_is_validated():
-    G = np.array([[1, 0, 1], [0, 1, 1]])
-    LinearCode(G, GF2, parity_check=np.array([[1, 1, 1]]))
-    with pytest.raises(ValueError):
-        LinearCode(G, GF2, parity_check=np.array([[1, 0, 1]]))
 
 
 def test_message_of_inverts_encode():
@@ -134,8 +128,9 @@ def test_min_distance_matches_exhaustive_oracle():
 
 def test_min_distance_budget():
     code = LinearCode(np.hstack([np.eye(15, dtype=int), np.ones((15, 1), dtype=int)]), GF3)
+    assert 3 ** 15 > ENUM_BUDGET
     with pytest.raises(BudgetExceeded):
-        min_distance(code, budget=10**6)  # 3^15 > 10^6
+        min_distance(code)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +209,28 @@ def test_decode_enumeration_path_agrees_with_table():
     y = c.copy()
     y[6] = (y[6] + 2) % 3
     via_table = code.decode_bounded(y, 1)
-    via_enum = code.decode_bounded(y, 1, table_budget=0)
+    via_enum = code._decode_by_enumeration(y, 1)
     assert (via_table == via_enum).all() and (via_table == c).all()
+
+
+def test_decoder_path_is_decided_once_per_t():
+    code = row3_code()
+    with pytest.raises(ValueError):
+        code.decode_bounded(np.zeros(8, dtype=np.int64), -1)
+    code.decode_bounded(code.encode([1, 0, 0, 0, 0]), 1)
+    table = code._tables[1]
+    code.decode_bounded(np.zeros(8, dtype=np.int64), 1)
+    assert code._tables == {1: table} and table is not None
+    # q^(n-k) = 2048^2 exceeds TABLE_BUDGET: decoding enumerates codewords.
+    repetition = LinearCode(np.array([[1, 5, 2047]]), make_field(2, 11))
+    assert (repetition.decode_bounded([1, 5, 0], 1) == [1, 5, 2047]).all()
+    assert repetition._tables == {1: None}
 
 
 def test_decode_enumeration_tie_returns_none():
     rep = LinearCode(np.ones((1, 4), dtype=int), GF2)  # d = 4
     y = np.array([0, 0, 1, 1], dtype=np.int64)  # equidistant from both codewords
-    assert rep.decode_bounded(y, 2, table_budget=0) is None
+    assert rep._decode_by_enumeration(y, 2) is None
 
 
 def test_decode_table_and_enumeration_agree_on_random_words():
@@ -234,7 +243,7 @@ def test_decode_table_and_enumeration_agree_on_random_words():
         for _ in range(150):
             y = rng.integers(0, 3, code.n)
             a = code.decode_bounded(y, t)
-            b = code.decode_bounded(y, t, table_budget=0)
+            b = code._decode_by_enumeration(y, t)
             if a is None:
                 assert b is None
             else:
