@@ -89,6 +89,8 @@ class _RootContext:
         self.ext = make_field(base.p, base.m * extension_degree(n, base.q))
         self._embed, self._project = self._subfield_maps()
         self.alpha = self.ext.pow(self.ext.primitive, (self.ext.q - 1) // n)
+        # coset representative -> minimal polynomial over the base field
+        self.minimal_polynomials: dict[int, Polynomial] = {}
 
     def _subfield_maps(self):
         base, ext = self.base, self.ext
@@ -150,10 +152,16 @@ def minimal_polynomial(a: int, n: int, base: Alphabet) -> Polynomial:
 
     Its roots among the powers of alpha are exactly alpha^b for b in the
     cyclotomic coset of a, and its coefficients lie in the base field.
+    Built once per coset and root context.
     """
     ctx = root_context(n, base)
-    roots = (ctx.ext.pow(ctx.alpha, b) for b in cyclotomic_coset(a, n, base.q).members)
-    return Polynomial(base, (ctx.project(c) for c in _linear_product(ctx.ext, roots).coeffs))
+    coset = cyclotomic_coset(a, n, base.q)
+    poly = ctx.minimal_polynomials.get(coset.representative)
+    if poly is None:
+        roots = (ctx.ext.pow(ctx.alpha, b) for b in coset.members)
+        poly = Polynomial(base, (ctx.project(c) for c in _linear_product(ctx.ext, roots).coeffs))
+        ctx.minimal_polynomials[coset.representative] = poly
+    return poly
 
 
 def bch_bound_from_defining_set(defining_set, n: int) -> int:

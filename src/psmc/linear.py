@@ -5,6 +5,11 @@ enumeration bounded by an explicit budget) and is meant to serve both as
 the production decode path and as the brute-force oracle that validates
 the masking constructions.
 
+The exact minimum distance of an [n, k] code enumerates the smaller of
+the code (q^k words) and its dual (q^(n-k) words).  From the dual's
+weight distribution the code's own follows by the MacWilliams identity
+(MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 5).
+
 Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  When the caller asks
 for a radius t beyond the code's true capability, syndromes reachable
@@ -206,7 +211,7 @@ class LinearCode:
         best_d = self.n + 1
         best_cw = None
         best_count = 0
-        for chunk in _codeword_chunks(self):
+        for chunk in _codeword_chunks(self.G, self.alphabet):
             dist = (chunk != y[None, :]).sum(axis=1)
             dmin = int(dist.min())
             if dmin < best_d:
@@ -229,14 +234,15 @@ def _message_block(start: int, stop: int, k: int, q: int) -> np.ndarray:
     return out
 
 
-def _codeword_chunks(code: LinearCode, chunk: int = 8192):
-    q, k = code.alphabet.q, code.k
+def _codeword_chunks(generator: np.ndarray, alphabet: Alphabet, chunk: int = 8192):
+    """Every word of the row space of ``generator``, the zero word first."""
+    q, k = alphabet.q, generator.shape[0]
     total = q ** k
     if total > ENUM_BUDGET:
         raise BudgetExceeded(f"enumeration of {total} codewords exceeds budget {ENUM_BUDGET}")
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        yield mat_mul(_message_block(start, stop, k, q), code.G, code.alphabet)
+        yield mat_mul(_message_block(start, stop, k, q), generator, alphabet)
 
 
 @dataclass(frozen=True)
@@ -249,17 +255,52 @@ class DistanceReport:
 
 
 def min_distance(code: LinearCode, *, bch_lower_bound: int | None = None) -> DistanceReport:
-    """Exact minimum Hamming weight over all q^k - 1 nonzero codewords."""
-    best = code.n
-    first = True
-    for chunk in _codeword_chunks(code):
-        w = np.count_nonzero(chunk, axis=1)
-        if first:
-            w = w[1:]  # skip the zero codeword
-            first = False
-        if w.size:
-            best = min(best, int(w.min()))
+    """Exact minimum Hamming weight over the nonzero codewords.
+
+    Enumerates the smaller of the code (the rows of G, q^k words) and its
+    dual (the rows of H, q^(n-k) words); ``BudgetExceeded`` is raised
+    only when that smaller side exceeds ``ENUM_BUDGET``.  From the dual,
+    the code's weight distribution follows by the MacWilliams identity
+    q^(n-k) A_i = sum_j B_j K_i(j), with K_i the q-ary Krawtchouk
+    polynomial (MacWilliams & Sloane, ch. 5); d is the first i >= 1 with
+    A_i != 0.
+    """
+    if code.k <= code.n - code.k:
+        best = code.n
+        first = True
+        for chunk in _codeword_chunks(code.G, code.alphabet):
+            w = np.count_nonzero(chunk, axis=1)
+            if first:
+                w = w[1:]  # skip the zero codeword
+                first = False
+            if w.size:
+                best = min(best, int(w.min()))
+    else:
+        best = _distance_from_dual(code)
     return DistanceReport(d=best, bch_lower_bound=bch_lower_bound, t=(best - 1) // 2)
+
+
+def _distance_from_dual(code: LinearCode) -> int:
+    """First i >= 1 with A_i != 0, from the dual's weight distribution B."""
+    q, n = code.alphabet.q, code.n
+    B = np.zeros(n + 1, dtype=np.int64)
+    for chunk in _codeword_chunks(code.H, code.alphabet):
+        B += np.bincount(np.count_nonzero(chunk, axis=1), minlength=n + 1)
+    dual_size = q ** (n - code.k)
+    support = [(j, int(b)) for j, b in enumerate(B) if b]
+    for i in range(1, n + 1):
+        total = sum(b * _krawtchouk(i, j, n, q) for j, b in support)
+        if total:
+            assert total % dual_size == 0, "MacWilliams transform is not integral"
+            return i
+    raise ArithmeticError("a nonzero code has no nonzero codeword")
+
+
+def _krawtchouk(i: int, j: int, n: int, q: int) -> int:
+    """K_i(j) = sum_s (-1)^s (q-1)^(i-s) C(j, s) C(n-j, i-s)."""
+    return sum(
+        (-1) ** s * (q - 1) ** (i - s) * comb(j, s) * comb(n - j, i - s) for s in range(i + 1)
+    )
 
 
 def systematize(generator, alphabet: Alphabet) -> tuple[np.ndarray, tuple[int, ...]]:

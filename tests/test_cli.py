@@ -120,14 +120,24 @@ def test_encode_masking_impossible_exits_2(capsys):
 
 
 def test_budget_overrun_exits_2_with_json(capsys):
-    # Deriving t for this code would enumerate 3^23 codewords.
+    # Deriving t for this [40, 20] code would enumerate 3^20 words on
+    # either side, the code or its dual.
     code, out, err = run_cli(
-        capsys, "decode", "--n", "26", "--q", "3", "--factors", "1", "--y", "0" * 26,
+        capsys, "decode", "--n", "40", "--q", "3", "--factors", "1,2,4,7,11", "--y", "0" * 40,
     )
     assert code == 2 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "BudgetExceeded"
     assert "exceeds budget" in payload["message"]
+
+
+def test_large_code_with_small_dual_decodes(capsys):
+    # The [26, 23] code has 3^23 words but a dual of 27: t = 0 is exact.
+    code, out, err = run_cli(
+        capsys, "decode", "--n", "26", "--q", "3", "--factors", "1", "--y", "0" * 26,
+    )
+    assert code == 0 and err == ""
+    assert out.strip() == "0" * 22
 
 
 def test_non_prime_power_q_is_usage_error(capsys):

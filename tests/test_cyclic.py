@@ -1,5 +1,9 @@
+from functools import reduce
+from itertools import combinations
+
 import pytest
 
+import psmc.cyclic
 from psmc.alphabet import Polynomial, make_field, poly_pretty
 from psmc.cyclic import (
     all_cosets,
@@ -151,6 +155,38 @@ def test_minpoly_over_extension_base_field():
         assert mp.degree == len(c.members)
         prod = prod * mp
     assert prod.coeffs == (1,) + (0,) * 4 + (1,)  # x^5 + 1 over GF(4)
+
+
+def test_minpoly_built_once_per_coset_in_n26_sweep(monkeypatch):
+    monkeypatch.setattr(psmc.cyclic, "_CONTEXTS", {})
+    products = []
+    uncached = psmc.cyclic._linear_product
+
+    def counted(field, roots):
+        products.append(field)
+        return uncached(field, roots)
+
+    monkeypatch.setattr(psmc.cyclic, "_linear_product", counted)
+    cosets = all_cosets(26, 3)
+    specs = {}
+    for take in range(len(cosets)):
+        for chosen in combinations([c.representative for c in cosets], take):
+            specs[chosen] = build_cyclic_code(26, GF3, chosen)
+    assert len(specs) == 1023
+    assert len(products) == len(cosets) == 10
+
+    ctx = root_context(26, GF3)
+    fresh = {}
+    for c in cosets:
+        roots = [ctx.ext.pow(ctx.alpha, b) for b in c.members]
+        fresh[c.representative] = Polynomial(
+            GF3, (ctx.project(x) for x in uncached(ctx.ext, roots).coeffs)
+        )
+        for a in c.members:
+            assert minimal_polynomial(a, 26, GF3) == fresh[c.representative]
+    for chosen, spec in specs.items():
+        assert spec.g == reduce(lambda acc, r: acc * fresh[r], chosen, Polynomial.one(GF3))
+    assert len(products) == 10
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4)], ids=["GF(4)", "GF(8)", "GF(9)", "GF(16)"])

@@ -1,10 +1,14 @@
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
+import psmc.linear
 from psmc.alphabet import make_field
-from psmc.cyclic import build_cyclic_code
+from psmc.constructions import PsmcCyclicCode
+from psmc.cyclic import all_cosets, build_cyclic_code
 from psmc.linear import (
     ENUM_BUDGET,
     BudgetExceeded,
@@ -20,6 +24,9 @@ from psmc.linear import (
 
 GF2 = make_field(2)
 GF3 = make_field(3)
+GF4 = make_field(2, 2)
+GF5 = make_field(5)
+GF8 = make_field(2, 3)
 
 
 def weight_patterns(n, q, t):
@@ -127,10 +134,129 @@ def test_min_distance_matches_exhaustive_oracle():
 
 
 def test_min_distance_budget():
-    code = LinearCode(np.hstack([np.eye(15, dtype=int), np.ones((15, 1), dtype=int)]), GF3)
+    # [30, 15]: the code and its dual both have 3^15 words.
+    code = LinearCode(np.hstack([np.eye(15, dtype=int), np.ones((15, 15), dtype=int)]), GF3)
+    assert code.k == code.n - code.k == 15
     assert 3 ** 15 > ENUM_BUDGET
     with pytest.raises(BudgetExceeded):
         min_distance(code)
+
+
+def walk_distance(G, field):
+    """Minimum weight over the nonzero codewords, by a direct walk over the messages.
+
+    itertools walks the leading message symbols; the words of the last
+    rows (at most 4096) are added to each as one block.
+    """
+    k, n = G.shape
+    q = field.q
+    tail = 0
+    while tail < k and q ** (tail + 1) <= 4096:
+        tail += 1
+    tails = np.array(list(product(range(q), repeat=tail)), dtype=np.int64).reshape(-1, tail)
+    block = field.matmul(tails, G[k - tail:])
+    best = n
+    for head in product(range(q), repeat=k - tail):
+        offset = field.matmul(np.array(head, dtype=np.int64).reshape(1, -1), G[:k - tail])
+        weights = np.count_nonzero(field.vadd(block, offset), axis=1)
+        if not any(head):
+            weights = weights[1:]  # the zero codeword
+        best = min(best, int(weights.min()))
+    return best
+
+
+def distance_and_rows(code):
+    """min_distance of code, and the number of words it built through mat_mul."""
+    rows = []
+
+    def counting(a, b, alphabet):
+        rows.append(np.atleast_2d(a).shape[0])
+        return mat_mul(a, b, alphabet)
+
+    with mock.patch.object(psmc.linear, "mat_mul", counting):
+        report = min_distance(code)
+    return report, sum(rows)
+
+
+def assert_distance_matches_walk(code):
+    report, rows = distance_and_rows(code)
+    assert report.d == walk_distance(code.G, code.alphabet)
+    assert report.t == (report.d - 1) // 2
+    assert rows <= code.alphabet.q ** min(code.k, code.n - code.k)
+
+
+def test_min_distance_matches_walk_on_presets():
+    from psmc.presets import PRESETS
+
+    for build in PRESETS.values():
+        code = build()
+        assert_distance_matches_walk(code.base)
+        if hasattr(code, "masked_code"):
+            assert_distance_matches_walk(code.masked_code)
+            assert code.d0 == walk_distance(code.masked_code.G, GF3)
+
+
+def test_min_distance_matches_walk_on_bch_sweep():
+    checked = 0
+    for n in (8, 13):
+        reps = [c.representative for c in all_cosets(n, 3)]
+        for take in range(len(reps)):
+            for chosen in combinations(reps, take):
+                assert_distance_matches_walk(build_cyclic_code(n, GF3, chosen).to_linear_code())
+                checked += 1
+    assert checked == 62
+
+
+def test_min_distance_matches_walk_on_gf8_cyclic_code():
+    code = PsmcCyclicCode(9, GF8, (1,)).base
+    assert (code.k, code.n) == (7, 9)
+    assert_distance_matches_walk(code)
+
+
+MAX_N = {GF2: 10, GF3: 7, GF4: 5, GF5: 5}  # keeps the walk to q^n <= 3125 words
+
+
+@st.composite
+def full_rank_generators(draw):
+    field = draw(st.sampled_from(list(MAX_N)))
+    n = draw(st.integers(1, MAX_N[field]))
+    k = draw(st.integers(1, n))
+    entries = draw(st.lists(st.integers(0, field.q - 1), min_size=k * n, max_size=k * n))
+    G = np.array(entries, dtype=np.int64).reshape(k, n)
+    basis = list(rref(G.T, field)[1])  # independent rows of G
+    assume(basis)
+    return field, G[basis]
+
+
+@given(full_rank_generators())
+@example((GF5, np.eye(5, dtype=np.int64)))  # k = n: the dual is {0}
+@example((GF2, np.ones((10, 10), dtype=np.int64) - np.eye(10, dtype=np.int64)))  # k = n
+@example((GF4, np.array([[1, 2, 3, 1, 0]], dtype=np.int64)))  # k = 1
+@example((GF3, np.array([[0, 0, 0, 1, 2, 0, 1]], dtype=np.int64)))  # k = 1
+def test_min_distance_matches_walk_on_random_codes(case):
+    field, G = case
+    assert_distance_matches_walk(LinearCode(G, field))
+
+
+def smallest_dependent_columns(H, q):
+    """Fewest columns of H (over prime GF(q)) with a vanishing nonzero combination."""
+    n = H.shape[1]
+    for w in range(1, n + 1):
+        for cols in combinations(range(n), w):
+            for coeffs in product(range(1, q), repeat=w):
+                if not (H[:, cols] @ np.array(coeffs) % q).any():
+                    return w
+    return n + 1
+
+
+def test_large_cyclic_code_derives_t_from_its_dual():
+    code = PsmcCyclicCode(26, GF3, (1,))
+    assert (code.base.k, code.base.n) == (23, 26)
+    assert 3 ** 23 > ENUM_BUDGET
+    report, rows = distance_and_rows(code.base)
+    assert report.d == smallest_dependent_columns(code.base.H, 3) == 2
+    assert rows <= 3 ** 3
+    assert code.t == 0
 
 
 # ---------------------------------------------------------------------------
