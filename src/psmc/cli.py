@@ -188,7 +188,7 @@ def cmd_simulate(args) -> int:
               f"mask_rate={fmt(report.masking_rate)} "
               f"ci95=[{fmt(report.ci95[0]) if report.ci95 else 'n/a'}, "
               f"{fmt(report.ci95[1]) if report.ci95 else 'n/a'}] "
-              f"expected={report.expected_rate:.6f} "
+              f"expected={fmt(report.expected_rate)} "
               f"decode_rate={fmt(report.decode_rate)} seed={cfg.seed}")
     return 0
 

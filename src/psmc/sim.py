@@ -6,11 +6,29 @@ the word, adds a random error of the configured Hamming weight (uniform
 positions, uniform nonzero magnitudes), and decodes.  Memory words are
 plain numpy symbol vectors.
 
-Determinism: trial i uses its own counter-based generator,
-``numpy.random.Philox`` keyed with the two 64-bit words ``(seed, i)``, so
-campaigns replay bit-identically for a given config and can be
-parallelized or resumed per trial without changing results, and no two
-(seed, trial) pairs share a stream.  Seeds must lie in [0, 2^64).
+Determinism (stream v3): a campaign reads one counter-based stream,
+``numpy.random.Philox`` keyed with the two 64-bit words ``(seed, 3)``,
+the second word being the stream version.  Trial i reads the 64-bit
+words ``[i*W, (i+1)*W)`` of that stream, where
+``W = k1 + (n if u else 0) + (n + t_inj if t_inj else 0)`` rounded up to
+a multiple of 4 (one Philox-4x64 block), laid out as
+
+* k1 message words: symbol ``(hi32 * q) >> 32``;
+* n stuck-cell keys (when u > 0): the stuck cells are the sorted first
+  u indices of a stable argsort of the keys;
+* n error-cell keys and t_inj magnitude words (when t_inj > 0): the
+  error cells are the first t_inj indices of a stable argsort of the
+  keys, and the j-th of them gets magnitude ``1 + (hi32 * (q - 1)) >> 32``
+  of the j-th magnitude word;
+
+hi32 being the high 32 bits of a word.  Multiply-shift (Lemire, ACM
+TOMACS 2019) gives each symbol probability within 2^-32 of uniform, a
+relative bias below q/2^32; two equal 64-bit keys, which a stable sort
+orders by index, occur with probability below n^2/2^65 per trial.
+Trials are drawn in blocks of :data:`BLOCK_TRIALS` with one
+``random_raw`` call each, after advancing the stream to the block's first
+trial, so results do not depend on the block size and a campaign can be
+resumed or sharded at any trial.  Seeds must lie in [0, 2^64).
 Aggregation is a commutative count, independent of trial order.
 """
 
@@ -21,6 +39,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +50,17 @@ from .constructions import (
     masking_probability,
 )
 
+STREAM_VERSION = 3
+
 RNG_SPEC = (
-    "numpy.random.Philox (4x64 counter-based), stream v2: "
-    "per-trial 128-bit key = the 64-bit words (seed, trial index)"
+    f"numpy.random.Philox (4x64 counter-based), stream v{STREAM_VERSION}: one stream per campaign, "
+    f"128-bit key = the 64-bit words (seed, {STREAM_VERSION}); trial i reads words [i*W, (i+1)*W), "
+    "W = k1 + (n if u) + (n + t_inj if t_inj) rounded up to a multiple of 4; "
+    "symbols by multiply-shift of the high 32 bits (bias below q/2^32), "
+    "cells by stable argsort of n key words"
 )
+
+BLOCK_TRIALS = 4096
 
 CSV_COLUMNS = [
     "n", "q", "u", "t_inj", "trials",
@@ -86,7 +112,7 @@ class CampaignReport:
     decode_successes: int
     masking_rate: float | None
     ci95: tuple[float, float] | None
-    expected_rate: float
+    expected_rate: float | None
     decode_rate: float | None
     failures: list[dict] = field(default_factory=list)
     rng: str = RNG_SPEC
@@ -134,16 +160,61 @@ def inject(word, profile: StuckCellProfile, error, alphabet) -> np.ndarray:
     return alphabet.vadd(c, e)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Philox reads an int key as two 64-bit words, low word first.
-    return np.random.Generator(np.random.Philox(key=seed | trial << 64))
+class _Draws(NamedTuple):
+    """The inputs of a block of trials, one row per trial."""
+
+    messages: np.ndarray  # (trials, k1) symbols in [0, q)
+    stuck: np.ndarray     # (trials, u) sorted distinct cells
+    errors: np.ndarray    # (trials, n) words with t_inj nonzero cells
+
+
+def _draw(cfg: ChannelConfig, k1: int, start: int, stop: int) -> _Draws:
+    """Inputs of trials [start, stop) of the campaign's stream (module docstring)."""
+    n, q, count = cfg.n, cfg.q, stop - start
+    width = k1 + (n if cfg.u else 0) + (n + cfg.t_inj if cfg.t_inj else 0)
+    width += -width % 4
+    # Philox reads an int key as two 64-bit words, low word first; each
+    # counter step yields 4 words.
+    bits = np.random.Philox(key=cfg.seed | STREAM_VERSION << 64)
+    bits.advance(start * width // 4)
+    raw = bits.random_raw(count * width).reshape(count, width)
+    messages = ((raw[:, :k1] >> 32) * q >> 32).astype(np.int64)
+    stuck = np.empty((count, 0), dtype=np.int64)
+    errors = np.zeros((count, n), dtype=np.int64)
+    col = k1
+    if cfg.u:
+        keys = raw[:, col : col + n]
+        stuck = np.sort(np.argsort(keys, axis=1, kind="stable")[:, : cfg.u], axis=1)
+        col += n
+    if cfg.t_inj:
+        keys, mags = raw[:, col : col + n], raw[:, col + n : col + n + cfg.t_inj]
+        cells = np.argsort(keys, axis=1, kind="stable")[:, : cfg.t_inj]
+        np.put_along_axis(errors, cells, 1 + ((mags >> 32) * (q - 1) >> 32).astype(np.int64), axis=1)
+    return _Draws(messages, stuck, errors)
+
+
+def _expected_rate(code, u: int) -> float | None:
+    """Exact masking probability at u stuck cells, when one is known.
+
+    Every trial masks inside the guarantee; above it the single-symbol
+    formula holds for one masking symbol (l = 1) and none is known for
+    several.
+    """
+    if u <= code.u_max:
+        return 1.0
+    if code.l == 1:
+        return float(masking_probability(code.alphabet.q, u))
+    return None
 
 
 def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
     """Run encode -> store -> corrupt -> decode trials and aggregate.
 
     ``code`` may be any of the three construction classes (duck-typed:
-    n, k1, u_max, alphabet, encode, decode).  Masking runs in
+    n, k1, l, u_max, alphabet, encode, decode).  Trial inputs come from
+    the campaign's stream (module docstring), drawn a block of
+    :data:`BLOCK_TRIALS` trials at a time; encode, inject and decode run
+    once per trial, in that order.  Masking runs in
     probabilistic mode; a masking failure inside the guaranteed regime
     (u <= code.u_max) is an internal error and raises immediately.
     """
@@ -161,36 +232,32 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
         if len(failures) < FAILURE_LOG_CAP:
             failures.append({"trial": trial, "stage": stage, "detail": detail})
 
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        m = rng.integers(0, q, size=code.k1)
-        positions = np.sort(rng.choice(cfg.n, size=cfg.u, replace=False))
-        profile = StuckCellProfile(tuple(int(p) for p in positions))
-        try:
-            out = code.encode(m, profile, probabilistic=True)
-        except MaskingImpossible as exc:
-            if cfg.u <= code.u_max:
-                raise AssertionError(
-                    f"masking failed inside the guaranteed regime (u={cfg.u})"
-                ) from exc
-            log_failure(trial, "mask", str(exc))
-            continue
-        masked += 1
-        e = np.zeros(cfg.n, dtype=np.int64)
-        if cfg.t_inj:
-            epos = rng.choice(cfg.n, size=cfg.t_inj, replace=False)
-            e[epos] = rng.integers(1, q, size=cfg.t_inj)
-        y = inject(out.codeword, profile, e, code.alphabet)
-        attempts += 1
-        try:
-            mhat = code.decode(y)
-        except DecodingFailure as exc:
-            log_failure(trial, "decode", str(exc))
-            continue
-        if (mhat == m).all():
-            decoded += 1
-        else:
-            log_failure(trial, "decode", "decoded to a different message")
+    for start in range(0, cfg.trials, BLOCK_TRIALS):
+        stop = min(start + BLOCK_TRIALS, cfg.trials)
+        draws = _draw(cfg, code.k1, start, stop)
+        for trial, m, stuck, e in zip(range(start, stop), draws.messages, draws.stuck.tolist(), draws.errors):
+            profile = StuckCellProfile(tuple(stuck))
+            try:
+                out = code.encode(m, profile, probabilistic=True)
+            except MaskingImpossible as exc:
+                if cfg.u <= code.u_max:
+                    raise AssertionError(
+                        f"masking failed inside the guaranteed regime (u={cfg.u})"
+                    ) from exc
+                log_failure(trial, "mask", str(exc))
+                continue
+            masked += 1
+            y = inject(out.codeword, profile, e, code.alphabet)
+            attempts += 1
+            try:
+                mhat = code.decode(y)
+            except DecodingFailure as exc:
+                log_failure(trial, "decode", str(exc))
+                continue
+            if (mhat == m).all():
+                decoded += 1
+            else:
+                log_failure(trial, "decode", "decoded to a different message")
 
     has_trials = cfg.trials > 0
     return CampaignReport(
@@ -200,7 +267,7 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
         decode_successes=decoded,
         masking_rate=masked / cfg.trials if has_trials else None,
         ci95=wilson_interval(masked, cfg.trials) if has_trials else None,
-        expected_rate=float(masking_probability(cfg.q, cfg.u)),
+        expected_rate=_expected_rate(code, cfg.u),
         decode_rate=decoded / attempts if attempts else None,
         failures=failures,
     )

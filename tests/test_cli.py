@@ -285,6 +285,16 @@ def test_simulate_human_output(capsys):
     assert "mask_rate=1.000000" in out
 
 
+def test_simulate_human_output_without_expected_rate(capsys):
+    # Above the guarantee of an l = 3 code no exact masking rate is known.
+    code, out, _ = run_cli(
+        capsys, "simulate", "--preset", "extended-n8-l3", "--u", "4",
+        "--trials", "50", "--seed", "1",
+    )
+    assert code == 0
+    assert "expected=n/a" in out
+
+
 def test_presets_roundtrip_random_messages():
     rng = np.random.default_rng(2024)
     for name in sorted(PRESETS):

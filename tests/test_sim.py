@@ -4,18 +4,39 @@ import math
 import numpy as np
 import pytest
 
+from psmc import sim
 from psmc.alphabet import make_field
-from psmc.constructions import StuckCellProfile
-from psmc.presets import demo14_code, masking8_code, table8_code
+from psmc.constructions import (
+    DecodingFailure,
+    MaskingImpossible,
+    PsmcCyclicCode,
+    StuckCellProfile,
+    masking_probability,
+)
+from psmc.presets import (
+    demo14_code,
+    extended8_l2_code,
+    extended8_l3_code,
+    masking8_code,
+    table8_code,
+)
 from psmc.sim import (
     CSV_COLUMNS,
     CampaignReport,
     ChannelConfig,
-    _trial_rng,
+    _draw,
     inject,
     run_campaign,
     wilson_interval,
 )
+
+
+def gf8_cyclic_code():
+    return PsmcCyclicCode(9, make_field(2, 3), (1,))
+
+
+def config_for(code, u, t_inj, trials, seed):
+    return ChannelConfig(n=code.n, q=code.alphabet.q, u=u, t_inj=t_inj, trials=trials, seed=seed)
 
 
 def test_config_validation():
@@ -35,10 +56,17 @@ def test_config_rejects_seed_outside_64_bits(seed):
 
 
 def test_trial_streams_of_neighbouring_seeds_differ():
-    # 20260811 ^ 7 == 20260812 ^ 0: XOR keying gave these two trials one stream.
-    a = _trial_rng(20260811, 7).integers(0, 2**63, size=4)
-    b = _trial_rng(20260812, 0).integers(0, 2**63, size=4)
-    assert (a != b).any()
+    # 20260811 ^ 7 == 20260812 ^ 0: XOR keying once gave these two trials one stream.
+    code = demo14_code()
+    a = _draw(config_for(code, 2, 1, 8, 20260811), code.k1, 7, 8)
+    b = _draw(config_for(code, 2, 1, 1, 20260812), code.k1, 0, 1)
+    assert any((x != y).any() for x, y in zip(a, b))
+    # Seeds 0 and 1 once gave the same 4096 trials in another order; now
+    # almost every trial draws another message (equal with chance 3^-7).
+    code = masking8_code()
+    a, b = (_draw(config_for(code, 7, 0, 4096, s), code.k1, 0, 4096) for s in (0, 1))
+    assert (a.messages != b.messages).any(axis=1).mean() > 0.99
+    assert (a.stuck != b.stuck).any()
 
 
 def test_neighbouring_seeds_give_different_campaigns():
@@ -165,3 +193,156 @@ def test_csv_columns_frozen():
         "n", "q", "u", "t_inj", "trials",
         "mask_rate", "ci_lo", "ci_hi", "expected", "decode_rate", "seed",
     ]
+
+
+# ---------------------------------------------------------------------------
+# stream v3: block independence, the draws, and a trial-by-trial oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make, u, t_inj", [(demo14_code, 2, 1), (masking8_code, 7, 0)])
+def test_campaign_does_not_depend_on_block_size(monkeypatch, make, u, t_inj):
+    code = make()
+    cfg = config_for(code, u, t_inj, 300, 2**64 - 1)
+    reports = []
+    for block in (1, 7, sim.BLOCK_TRIALS):
+        monkeypatch.setattr(sim, "BLOCK_TRIALS", block)
+        reports.append(run_campaign(code, cfg).to_dict())
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("make, u, t_inj", [(demo14_code, 2, 1), (masking8_code, 7, 0)])
+def test_draws_resume_at_any_trial(make, u, t_inj):
+    code = make()
+    cfg = config_for(code, u, t_inj, 300, 2**64 - 1)
+    for start, stop in [(0, 1), (1, 2), (5, 13), (123, 250), (299, 300)]:
+        whole = _draw(cfg, code.k1, 0, stop)
+        part = _draw(cfg, code.k1, start, stop)
+        for w, p in zip(whole, part):
+            assert np.array_equal(w[start:stop], p)
+
+
+def _stream_oracle(cfg, k1, trial):
+    """Trial inputs of stream v3 by Python integer arithmetic on raw words."""
+    n, q = cfg.n, cfg.q
+    width = k1 + (n if cfg.u else 0) + (n + cfg.t_inj if cfg.t_inj else 0)
+    width += -width % 4
+    words = np.random.Philox(key=cfg.seed | 3 << 64).random_raw((trial + 1) * width)
+    words = [int(w) for w in words[trial * width :]]
+    message = [(w >> 32) * q >> 32 for w in words[:k1]]
+    stuck, error, col = [], [0] * n, k1
+    if cfg.u:
+        keys = words[col : col + n]
+        stuck = sorted(sorted(range(n), key=lambda j: (keys[j], j))[: cfg.u])
+        col += n
+    if cfg.t_inj:
+        keys, mags = words[col : col + n], words[col + n : col + n + cfg.t_inj]
+        cells = sorted(range(n), key=lambda j: (keys[j], j))[: cfg.t_inj]
+        for j, w in zip(cells, mags):
+            error[j] = 1 + ((w >> 32) * (q - 1) >> 32)
+    return message, stuck, error
+
+
+@pytest.mark.parametrize("make, u, t_inj", [
+    (masking8_code, 7, 0), (masking8_code, 7, 1), (demo14_code, 0, 2), (demo14_code, 2, 1),
+    (extended8_l3_code, 4, 1), (gf8_cyclic_code, 7, 2),
+])
+def test_draws_follow_the_stream_layout(make, u, t_inj):
+    code = make()
+    cfg = config_for(code, u, t_inj, 40, 20260811)
+    d = _draw(cfg, code.k1, 0, cfg.trials)
+    assert d.messages.shape == (40, code.k1) and d.stuck.shape == (40, u) and d.errors.shape == (40, code.n)
+    for trial in (0, 1, 17, 39):
+        m, stuck, e = _stream_oracle(cfg, code.k1, trial)
+        assert d.messages[trial].tolist() == m
+        assert d.stuck[trial].tolist() == stuck
+        assert d.errors[trial].tolist() == e
+    q = code.alphabet.q
+    assert ((0 <= d.messages) & (d.messages < q)).all()
+    for stuck, e in zip(d.stuck.tolist(), d.errors):
+        assert stuck == sorted(set(stuck)) and all(0 <= j < code.n for j in stuck)
+        assert np.count_nonzero(e) == t_inj
+        assert ((e == 0) | ((1 <= e) & (e < q))).all()
+
+
+def _within_5_sigma(counts, trials, p):
+    sigma = math.sqrt(trials * p * (1 - p))
+    return np.abs(np.asarray(counts) - trials * p).max() <= 5 * sigma
+
+
+@pytest.mark.parametrize("make, u, t_inj", [(masking8_code, 3, 1), (gf8_cyclic_code, 3, 2)])
+def test_draw_frequencies_near_uniform(make, u, t_inj):
+    code = make()
+    n, q, trials = code.n, code.alphabet.q, 16000
+    d = _draw(config_for(code, u, t_inj, trials, 7), code.k1, 0, trials)
+    symbols = d.messages.size  # 112 000 over GF(3), 96 000 over GF(8)
+    assert _within_5_sigma(np.bincount(d.messages.ravel(), minlength=q), symbols, 1 / q)
+    stuck_cells = np.bincount(d.stuck.ravel(), minlength=n)
+    assert stuck_cells.sum() == trials * u
+    assert _within_5_sigma(stuck_cells, trials, u / n)
+    error_cells = np.count_nonzero(d.errors, axis=0)
+    assert _within_5_sigma(error_cells, trials, t_inj / n)
+    magnitudes = np.bincount(d.errors[d.errors > 0], minlength=q)[1:]
+    assert _within_5_sigma(magnitudes, trials * t_inj, 1 / (q - 1))
+
+
+def _replay(code, cfg):
+    """The campaign's outcome recomputed from its drawn inputs, one public call at a time."""
+    d = _draw(cfg, code.k1, 0, cfg.trials)
+    masked = attempts = decoded = 0
+    failures = []
+    for trial in range(cfg.trials):
+        m, profile = d.messages[trial], StuckCellProfile(tuple(d.stuck[trial].tolist()))
+        try:
+            out = code.encode(m, profile, probabilistic=True)
+        except MaskingImpossible as exc:
+            failures.append({"trial": trial, "stage": "mask", "detail": str(exc)})
+            continue
+        masked += 1
+        assert out.codeword[list(profile.positions)].all()
+        y = inject(out.codeword, profile, d.errors[trial], code.alphabet)
+        attempts += 1
+        try:
+            mhat = code.decode(y)
+        except DecodingFailure as exc:
+            failures.append({"trial": trial, "stage": "decode", "detail": str(exc)})
+            continue
+        if mhat.tolist() == m.tolist():
+            decoded += 1
+        else:
+            failures.append({"trial": trial, "stage": "decode", "detail": "decoded to a different message"})
+    return masked, attempts, decoded, failures[: sim.FAILURE_LOG_CAP]
+
+
+@pytest.mark.parametrize("make, u, t_inj", [
+    (masking8_code, 7, 0), (demo14_code, 2, 1), (extended8_l3_code, 4, 1), (gf8_cyclic_code, 7, 2),
+])
+def test_campaign_matches_trial_by_trial_replay(make, u, t_inj):
+    code = make()
+    cfg = config_for(code, u, t_inj, 400, 20260811)
+    report = run_campaign(code, cfg)
+    masked, attempts, decoded, failures = _replay(code, cfg)
+    assert (report.masking_successes, report.decode_attempts, report.decode_successes) == (
+        masked, attempts, decoded)
+    assert report.failures == failures
+
+
+# ---------------------------------------------------------------------------
+# expected rate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [extended8_l2_code, extended8_l3_code])
+def test_extended_expected_rate(make):
+    code = make()
+    inside = run_campaign(code, config_for(code, code.u_max, 0, 200, 5))
+    assert inside.masking_rate == 1.0 and inside.expected_rate == 1.0
+    above = run_campaign(code, config_for(code, code.u_max + 1, 0, 200, 5))
+    assert above.expected_rate is None
+    assert above.csv_row()[CSV_COLUMNS.index("expected")] == ""
+
+
+def test_matrix_and_cyclic_expected_rates_unchanged():
+    for code in (masking8_code(), table8_code(3), gf8_cyclic_code()):
+        q = code.alphabet.q
+        for u in (code.u_max, code.u_max + 1, code.n - 1, code.n):
+            report = run_campaign(code, config_for(code, u, 0, 10, 5))
+            assert report.expected_rate == float(masking_probability(q, u))
