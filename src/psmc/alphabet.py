@@ -16,10 +16,10 @@ larger fields multiply digit vectors directly.
 
 One set of polynomial kernels on coefficient tuples (add/sub, mul,
 divmod, gcd, power mod f) works over any :class:`Alphabet`.
-:class:`Polynomial` and :func:`poly_gcd` wrap them, and an extension field
-is bootstrapped with them over its prime field: Rabin's irreducibility
-test picks the modulus, and the primitive element and the exp/log tables
-are found by multiplying digit tuples modulo it.
+:class:`Polynomial` wraps them, and an extension field is bootstrapped
+with them over its prime field: Rabin's irreducibility test (the only
+user of gcd) picks the modulus, and the primitive element and the
+exp/log tables are found by multiplying digit tuples modulo it.
 
 The array operations (:meth:`Alphabet.vadd`, ``vsub``, ``vneg``, ``vmul``
 and :meth:`Alphabet.matmul`) act element-wise on int64 arrays of symbols
@@ -173,9 +173,6 @@ class Alphabet:
         self._mul_table: np.ndarray | None = None
 
     # -- basic structure ----------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.q)
 
     @property
     def modulus(self) -> "Polynomial | None":
@@ -473,16 +470,8 @@ class Polynomial:
         return poly
 
     @classmethod
-    def zero(cls, alphabet: Alphabet) -> "Polynomial":
-        return cls(alphabet)
-
-    @classmethod
     def one(cls, alphabet: Alphabet) -> "Polynomial":
         return cls(alphabet, (1,))
-
-    @classmethod
-    def x(cls, alphabet: Alphabet) -> "Polynomial":
-        return cls(alphabet, (0, 1))
 
     # -- structure ------------------------------------------------------------
 
@@ -493,11 +482,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else 0
 
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -526,16 +510,9 @@ class Polynomial:
         self._same(other)
         return Polynomial._of(self.alphabet, _pzip(self.alphabet.sub, self.coeffs, other.coeffs))
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._of(self.alphabet, _pzip(self.alphabet.sub, (), self.coeffs))
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._same(other)
         return Polynomial._of(self.alphabet, _pmul(self.alphabet, self.coeffs, other.coeffs))
-
-    def scale(self, s: int) -> "Polynomial":
-        A = self.alphabet
-        return Polynomial._of(A, _pmul(A, (A.check(s),), self.coeffs))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._same(other)
@@ -544,16 +521,8 @@ class Polynomial:
         quot, rem = _pdivmod(self.alphabet, self.coeffs, other.coeffs)
         return Polynomial._of(self.alphabet, quot), Polynomial._of(self.alphabet, rem)
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero or self.lc == 1:
-            return self
-        return self.scale(self.alphabet.inv(self.lc))
 
     def __call__(self, point: int) -> int:
         A = self.alphabet
@@ -579,26 +548,9 @@ class Polynomial:
         return f"Polynomial({self.alphabet!r}, {list(self.coeffs)})"
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor."""
-    a._same(b)
-    return Polynomial._of(a.alphabet, _pgcd(a.alphabet, a.coeffs, b.coeffs))
-
-
-def parse_poly(alphabet: Alphabet, text: str) -> Polynomial:
-    """Parse the CLI coefficient syntax: comma-separated ints, lowest first.
-
-    ``"2,1"`` over GF(3) is x + 2; ``"0"`` (or an empty string) is the zero
-    polynomial.
-    """
-    text = text.strip()
-    if not text:
-        return Polynomial(alphabet)
-    return Polynomial(alphabet, (int(tok) for tok in text.split(",")))
-
-
 def format_poly(poly: Polynomial) -> str:
-    """Inverse of :func:`parse_poly` (zero polynomial prints as "0")."""
+    """Comma-separated coefficients, lowest degree first, as the CLI prints
+    them: x + 2 over GF(3) is "2,1" and the zero polynomial is "0"."""
     if poly.is_zero:
         return "0"
     return ",".join(str(c) for c in poly.coeffs)

@@ -112,8 +112,8 @@ def _probability_digits(frac: Fraction, digits: int) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_tables(args) -> int:
-    rows = build_table(args.n, args.q)
-    notes = table_footnotes(args.n, args.q)
+    rows = build_table()
+    notes = table_footnotes()
     if args.csv:
         _emit(args.csv, render_csv(rows))
     if args.json:
@@ -125,8 +125,9 @@ def cmd_tables(args) -> int:
 
 def cmd_factor(args) -> int:
     field = field_of_order(args.q)
+    cosets = all_cosets(args.n, field.q)
     print(f"x^{args.n} - 1 over {field!r}: cyclotomic cosets and minimal polynomials")
-    for coset in all_cosets(args.n, field.q):
+    for coset in cosets:
         mp = minimal_polynomial(coset.representative, args.n, field)
         members = ",".join(str(x) for x in coset.members)
         print(
@@ -218,9 +219,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="psmc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", parents=[], help="render the length-8 ternary parameter table")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--q", type=int, default=3)
+    p = sub.add_parser("tables", help="render the length-8 ternary parameter table")
     p.add_argument("--csv", metavar="PATH", help="write CSV to PATH ('-' for stdout)")
     p.add_argument("--json", metavar="PATH", help="write JSON to PATH ('-' for stdout)")
     p.set_defaults(func=cmd_tables)

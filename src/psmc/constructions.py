@@ -213,8 +213,7 @@ class PsmcMatrixCode(_MaskingCode):
 
     def __init__(self, n: int, alphabet: Alphabet, ecc_columns=None, *, t: int | None = None):
         G1, self.r = _systematic_g1(n, 1, ecc_columns)
-        self.G0 = np.ones(n, dtype=np.int64)
-        self._build(alphabet, G1, self.G0[None, :], t)
+        self._build(alphabet, G1, np.ones((1, n), dtype=np.int64), t)
 
     @classmethod
     def from_linear(cls, code: LinearCode, *, t: int | None = None) -> tuple["PsmcMatrixCode", tuple[int, ...]]:
@@ -257,8 +256,6 @@ class PsmcCyclicCode(_MaskingCode):
         if k1 < 1:
             raise ValueError("no room for information symbols (deg g1 too large)")
         self.g0 = Polynomial(alphabet, (1,) * n)
-        self.h0 = Polynomial(alphabet, (alphabet.neg(1), 1))  # x - 1
-        self.h1 = spec.h
         self.delta0 = 2
         self.delta1 = spec.bch_bound
         # Sanity: g1 | g0 exactly.

@@ -54,8 +54,14 @@ def cyclotomic_coset(a: int, n: int, q: int) -> CyclotomicCoset:
     return CyclotomicCoset(min(members), tuple(sorted(members)), n, q)
 
 
+def _check_length(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"length n = {n} must be >= 1")
+
+
 def all_cosets(n: int, q: int) -> list[CyclotomicCoset]:
     """All cyclotomic cosets mod n, ordered by representative."""
+    _check_length(n)
     seen: set[int] = set()
     out = []
     for a in range(n):
@@ -68,10 +74,11 @@ def all_cosets(n: int, q: int) -> list[CyclotomicCoset]:
 
 def extension_degree(n: int, q: int) -> int:
     """Smallest m with n | q^m - 1."""
+    _check_length(n)
     if gcd(n, q) != 1:
         raise ValueError(f"gcd(n={n}, q={q}) must be 1")
     m, acc = 1, q % n
-    while acc != 1:
+    while acc != 1 % n:  # for n = 1 both sides are 0, and m = 1
         m += 1
         acc = acc * q % n
     return m

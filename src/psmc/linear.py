@@ -14,8 +14,11 @@ Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  When the caller asks
 for a radius t beyond the code's true capability, syndromes reachable
 from two error patterns of equal weight are marked ambiguous and decode
-as failures rather than an arbitrary pick.  Work that would exceed an
-explicit budget raises :class:`BudgetExceeded`.
+as failures rather than an arbitrary pick.  Decoding looks the syndrome
+up in a table of the error patterns of weight <= t, whatever the
+redundancy n - k, and enumerates codewords only when those patterns
+exceed their budget.  Work that would exceed an explicit budget raises
+:class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -23,14 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from pathlib import Path
 
 import numpy as np
 
-from .alphabet import Alphabet, field_of_order
+from .alphabet import Alphabet
 
 ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
-TABLE_BUDGET = 1 << 21    # max syndrome-table entries (~256 MiB at desk-scale n)
+CHUNK_WORDS = 8192        # codewords enumerated per matrix product
+# Max error patterns of weight <= t in one syndrome table, whatever q^(n-k);
+# at n = 14..40 each pattern holds 0.5-0.8 KB once built and peaks near 1 KB.
+TABLE_BUDGET = 1 << 21
 
 
 class BudgetExceeded(Exception):
@@ -146,9 +151,6 @@ class LinearCode:
             return np.zeros((words.shape[0], 0), dtype=np.int64)
         return mat_mul(words, self.H.T, self.alphabet)
 
-    def is_codeword(self, word) -> bool:
-        return not self.syndrome(word).any()
-
     def message_of(self, codeword) -> np.ndarray:
         """The message x with x G = codeword, read off an information set."""
         c = np.asarray(codeword, dtype=np.int64)
@@ -159,15 +161,15 @@ class LinearCode:
     def _syndrome_table(self, t: int) -> dict[bytes, tuple[int, np.ndarray | None]] | None:
         """Syndrome -> (weight, leader) over the patterns of weight <= t.
 
-        None when q^(n-k) or the pattern count exceeds ``TABLE_BUDGET``;
-        decoding then enumerates codewords.  Decided and built once per t.
+        None when the pattern count exceeds ``TABLE_BUDGET``; decoding then
+        enumerates codewords.  Decided and built once per t.
         """
         if t not in self._tables:
             if t < 0:
                 raise ValueError("t must be >= 0")
             q, n = self.alphabet.q, self.n
             count = sum(comb(n, w) * (q - 1) ** w for w in range(t + 1))
-            if q ** (n - self.k) > TABLE_BUDGET or count > TABLE_BUDGET:
+            if count > TABLE_BUDGET:
                 self._tables[t] = None
                 return None
             patterns = [
@@ -194,8 +196,9 @@ class LinearCode:
     def decode_bounded(self, word, t: int) -> np.ndarray | None:
         """Unique codeword within Hamming distance t of word, or None.
 
-        Uses a precomputed syndrome table when q^(n-k) fits the budget,
-        otherwise falls back to nearest-codeword enumeration.
+        Uses a precomputed syndrome table when the error patterns of weight
+        <= t fit the budget, otherwise falls back to nearest-codeword
+        enumeration.
         """
         y = as_word(word, self.alphabet, self.n)
         table = self._syndrome_table(t)
@@ -234,14 +237,14 @@ def _message_block(start: int, stop: int, k: int, q: int) -> np.ndarray:
     return out
 
 
-def _codeword_chunks(generator: np.ndarray, alphabet: Alphabet, chunk: int = 8192):
+def _codeword_chunks(generator: np.ndarray, alphabet: Alphabet):
     """Every word of the row space of ``generator``, the zero word first."""
     q, k = alphabet.q, generator.shape[0]
     total = q ** k
     if total > ENUM_BUDGET:
         raise BudgetExceeded(f"enumeration of {total} codewords exceeds budget {ENUM_BUDGET}")
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, CHUNK_WORDS):
+        stop = min(start + CHUNK_WORDS, total)
         yield mat_mul(_message_block(start, stop, k, q), generator, alphabet)
 
 
@@ -322,27 +325,3 @@ def systematize(generator, alphabet: Alphabet) -> tuple[np.ndarray, tuple[int, .
         raise ValueError("the all-ones vector is not in the code")
     out = np.vstack([Rp[1:], ones[None, :]])
     return out, perm
-
-
-# ---------------------------------------------------------------------------
-# plain-text matrix files: header "n k q", then one generator row per line
-# ---------------------------------------------------------------------------
-
-def write_generator(path, code: LinearCode) -> None:
-    lines = [f"{code.n} {code.k} {code.alphabet.q}"]
-    lines += [" ".join(str(int(x)) for x in row) for row in code.G]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_generator(path) -> LinearCode:
-    text = Path(path).read_text(encoding="ascii").split("\n")
-    rows = [ln for ln in text if ln.strip()]
-    try:
-        n, k, q = (int(x) for x in rows[0].split())
-    except (ValueError, IndexError):
-        raise ValueError("matrix file must start with a header line 'n k q'") from None
-    field = field_of_order(q)
-    G = np.array([[int(x) for x in ln.split()] for ln in rows[1:]], dtype=np.int64)
-    if G.shape != (k, n):
-        raise ValueError(f"matrix body {G.shape} does not match header ({k}, {n})")
-    return LinearCode(G, field)

@@ -92,8 +92,9 @@ class ChannelConfig:
             raise ValueError(f"seed = {self.seed} out of range [0, 2^64)")
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; always brackets the point estimate."""
+    z = 1.959964  # two-sided 95% quantile of the standard normal
     if trials == 0:
         raise ValueError("no trials")
     phat = successes / trials
@@ -147,11 +148,12 @@ class CampaignReport:
         return buf.getvalue()
 
 
-def inject(word, profile: StuckCellProfile, error, alphabet) -> np.ndarray:
+def inject(word, error, alphabet) -> np.ndarray:
     """Read-back word y = c + e over the alphabet.
 
-    Stuck cells are not re-clamped after the error is added: errors model
-    read noise downstream of the physical cell.
+    The stuck cells play no part: they are not re-clamped after the error
+    is added, because errors model read noise downstream of the physical
+    cell.
     """
     c = np.asarray(word, dtype=np.int64)
     e = np.asarray(error, dtype=np.int64)
@@ -247,7 +249,7 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
                 log_failure(trial, "mask", str(exc))
                 continue
             masked += 1
-            y = inject(out.codeword, profile, e, code.alphabet)
+            y = inject(out.codeword, e, code.alphabet)
             attempts += 1
             try:
                 mhat = code.decode(y)

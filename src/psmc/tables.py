@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .alphabet import make_field, poly_pretty
+from .alphabet import poly_pretty
 from .constructions import (
     PsmcCyclicCode,
     redundancy_gain,
@@ -28,13 +28,7 @@ from .constructions import (
 )
 from .cyclic import cyclotomic_coset
 from .linear import min_distance
-from .presets import GAIN_Q, GAIN_U, TABLE8_ROWS
-
-TABLE_CSV_COLUMNS = [
-    "row", "k1", "k1_star", "l", "l_star", "r", "delta0",
-    "delta1_stated", "bch_bound", "d_measured", "t",
-    "h0_label", "g1_labels", "published_h0", "published_g1", "g1_poly", "flag",
-]
+from .presets import GAIN_Q, GAIN_U, TABLE8_ROWS, table8_code
 
 
 @dataclass(frozen=True)
@@ -58,22 +52,22 @@ class TableRow:
     flag: str
 
 
-def _coset_label(rep: int, n: int, q: int) -> str:
-    return f"M^({cyclotomic_coset(rep, n, q).representative})"
+TABLE_CSV_COLUMNS = [f.name for f in fields(TableRow)]
 
 
-def build_table(n: int = 8, q: int = 3, gain_q: int = GAIN_Q, gain_u: int = GAIN_U) -> list[TableRow]:
-    if (n, q) != (8, 3):
-        raise ValueError("table rows are defined for the length-8 ternary family")
-    field = make_field(q)
+def _coset_label(rep: int, code: PsmcCyclicCode) -> str:
+    return f"M^({cyclotomic_coset(rep, code.n, code.alphabet.q).representative})"
+
+
+def build_table() -> list[TableRow]:
     rows = []
     for spec in TABLE8_ROWS:
-        code = PsmcCyclicCode(n, field, spec["g1_reps"])
+        code = table8_code(spec["row"])
         # The row reads t off this report, never code.t, so the code is enumerated once.
         report = min_distance(code.ecc, bch_lower_bound=code.delta1)
-        k1_star, l_star = redundancy_gain(gain_q, gain_u, code.k1)
-        h0_label = _coset_label(0, n, q)
-        g1_labels = "*".join(_coset_label(a, n, q) for a in spec["g1_reps"])
+        k1_star, l_star = redundancy_gain(GAIN_Q, GAIN_U, code.k1)
+        h0_label = _coset_label(0, code)
+        g1_labels = "*".join(_coset_label(a, code) for a in spec["g1_reps"])
         issues = []
         if spec["stated_delta1"] != code.delta1:
             issues.append(
@@ -105,14 +99,14 @@ def build_table(n: int = 8, q: int = 3, gain_q: int = GAIN_Q, gain_u: int = GAIN
     return rows
 
 
-def table_footnotes(n: int = 8, q: int = 3, gain_q: int = GAIN_Q, gain_u: int = GAIN_U) -> list[str]:
-    baseline = stuck_redundancy_lower_bound(gain_u)
+def table_footnotes() -> list[str]:
+    baseline = stuck_redundancy_lower_bound(GAIN_U)
     return [
         f"masking redundancy: l=1 symbol here vs >= {baseline} symbols to mask "
-        f"u={gain_u} fully stuck cells (Singleton bound: d > u forces n-k >= u).",
-        f"k1*/l* computed for alphabet size {gain_q} with u={gain_u}: "
-        f"shift log_{gain_q}(floor({gain_q}/{gain_u + 1})) = "
-        f"{redundancy_gain(gain_q, gain_u, 0)[0]:.3f}.",
+        f"u={GAIN_U} fully stuck cells (Singleton bound: d > u forces n-k >= u).",
+        f"k1*/l* computed for alphabet size {GAIN_Q} with u={GAIN_U}: "
+        f"shift log_{GAIN_Q}(floor({GAIN_Q}/{GAIN_U + 1})) = "
+        f"{redundancy_gain(GAIN_Q, GAIN_U, 0)[0]:.3f}.",
         "M^(a) labels use this library's fixed primitive root; published label "
         "strings may be permuted. Rows are validated by (k1, l, r) and measured d.",
         "flagged rows keep the published delta1 alongside the recomputed bound.",

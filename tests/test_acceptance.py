@@ -120,7 +120,7 @@ def test_criterion_3_monte_carlo_agreement():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_table_reproduction():
-    rows = build_table(8, 3)
+    rows = build_table()
     shapes = [(r.k1, r.l, r.r) for r in rows]
     assert shapes == [(6, 1, 1), (5, 1, 2), (4, 1, 3), (3, 1, 4), (2, 1, 5), (2, 1, 5), (1, 1, 6)]
 
@@ -242,8 +242,8 @@ def test_criterion_8_redundancy_comparison():
     u = 2
     baseline = stuck_redundancy_lower_bound(u)
     assert baseline == 2  # Singleton: masking u stuck cells needs >= u symbols
-    ours = build_table(8, 3)[0].l
+    ours = build_table()[0].l
     assert ours == 1 < baseline
-    notes = table_footnotes(8, 3)
+    notes = table_footnotes()
     assert any("Singleton" in n and ">= 2" in n for n in notes)
     ok(8, f"masking redundancy 1 symbol vs stuck-cell baseline >= {baseline}")

@@ -10,8 +10,6 @@ from psmc.alphabet import (
     field_of_order,
     format_poly,
     make_field,
-    parse_poly,
-    poly_gcd,
     poly_pretty,
 )
 
@@ -48,7 +46,6 @@ def int_conv(a, b, q):
 def test_gf3_prime_field():
     f = make_field(3)
     assert f.q == 3 and f.p == 3 and f.m == 1
-    assert list(f.elements()) == [0, 1, 2]
 
 
 def test_gf2_trivial():
@@ -269,7 +266,7 @@ def test_poly_alphabet_mismatch():
 def test_poly_division_by_zero():
     gf3 = make_field(3)
     with pytest.raises(ZeroDivisionError):
-        divmod(Polynomial.one(gf3), Polynomial.zero(gf3))
+        divmod(Polynomial.one(gf3), Polynomial(gf3))
 
 
 @st.composite
@@ -290,23 +287,9 @@ def test_poly_divmod_roundtrip(ab):
     assert rem.degree < b.degree
 
 
-@given(polys(5, 5, 3))
-@settings(max_examples=200, deadline=None)
-def test_poly_gcd_divides_both(abc):
-    a, b, c = abc
-    a, b = a * c, b * c
-    if a.is_zero and b.is_zero:
-        return
-    g = poly_gcd(a, b)
-    assert (a % g).is_zero if not a.is_zero else True
-    assert (b % g).is_zero if not b.is_zero else True
-    if not c.is_zero:
-        assert (g % c.monic()).is_zero
-
-
 def test_poly_over_extension_field():
     gf9 = make_field(3, 2)
-    x = Polynomial.x(gf9)
+    x = Polynomial(gf9, (0, 1))
     alpha = gf9.primitive
     p = (x - Polynomial(gf9, (alpha,))) * (x - Polynomial(gf9, (gf9.pow(alpha, 3),)))
     assert p(alpha) == 0 and p(gf9.pow(alpha, 3)) == 0
@@ -319,18 +302,15 @@ def test_poly_over_extension_field():
 
 def test_parse_format_roundtrip():
     gf3 = make_field(3)
-    p = parse_poly(gf3, "2,1")
-    assert p.coeffs == (2, 1)
-    assert format_poly(p) == "2,1"
-    assert format_poly(parse_poly(gf3, "0")) == "0"
-    assert parse_poly(gf3, "").is_zero
+    assert format_poly(Polynomial(gf3, (2, 1))) == "2,1"
+    assert format_poly(Polynomial(gf3)) == "0"
 
 
 def test_poly_pretty():
     gf3 = make_field(3)
-    assert poly_pretty(parse_poly(gf3, "2,1")) == "x + 2"
-    assert poly_pretty(parse_poly(gf3, "2,2,0,1")) == "x^3 + 2x + 2"
-    assert poly_pretty(Polynomial.zero(gf3)) == "0"
+    assert poly_pretty(Polynomial(gf3, (2, 1))) == "x + 2"
+    assert poly_pretty(Polynomial(gf3, (2, 2, 0, 1))) == "x^3 + 2x + 2"
+    assert poly_pretty(Polynomial(gf3)) == "0"
 
 
 def test_random_element_order_divides_group_order():

@@ -7,7 +7,6 @@ import pytest
 
 from psmc.cli import main, parse_word, format_word, _probability_digits
 from psmc.presets import PRESETS, get_preset
-from psmc.tables import TABLE_CSV_COLUMNS
 from fractions import Fraction
 
 
@@ -74,6 +73,29 @@ def test_factor_command(capsys):
     assert "M_a={5,7}" in out
     assert out.count("M^(") == 5
     assert "2,1,1" in out  # x^2 + x + 2 in coefficient syntax
+
+
+def factor_in_child(n):
+    # A child process with a timeout, so that a hang fails the test
+    # instead of stalling the suite.
+    return subprocess.run(
+        [sys.executable, "-m", "psmc", "factor", "--n", n, "--q", "3"],
+        capture_output=True, text=True, timeout=20,
+    )
+
+
+def test_factor_length_one():
+    proc = factor_in_child("1")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1:] == ["a=0  M_a={0}  M^(0)(x) = 2,1  [x + 2]"]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_factor_rejects_nonpositive_length(n):
+    proc = factor_in_child(n)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"n = {n} must be >= 1" in proc.stderr
 
 
 def test_encode_command_demo_vectors(capsys):
@@ -198,7 +220,11 @@ def test_tables_csv(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "tables", "--csv", str(dest))
     assert code == 0
     lines = dest.read_text().splitlines()
-    assert lines[0] == ",".join(TABLE_CSV_COLUMNS)
+    # The frozen column order the README documents.
+    assert lines[0] == (
+        "row,k1,k1_star,l,l_star,r,delta0,delta1_stated,bch_bound,d_measured,t,"
+        "h0_label,g1_labels,published_h0,published_g1,g1_poly,flag"
+    )
     assert len(lines) == 8
 
 
@@ -223,14 +249,14 @@ def test_build_table_enumerates_each_row_once(monkeypatch):
 
     for module in (psmc.linear, psmc.constructions, psmc.tables):
         monkeypatch.setattr(module, "min_distance", counted)
-    assert len(psmc.tables.build_table(8, 3)) == 7
+    assert len(psmc.tables.build_table()) == 7
     assert len(calls) == 7
 
 
 def test_table_row_invariants():
     from psmc.tables import build_table
 
-    for r in build_table(8, 3):
+    for r in build_table():
         assert r.k1 + r.l + r.r == 8
         assert r.t == (r.d_measured - 1) // 2
         assert r.d_measured >= r.bch_bound

@@ -81,6 +81,15 @@ def test_extension_degree():
     assert extension_degree(2, 3) == 1
 
 
+def test_nonpositive_length_is_rejected():
+    # n = 1 is covered through the CLI in a child process with a timeout.
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n = {n} must be >= 1"):
+            all_cosets(n, 3)
+        with pytest.raises(ValueError, match=f"n = {n} must be >= 1"):
+            extension_degree(n, 3)
+
+
 # ---------------------------------------------------------------------------
 # minimal polynomials
 # ---------------------------------------------------------------------------
@@ -135,7 +144,7 @@ def test_minpoly_degree_equals_coset_size():
     for a in range(13):
         mp = minimal_polynomial(a, 13, GF3)
         assert mp.degree == len(cyclotomic_coset(a, 13, 3).members)
-        assert mp.lc == 1
+        assert mp.coeffs[-1] == 1
 
 
 def test_minpoly_coeffs_frobenius_fixed():

@@ -16,10 +16,8 @@ from psmc.linear import (
     mat_mul,
     min_distance,
     parity_check_matrix,
-    read_generator,
     rref,
     systematize,
-    write_generator,
 )
 
 GF2 = make_field(2)
@@ -79,7 +77,7 @@ def test_gf2048_linear_code_builds_encodes_decodes():
         for _ in range(10):
             m = rng.integers(0, F.q, size=code.k)
             c = code.encode(m)
-            assert code.is_codeword(c)
+            assert not code.syndrome(c).any()
             assert (code.message_of(c) == m).all()
             y = c.copy()
             y[1] = F.add(int(y[1]), int(rng.integers(1, F.q)))
@@ -93,7 +91,7 @@ def test_gf2048_linear_code_builds_encodes_decodes():
 def test_full_rate_code_has_empty_parity_check():
     code = LinearCode(np.eye(4, dtype=int), GF3)
     assert code.H.shape == (0, 4)
-    assert code.is_codeword([1, 2, 0, 1])
+    assert not code.syndrome([1, 2, 0, 1]).any()
     assert (code.decode_bounded([1, 2, 0, 1], 0) == [1, 2, 0, 1]).all()
 
 
@@ -347,10 +345,27 @@ def test_decoder_path_is_decided_once_per_t():
     table = code._tables[1]
     code.decode_bounded(np.zeros(8, dtype=np.int64), 1)
     assert code._tables == {1: table} and table is not None
-    # q^(n-k) = 2048^2 exceeds TABLE_BUDGET: decoding enumerates codewords.
+    # 1 + 3*2047 + 3*2047^2 patterns of weight <= 2 exceed TABLE_BUDGET:
+    # decoding enumerates the 2048 codewords.
+    repetition = LinearCode(np.array([[1, 5, 2047]]), make_field(2, 11))
+    assert (repetition.decode_bounded([1, 5, 0], 2) == [1, 5, 2047]).all()
+    assert repetition._tables == {2: None}
+
+
+def test_syndrome_table_is_gated_by_pattern_count_alone():
+    # 2048^2 syndromes, but only 1 + 3*2047 patterns of weight <= 1.
     repetition = LinearCode(np.array([[1, 5, 2047]]), make_field(2, 11))
     assert (repetition.decode_bounded([1, 5, 0], 1) == [1, 5, 2047]).all()
-    assert repetition._tables == {1: None}
+    assert len(repetition._tables[1]) == 1 + 3 * 2047
+    # [40, 20] over GF(3): 3^20 syndromes, 1 + 40*2 + 780*4 = 3201 patterns.
+    code = PsmcCyclicCode(40, GF3, (1, 2, 4, 7, 11), t=2)
+    assert code.base.n - code.base.k == 20
+    m = np.arange(code.k1) % 3
+    y = code.encode(m).codeword
+    y[3] = (y[3] + 1) % 3
+    y[30] = (y[30] + 2) % 3
+    assert (code.decode(y) == m).all()
+    assert len(code.base._tables[2]) == 3201
 
 
 def test_decode_enumeration_tie_returns_none():
@@ -388,7 +403,7 @@ def test_random_extension_field_codes_are_consistent():
             continue
         built += 1
         m = rng.integers(0, 4, size=3)
-        assert code.is_codeword(code.encode(m))
+        assert not code.syndrome(code.encode(m)).any()
 
 
 def test_decode_extension_field_code():
@@ -446,39 +461,3 @@ def test_systematize_rejects_code_without_all_ones():
     G = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
     with pytest.raises(ValueError):
         systematize(G, GF3)
-
-
-# ---------------------------------------------------------------------------
-# matrix files
-# ---------------------------------------------------------------------------
-
-def test_matrix_file_roundtrip(tmp_path):
-    code = row3_code()
-    path = tmp_path / "g.txt"
-    write_generator(path, code)
-    assert path.read_text().splitlines()[0] == "8 5 3"
-    back = read_generator(path)
-    assert (back.G == code.G).all()
-    assert back.alphabet is GF3
-
-
-def test_matrix_file_extension_field_order(tmp_path):
-    gf4 = make_field(2, 2)
-    code = LinearCode(np.array([[1, 0, 2], [0, 1, 3]]), gf4)
-    path = tmp_path / "g4.txt"
-    write_generator(path, code)
-    back = read_generator(path)
-    assert back.alphabet is gf4
-
-
-def test_matrix_file_errors(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("not a header\n1 0\n")
-    with pytest.raises(ValueError):
-        read_generator(p)
-    p.write_text("3 2 6\n1 0 0\n0 1 0\n")
-    with pytest.raises(ValueError):
-        read_generator(p)  # 6 is not a prime power
-    p.write_text("3 2 3\n1 0 0\n")
-    with pytest.raises(ValueError):
-        read_generator(p)  # body/header mismatch

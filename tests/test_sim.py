@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -14,9 +15,11 @@ from psmc.constructions import (
     masking_probability,
 )
 from psmc.presets import (
+    PRESETS,
     demo14_code,
     extended8_l2_code,
     extended8_l3_code,
+    get_preset,
     masking8_code,
     table8_code,
 )
@@ -86,7 +89,7 @@ def test_config_code_mismatch():
 
 def test_inject_no_error():
     c = np.array([1, 2, 0, 1])
-    y = inject(c, StuckCellProfile((1,)), np.zeros(4, dtype=int), make_field(3))
+    y = inject(c, np.zeros(4, dtype=int), make_field(3))
     assert (y == c).all()
 
 
@@ -94,7 +97,7 @@ def test_inject_extension_field_matches_scalar_add():
     f = make_field(3, 2)
     c = np.array([0, 4, 8, 5])
     e = np.array([7, 5, 1, 0])
-    y = inject(c, StuckCellProfile(()), e, f)
+    y = inject(c, e, f)
     assert y.tolist() == [f.add(int(a), int(b)) for a, b in zip(c, e)]
 
 
@@ -103,15 +106,14 @@ def test_inject_appendix_single_error():
     c = code.encode([0, 2, 1, 0, 2, 1, 0, 2, 1, 0], (4, 6)).codeword
     e = np.zeros(14, dtype=np.int64)
     e[9] = 1  # 2 + 1 = 0 mod 3: flips the tenth cell to zero
-    y = inject(c, StuckCellProfile((4, 6)), e, make_field(3))
+    y = inject(c, e, make_field(3))
     assert "".join(map(str, y)) == "11021021001000"
 
 
 def test_inject_does_not_reclamp_stuck_cells():
-    profile = StuckCellProfile((0,))
-    c = np.array([1, 0, 0, 0])
+    c = np.array([1, 0, 0, 0])  # cell 0 is stuck and masked to 1
     e = np.array([2, 0, 0, 0])
-    y = inject(c, profile, e, make_field(3))
+    y = inject(c, e, make_field(3))
     assert y[0] == 0  # stuck cell may read back 0 after read noise
 
 
@@ -299,7 +301,7 @@ def _replay(code, cfg):
             continue
         masked += 1
         assert out.codeword[list(profile.positions)].all()
-        y = inject(out.codeword, profile, d.errors[trial], code.alphabet)
+        y = inject(out.codeword, d.errors[trial], code.alphabet)
         attempts += 1
         try:
             mhat = code.decode(y)
@@ -346,3 +348,50 @@ def test_matrix_and_cyclic_expected_rates_unchanged():
         for u in (code.u_max, code.u_max + 1, code.n - 1, code.n):
             report = run_campaign(code, config_for(code, u, 0, 10, 5))
             assert report.expected_rate == float(masking_probability(q, u))
+
+
+# sha256 of json.dumps(run_campaign(code, cfg).to_dict(), sort_keys=True),
+# failure log included, for (code, u, t_inj) at (u_max, t) and
+# (min(n, u_max + 2), t + 1), 1000 trials each with CAMPAIGN_DIGEST_SEED,
+# recorded on stream v3 before any later change to the campaign engine.
+CAMPAIGN_DIGEST_SEED = 20260811
+CAMPAIGN_DIGESTS = {
+    ("appendix-n14", 2, 1): "61c1b5a9adbe5f92b9faddd54934ec21b654c445bc60b7a60d395a1951992c45",
+    ("appendix-n14", 4, 2): "1f393eca94af3be4c52711cfa5ce0463794a81ce7a3964b2cbe12b108c4908b7",
+    ("appendix-n14-r0", 2, 0): "7cd13911e37704023d54ff113643868975c729ffdc76048e34ef69d7208a059c",
+    ("appendix-n14-r0", 4, 1): "e8b4f387de509ecd0b3d2373b3d15dcb2a472c70abc5e795b42abc916d59d21d",
+    ("extended-n8-l2", 2, 1): "26c43f4b53cad360e7316fccbf2a3860b0651911802bc7bb075f89f17383e555",
+    ("extended-n8-l2", 4, 2): "ce431023dfd267074a0dc639af6ad76677d10d42282ee67b80b457140bad36ec",
+    ("extended-n8-l3", 3, 1): "3aae5d81044e2e43889c9febd62dd35e1c907ce1af03e6b42752cb55c3e55968",
+    ("extended-n8-l3", 5, 2): "1bc1e97d6f141683699a33b34b6295ef8491c370f07bcb86904dccec3b365f0e",
+    ("masking-n8-r0", 2, 0): "fbaab57a5c9cd15feb669e1f65cf16c6e7b2548d0dc6defcde12a7e5199befad",
+    ("masking-n8-r0", 4, 1): "79f73b4cbc344801f394bec85cbc7dcf4758288fa0f223bcb7cd79d93f4794ca",
+    ("table8-row1", 2, 0): "fbaab57a5c9cd15feb669e1f65cf16c6e7b2548d0dc6defcde12a7e5199befad",
+    ("table8-row1", 4, 1): "060f64bf2966071d23e392c6ad308fc2fd2463d600498e3d65be17238278d465",
+    ("table8-row2", 2, 0): "fbaab57a5c9cd15feb669e1f65cf16c6e7b2548d0dc6defcde12a7e5199befad",
+    ("table8-row2", 4, 1): "4b50eb6e1f931a6e67c0bed72339f90116792981cc1fb21f94dffcf695bf279b",
+    ("table8-row3", 2, 1): "26c43f4b53cad360e7316fccbf2a3860b0651911802bc7bb075f89f17383e555",
+    ("table8-row3", 4, 2): "a81523534664318da065d113ce53b553db3ecc2056a3f41372078b48df9a9ec2",
+    ("table8-row4", 2, 1): "26c43f4b53cad360e7316fccbf2a3860b0651911802bc7bb075f89f17383e555",
+    ("table8-row4", 4, 2): "dde7b71c57f4a00df6cdb658c87727ccae4ae806ef42653455e7524a30d4b2e4",
+    ("table8-row5", 2, 2): "d4ffeaafa3c5c38a5c3daa145b30890777e2006c11c26380e64bc1ae13206e82",
+    ("table8-row5", 4, 3): "4d278e0f5693feca8bfe63eb80ce77df6911e589c83ecf9b7d0a010a5af9132b",
+    ("table8-row6", 2, 1): "26c43f4b53cad360e7316fccbf2a3860b0651911802bc7bb075f89f17383e555",
+    ("table8-row6", 4, 2): "a97e24aa602afdd045db31da96859c0c7df92f2be650dacf100bccfcc7594c04",
+    ("table8-row7", 2, 1): "26c43f4b53cad360e7316fccbf2a3860b0651911802bc7bb075f89f17383e555",
+    ("table8-row7", 4, 2): "f4f81c5b720b713b18894a574e899d47fb1e8a64503242d33e9ca46e03302c85",
+    ("cyclic-n9-gf8", 7, 1): "fb0221fe3e2622ed23c995a016b95912ba2adf1ce2c9bd2ce9ee731ddbb443f7",
+    ("cyclic-n9-gf8", 9, 2): "492de7e5aefb6968577d9d2ca0bd28cdfd2b2cf20b3ca8e4c10ea25c3ad06b19",
+}
+
+
+def test_campaign_outputs_match_recorded_stream_v3_digests():
+    codes = {name: get_preset(name) for name in sorted(PRESETS)}
+    codes["cyclic-n9-gf8"] = gf8_cyclic_code()
+    got = {}
+    for name, code in codes.items():
+        for u, t_inj in ((code.u_max, code.t), (min(code.n, code.u_max + 2), code.t + 1)):
+            report = run_campaign(code, config_for(code, u, t_inj, 1000, CAMPAIGN_DIGEST_SEED))
+            blob = json.dumps(report.to_dict(), sort_keys=True).encode()
+            got[name, u, t_inj] = hashlib.sha256(blob).hexdigest()
+    assert got == CAMPAIGN_DIGESTS
