@@ -25,10 +25,21 @@ The array operations (:meth:`Alphabet.vadd`, ``vsub``, ``vneg``, ``vmul``
 and :meth:`Alphabet.matmul`) act element-wise on int64 arrays of symbols
 and are the only place that knows how symbols are represented: prime
 fields reduce mod q, characteristic 2 adds by XOR, other extension fields
-index dense q x q tables up to q = 1024 and add base-p digits above, and
-extension-field products use exp/log arrays up to q = 2^16.  Codes and
+add through a flattened q x q table up to q = 1024 and on base-p digits
+above, and extension-field products use exp/log arrays up to q = 2^16.
+Every table lookup is a gather from a 1-D array: on arrays of thousands
+of symbols numpy does that about twice as fast as indexing a 2-D table
+with two index arrays.  Codes and
 everything built on them therefore support every prime field up to 2^20
 and extension fields up to 2^16.
+
+A prime-field matmul is one integer product and one reduction mod q.  An
+extension-field matmul takes a fixed number of array passes per block of
+rows, not one per inner index: one ``vmul`` of every product of the block
+(rows x k x columns), then a sum along k, which is one XOR reduction in
+characteristic 2 and ceil(log2 k) halving ``vadd`` passes for odd p.  A
+block holds about ``_MATMUL_BLOCK`` = 2^16 products, so the temporary
+stays near 512 KiB however many rows the product has.
 
 All objects in this module are immutable after construction and all
 operations are pure, so instances can be shared freely across threads.
@@ -46,6 +57,7 @@ MAX_ORDER = 1 << 20
 
 _TABLE_ORDER_LIMIT = 1 << 10  # dense q x q add/mul tables only below this
 _EXPLOG_ORDER_LIMIT = 1 << 16
+_MATMUL_BLOCK = 1 << 16  # products per extension-field matmul block (512 KiB of int64)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -352,7 +364,7 @@ class Alphabet:
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.q <= _TABLE_ORDER_LIMIT:
-            return self.add_table()[a, b]
+            return self.add_table().ravel()[np.multiply(a, self.q) + b]
         return self._digitwise(a, b, 1)
 
     def vsub(self, a, b) -> np.ndarray:
@@ -372,8 +384,6 @@ class Alphabet:
     def vmul(self, a, b) -> np.ndarray:
         if self.m == 1:
             return np.multiply(a, b) % self.q
-        if self.q <= _TABLE_ORDER_LIMIT:
-            return self.mul_table()[a, b]
         if self.q <= _EXPLOG_ORDER_LIMIT:
             exp, log = self._explog()
             return exp[log[a] + log[b]]
@@ -382,13 +392,47 @@ class Alphabet:
         )
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of 2-D int64 symbol matrices."""
+        """Product of 2-D int64 symbol matrices.
+
+        Prime fields take one integer product and one reduction mod q.
+        Extension fields take every product of a block of rows of a with
+        b in one :meth:`vmul` pass, then sum along the inner axis: one
+        XOR reduction in characteristic 2, ceil(log2 k) halving
+        :meth:`vadd` passes for odd p.  Blocks hold about
+        ``_MATMUL_BLOCK`` products (rows x k x columns), which caps the
+        temporary however many rows a has.
+        """
         if self.m == 1:
             return a @ b % self.q
-        acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for i in range(a.shape[1]):
-            acc = self.vadd(acc, self.vmul(a[:, i, None], b[i]))
-        return acc
+        rows, k = a.shape
+        cols = b.shape[1]
+        if k == 0:
+            return np.zeros((rows, cols), dtype=np.int64)
+        step = max(1, _MATMUL_BLOCK // max(1, k * cols))
+        if rows <= step:
+            return self._inner_sum(self.vmul(a[:, :, None], b[None, :, :]))
+        # Writing each block out at once frees its temporary for the next.
+        out = np.empty((rows, cols), dtype=np.int64)
+        for start in range(0, rows, step):
+            block = a[start : start + step, :, None]
+            out[start : start + step] = self._inner_sum(self.vmul(block, b[None, :, :]))
+        return out
+
+    def _inner_sum(self, products: np.ndarray) -> np.ndarray:
+        """Field sum of a fresh (rows, k, cols) array along axis 1, k >= 1.
+
+        Odd p folds the upper half of the inner axis onto the lower half in
+        place, ceil(log2 k) times; an odd k leaves its middle column for
+        the next pass.
+        """
+        if self.p == 2:
+            return np.bitwise_xor.reduce(products, axis=1)
+        k = products.shape[1]
+        while k > 1:
+            half = (k + 1) // 2
+            products[:, : k - half] = self.vadd(products[:, : k - half], products[:, half:k])
+            k = half
+        return products[:, 0]
 
     # -- identity -------------------------------------------------------------
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import LinearCode, as_word, mat_mul, min_distance, parity_check_matrix
+from .linear import LinearCode, as_word, min_distance, parity_check_matrix
 
 
 class MaskingImpossible(Exception):
@@ -70,6 +70,14 @@ class StuckCellProfile:
         if len(set(pos)) != len(pos) or (pos and pos[0] < 0):
             raise ValueError("stuck positions must be distinct and non-negative")
         object.__setattr__(self, "positions", pos)
+
+    @classmethod
+    def _of(cls, positions: tuple[int, ...]) -> "StuckCellProfile":
+        """Wrap cells that are already sorted, distinct and non-negative ints,
+        such as a campaign's draws, without checking them again."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "positions", positions)
+        return profile
 
     @property
     def u(self) -> int:
@@ -152,7 +160,7 @@ class _MaskingCode:
         A, q = self.alphabet, self.alphabet.q
         v = np.array(list(product(range(q), repeat=self.l)), dtype=np.int64)
         # z H0 = -(v H0), so candidate i drops cell j to 0 iff m G1 holds hits[i, j].
-        hits = mat_mul(v, self.H0, A)
+        hits = A.matmul(v, self.H0)
         zeroing = [[[] for _ in range(q)] for _ in range(self.n)]
         for i, row in enumerate(hits.tolist()):
             for j, w in enumerate(row):
@@ -180,7 +188,7 @@ class _MaskingCode:
                 "pass probabilistic=True to attempt masking anyway"
             )
         m = as_word(message, self.alphabet, self.k1)
-        w = mat_mul(m[None, :], self.G1, self.alphabet)[0]
+        w = self.alphabet.matmul(m[None, :], self.G1)[0]
         shifts, zs, vs, zeroing = self._candidates
         values = w.tolist()
         zeroed: set[int] = set()

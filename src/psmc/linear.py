@@ -140,16 +140,16 @@ class LinearCode:
 
     def encode(self, message) -> np.ndarray:
         m = as_word(message, self.alphabet, self.k)
-        return mat_mul(m[None, :], self.G, self.alphabet)[0]
+        return self.alphabet.matmul(m[None, :], self.G)[0]
 
     def syndrome(self, word) -> np.ndarray:
         return self._syndromes(as_word(word, self.alphabet, self.n)[None, :])[0]
 
     def _syndromes(self, words: np.ndarray) -> np.ndarray:
-        """Syndromes of the rows of a 2-D symbol array."""
+        """Syndromes of the rows of a 2-D int64 symbol array."""
         if self.H.shape[0] == 0:
             return np.zeros((words.shape[0], 0), dtype=np.int64)
-        return mat_mul(words, self.H.T, self.alphabet)
+        return self.alphabet.matmul(words, self.H.T)
 
     def message_of(self, codeword) -> np.ndarray:
         """The message x with x G = codeword, read off an information set."""

@@ -238,9 +238,8 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
         stop = min(start + BLOCK_TRIALS, cfg.trials)
         draws = _draw(cfg, code.k1, start, stop)
         for trial, m, stuck, e in zip(range(start, stop), draws.messages, draws.stuck.tolist(), draws.errors):
-            profile = StuckCellProfile(tuple(stuck))
             try:
-                out = code.encode(m, profile, probabilistic=True)
+                out = code.encode(m, StuckCellProfile._of(tuple(stuck)), probabilistic=True)
             except MaskingImpossible as exc:
                 if cfg.u <= code.u_max:
                     raise AssertionError(

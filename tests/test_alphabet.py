@@ -1,10 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import psmc.alphabet
 from psmc.alphabet import (
     Polynomial,
     field_of_order,
@@ -199,17 +201,81 @@ def test_array_ops_match_scalar_sampled(p, m):
     assert_array_ops_match_scalar(f, a, b)
 
 
+def scalar_matmul(f, a, b):
+    """Matrix product by scalar dot products (oracle for Alphabet.matmul)."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    cols = b.shape[1]
+    a, b = a.tolist(), b.tolist()
+    for i, row in enumerate(a):
+        for j in range(cols):
+            acc = 0
+            for t, x in enumerate(row):
+                acc = f.add(acc, f.mul(x, b[t][j]))
+            out[i, j] = acc
+    return out
+
+
+def loop_matmul(f, a, b):
+    """One vmul and one vadd pass per inner index (reference for large shapes)."""
+    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[1]):
+        acc = f.vadd(acc, f.vmul(a[:, i, None], b[i]))
+    return acc
+
+
+# Dense-table fields, exp/log-array fields (q > 1024), and a prime-field control.
+KERNEL_FIELDS = [(2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (5, 2), (2, 11), (3, 7), (5, 1)]
+SMALL_BLOCK = 64
+# (rows, k, cols): no rows; k = 0 (a zero product); k = 1; odd k; one column;
+# with SMALL_BLOCK, 11 rows of k*cols = 15 are 2 blocks of 4 plus 3, and
+# k*cols = 72 > SMALL_BLOCK puts each of the 3 rows in its own block.
+KERNEL_SHAPES = [(0, 4, 5), (3, 0, 5), (3, 1, 5), (4, 5, 3), (2, 7, 1), (11, 5, 3), (3, 9, 8)]
+
+
+def random_symbols(f, shape, seed):
+    a = np.random.default_rng(seed).integers(0, f.q, size=shape)
+    a.flat[: min(a.size, 2)] = 0  # products with zero
+    return a
+
+
 def test_matmul_matches_scalar_dot_products():
-    rng = np.random.default_rng(3)
-    for f in (make_field(5), make_field(2, 4), make_field(3, 3), make_field(2, 11)):
-        a = rng.integers(0, f.q, size=(3, 4))
-        b = rng.integers(0, f.q, size=(4, 5))
-        for i in range(3):
-            for j in range(5):
-                acc = 0
-                for t in range(4):
-                    acc = f.add(acc, f.mul(int(a[i, t]), int(b[t, j])))
-                assert f.matmul(a, b)[i, j] == acc
+    with mock.patch.object(psmc.alphabet, "_MATMUL_BLOCK", SMALL_BLOCK):
+        for p, m in KERNEL_FIELDS:
+            f = make_field(p, m)
+            for rows, k, cols in KERNEL_SHAPES:
+                a = random_symbols(f, (rows, k), rows * 100 + k)
+                b = random_symbols(f, (k, cols), k * 100 + cols)
+                got = f.matmul(a, b)
+                assert got.shape == (rows, cols) and got.dtype == np.int64
+                assert got.tolist() == scalar_matmul(f, a, b).tolist(), (f, rows, k, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(KERNEL_FIELDS),
+    rows=st.integers(0, 12),
+    k=st.integers(0, 9),
+    cols=st.integers(0, 6),
+    block=st.sampled_from([1, 16, SMALL_BLOCK, psmc.alphabet._MATMUL_BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_kernel_random_shapes(field, rows, k, cols, block, seed):
+    f = make_field(*field)
+    a = random_symbols(f, (rows, k), seed)
+    b = random_symbols(f, (k, cols), seed + 1)
+    with mock.patch.object(psmc.alphabet, "_MATMUL_BLOCK", block):
+        assert f.matmul(a, b).tolist() == scalar_matmul(f, a, b).tolist()
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (5, 2)], ids=["GF(2^8)", "GF(5^2)"])
+def test_matmul_kernel_spans_blocks_at_module_block_size(p, m):
+    f = make_field(p, m)
+    k, cols = 31, 32
+    step = psmc.alphabet._MATMUL_BLOCK // (k * cols)
+    rows = 2 * step + 5
+    a = random_symbols(f, (rows, k), 7)
+    b = random_symbols(f, (k, cols), 8)
+    assert f.matmul(a, b).tolist() == loop_matmul(f, a, b).tolist()
 
 
 def test_array_mul_above_2_pow_16_is_refused():

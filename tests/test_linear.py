@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import psmc.alphabet
 import psmc.linear
 from psmc.alphabet import make_field
 from psmc.constructions import PsmcCyclicCode
@@ -211,6 +212,16 @@ def test_min_distance_matches_walk_on_gf8_cyclic_code():
     assert_distance_matches_walk(code)
 
 
+def test_min_distance_matches_walk_through_several_matmul_blocks():
+    # k = n - k, so min_distance enumerates the 4^6 = 4096 codewords, whose
+    # 6 x 12 products per word span several extension-field matmul blocks.
+    P = np.random.default_rng(12).integers(0, 4, size=(6, 6))
+    code = LinearCode(np.hstack([np.eye(6, dtype=np.int64), P]), GF4)
+    assert code.k == code.n - code.k == 6
+    assert 4 ** 6 > 2 * (psmc.alphabet._MATMUL_BLOCK // (6 * 12))
+    assert_distance_matches_walk(code)
+
+
 MAX_N = {GF2: 10, GF3: 7, GF4: 5, GF5: 5}  # keeps the walk to q^n <= 3125 words
 
 
@@ -306,6 +317,18 @@ def test_decode_all_double_errors_t2_code():
     for e in weight_patterns(8, 3, 2):
         got = code.decode_bounded((c + e) % 3, 2)
         assert got is not None and (got == c).all()
+
+
+def test_gf8_syndrome_table_round_trips_every_double_error():
+    code = build_cyclic_code(9, GF8, (1, 3)).to_linear_code()
+    assert (code.n, code.k, min_distance(code).d) == (9, 5, 5)
+    patterns = list(weight_patterns(9, 8, 2))
+    # The 1828 syndromes of the table build span two matmul blocks.
+    assert len(patterns) > psmc.alphabet._MATMUL_BLOCK // (9 * 4)
+    assert len(code._syndrome_table(2)) == len(patterns)  # no ties at d = 5
+    c = code.encode([1, 2, 3, 4, 5])
+    for e in patterns:
+        assert (code.decode_bounded(GF8.vadd(c, e), 2) == c).all()
 
 
 def test_decode_failure_is_none():
