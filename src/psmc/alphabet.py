@@ -11,8 +11,11 @@ the familiar textbook moduli (x^2+x+1, x^3+x+1, x^4+x+1, ...), so element
 labels are reproducible across runs and across ports of this library.
 
 Scalar arithmetic covers every field of order up to ``MAX_ORDER`` (2^20).
-Fields with q <= 2^16 build exp/log tables on first multiplication;
-larger fields multiply digit vectors directly.
+Scalar and array operations share one digit kernel and one exp/log
+layout: extension-field add, sub and neg sum base-p digits in
+``_digitwise``, on ints and int64 arrays alike, and fields with
+q <= 2^16 multiply through exp/log tables that need neither a zero test
+nor a modulus.  Larger fields multiply digit vectors directly.
 
 One set of polynomial kernels on coefficient tuples (add/sub, mul,
 divmod, gcd, power mod f) works over any :class:`Alphabet`.
@@ -22,14 +25,13 @@ user of gcd) picks the modulus, and the primitive element and the
 exp/log tables are found by multiplying digit tuples modulo it.
 
 The array operations (:meth:`Alphabet.vadd`, ``vsub``, ``vneg``, ``vmul``
-and :meth:`Alphabet.matmul`) act element-wise on int64 arrays of symbols
-and are the only place that knows how symbols are represented: prime
-fields reduce mod q, characteristic 2 adds by XOR, other extension fields
-add through a flattened q x q table up to q = 1024 and on base-p digits
-above, and extension-field products use exp/log arrays up to q = 2^16.
-Every table lookup is a gather from a 1-D array: on arrays of thousands
-of symbols numpy does that about twice as fast as indexing a 2-D table
-with two index arrays.  Codes and
+and :meth:`Alphabet.matmul`) act element-wise on int64 arrays of symbols:
+prime fields reduce mod q, characteristic 2 adds by XOR, other extension
+fields add through a flattened q x q table up to q = 1024 and through
+``_digitwise`` above, and extension-field products gather from the
+exp/log arrays up to q = 2^16.  Every table lookup is a gather from a
+1-D array: on arrays of thousands of symbols numpy does that about twice
+as fast as indexing a 2-D table with two index arrays.  Codes and
 everything built on them therefore support every prime field up to 2^20
 and extension fields up to 2^16.
 
@@ -41,8 +43,9 @@ characteristic 2 and ceil(log2 k) halving ``vadd`` passes for odd p.  A
 block holds about ``_MATMUL_BLOCK`` = 2^16 products, so the temporary
 stays near 512 KiB however many rows the product has.
 
-All objects in this module are immutable after construction and all
-operations are pure, so instances can be shared freely across threads.
+All operations are pure.  An Alphabet's tables are caches, each filled
+once on first use; every fill computes the same values, so instances can
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import numpy as np
 
 MAX_ORDER = 1 << 20
 
-_TABLE_ORDER_LIMIT = 1 << 10  # dense q x q add/mul tables only below this
+_TABLE_ORDER_LIMIT = 1 << 10  # the dense q x q add table only below this
 _EXPLOG_ORDER_LIMIT = 1 << 16
 _MATMUL_BLOCK = 1 << 16  # products per extension-field matmul block (512 KiB of int64)
 
@@ -182,7 +185,6 @@ class Alphabet:
         self._explog_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._primitive: int | None = None
         self._add_table: np.ndarray | None = None
-        self._mul_table: np.ndarray | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -217,17 +219,17 @@ class Alphabet:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.q
-        return self.from_digits((x + y) % self.p for x, y in zip(self.digits(a), self.digits(b)))
+        return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.q
-        return self.from_digits((x - y) % self.p for x, y in zip(self.digits(a), self.digits(b)))
+        return self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.q
-        return self.from_digits((-x) % self.p for x in self.digits(a))
+        return self._digitwise(0, a, -1)
 
     def _ext_mul_raw(self, a: int, b: int) -> int:
         # Table-free product of digit tuples modulo the field's modulus.
@@ -238,11 +240,9 @@ class Alphabet:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.q
-        if a == 0 or b == 0:
-            return 0
         if self.q <= _EXPLOG_ORDER_LIMIT:
             exp, log = self._tables()
-            return exp[(log[a] + log[b]) % (self.q - 1)]
+            return exp[log[a] + log[b]]
         return self._ext_mul_raw(a, b)
 
     def inv(self, a: int) -> int:
@@ -252,7 +252,7 @@ class Alphabet:
             return pow(a, -1, self.q)
         if self.q <= _EXPLOG_ORDER_LIMIT:
             exp, log = self._tables()
-            return exp[(self.q - 1 - log[a]) % (self.q - 1)]
+            return exp[self.q - 1 - log[a]]
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -291,70 +291,48 @@ class Alphabet:
         return self._primitive
 
     def _tables(self) -> tuple[list[int], list[int]]:
-        # Extension fields only: prime fields multiply mod q.
+        """exp/log lists with exp[log[a] + log[b]] == a * b for every a, b.
+
+        exp runs twice round the cycle of powers of the primitive element,
+        then a run of zeros; log[0] = 2(q-1) points into that run, so a
+        product with 0 needs neither a zero test nor a modulus.  Extension
+        fields of order <= 2^16 only: prime fields multiply mod q.
+        """
         if self._exp is None:
-            g = self.primitive
-            exp = [1] * (self.q - 1)
-            log = [0] * self.q
+            g, cycle = self.primitive, self.q - 1
+            exp = [0] * (4 * cycle + 1)
+            log = [2 * cycle] * self.q
             acc = 1
-            for i in range(self.q - 1):
-                exp[i] = acc
+            for i in range(cycle):
+                exp[i] = exp[i + cycle] = acc
                 log[acc] = i
                 acc = self._ext_mul_raw(acc, g)
             self._exp, self._log = exp, log
         return self._exp, self._log
 
     def _explog(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp/log arrays with exp[log[a] + log[b]] == a * b for every a, b.
-
-        log[0] points past the doubled exp cycle into a run of zeros, so a
-        product with 0 needs neither a modulus nor a mask.  Extension
-        fields of order <= 2^16 only.
-        """
+        """The :meth:`_tables` layout as int64 arrays, for :meth:`vmul`."""
         if self._explog_arrays is None:
             exp, log = self._tables()
-            cycle = 2 * (self.q - 1)
-            e = np.zeros(2 * cycle + 1, dtype=np.int64)
-            e[:cycle] = exp + exp
-            l = np.array(log, dtype=np.int64)
-            l[0] = cycle
-            self._explog_arrays = e, l
+            self._explog_arrays = np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
         return self._explog_arrays
 
-    def _digitwise(self, a, b, sign: int) -> np.ndarray:
-        """a + sign * b computed on base-p digits, element-wise."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        scale = 1
+    def _digitwise(self, a, b, sign: int):
+        """a + sign * b computed on base-p digits, for ints and int64 arrays."""
+        out, scale = 0, 1
         for _ in range(self.m):
             out += (a // scale + sign * (b // scale)) % self.p * scale
             scale *= self.p
         return out
 
-    def _check_table_order(self) -> None:
-        if self.q > _TABLE_ORDER_LIMIT:
-            raise ValueError(f"dense tables limited to q <= {_TABLE_ORDER_LIMIT}")
-
     def add_table(self) -> np.ndarray:
         """q x q numpy addition table; only for q <= 1024."""
-        self._check_table_order()
+        if self.q > _TABLE_ORDER_LIMIT:
+            raise ValueError(f"dense tables limited to q <= {_TABLE_ORDER_LIMIT}")
         if self._add_table is None:
             idx = np.arange(self.q)
             self._add_table = self._digitwise(idx[:, None], idx[None, :], 1)
         return self._add_table
-
-    def mul_table(self) -> np.ndarray:
-        """q x q numpy multiplication table; only for q <= 1024."""
-        self._check_table_order()
-        if self._mul_table is None:
-            idx = np.arange(self.q, dtype=np.int64)
-            if self.m == 1:
-                self._mul_table = idx[:, None] * idx[None, :] % self.q
-            else:
-                exp, log = self._explog()
-                self._mul_table = exp[log[:, None] + log[None, :]]
-        return self._mul_table
 
     # -- array arithmetic (element-wise, numpy broadcasting) ------------------
 

@@ -43,6 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import comb, floor, log
+from operator import index
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class StuckCellProfile:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        pos = tuple(sorted(int(p) for p in self.positions))
+        pos = tuple(sorted(index(p) for p in self.positions))
         if len(set(pos)) != len(pos) or (pos and pos[0] < 0):
             raise ValueError("stuck positions must be distinct and non-negative")
         object.__setattr__(self, "positions", pos)

@@ -43,8 +43,15 @@ class BudgetExceeded(Exception):
 
 
 def as_word(values, alphabet: Alphabet, n: int | None = None) -> np.ndarray:
-    """Validate and convert to an int64 symbol vector."""
-    w = np.asarray(values, dtype=np.int64)
+    """Validate and convert to an int64 symbol vector.
+
+    A non-integer dtype raises ValueError rather than being truncated.
+    """
+    w = np.asarray(values)
+    if w.dtype != np.int64:
+        if w.size and w.dtype.kind not in "iu":
+            raise ValueError(f"symbols must be integers, got dtype {w.dtype}")
+        w = w.astype(np.int64)
     if w.ndim != 1:
         raise ValueError("expected a 1-D symbol vector")
     if n is not None and w.size != n:

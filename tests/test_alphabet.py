@@ -139,7 +139,8 @@ AXIOM_FIELDS = [make_field(7), make_field(2, 3), make_field(3, 2), make_field(3,
 
 @pytest.mark.parametrize("f", AXIOM_FIELDS, ids=repr)
 def test_field_axioms_exhaustive(f):
-    add, mul = f.add_table(), f.mul_table()
+    idx = np.arange(f.q)
+    add, mul = f.add_table(), f.vmul(idx[:, None], idx[None, :])
     q = f.q
     for c in range(q):
         assert np.array_equal(add[add, c], add[:, add[:, c]]), "add associativity"
@@ -154,7 +155,8 @@ def test_field_axioms_exhaustive(f):
 def test_field_axioms_exhaustive_gf512():
     # Largest exhaustive case; chunked over the third operand.
     f = make_field(2, 9)
-    add, mul = f.add_table(), f.mul_table()
+    idx = np.arange(f.q)
+    add, mul = f.add_table(), f.vmul(idx[:, None], idx[None, :])
     for c in range(0, f.q, 37):
         assert np.array_equal(mul[add, c], add[mul[:, c][:, None], mul[:, c][None, :]])
     for a in range(1, f.q):
@@ -174,6 +176,11 @@ def test_field_axioms_sampled_gf8192(a, b, c):
 # array arithmetic
 # ---------------------------------------------------------------------------
 
+def digit_sum(f, x, y, sign):
+    """x + sign * y on digit tuples (oracle independent of _digitwise)."""
+    return f.from_digits(dx + sign * dy for dx, dy in zip(f.digits(x), f.digits(y)))
+
+
 def assert_array_ops_match_scalar(f, a, b):
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -182,6 +189,13 @@ def assert_array_ops_match_scalar(f, a, b):
     assert f.vsub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
     assert f.vmul(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
     assert f.vneg(a).tolist() == [f.neg(x) for x in a.tolist()]
+    if f.m > 1:
+        # Scalar and array ops share their code, so check both against
+        # digit-tuple sums and the table-free product.
+        assert f.vadd(a, b).tolist() == [digit_sum(f, x, y, 1) for x, y in pairs]
+        assert f.vsub(a, b).tolist() == [digit_sum(f, x, y, -1) for x, y in pairs]
+        assert f.vneg(a).tolist() == [digit_sum(f, 0, x, -1) for x in a.tolist()]
+        assert f.vmul(a, b).tolist() == [f._ext_mul_raw(x, y) for x, y in pairs]
 
 
 @pytest.mark.parametrize("p,m", [(7, 1), (2, 3), (3, 2)], ids=["GF(7)", "GF(2^3)", "GF(3^2)"])
@@ -276,6 +290,14 @@ def test_matmul_kernel_spans_blocks_at_module_block_size(p, m):
     a = random_symbols(f, (rows, k), 7)
     b = random_symbols(f, (k, cols), 8)
     assert f.matmul(a, b).tolist() == loop_matmul(f, a, b).tolist()
+
+
+def test_scalar_products_with_zero_above_2_pow_16():
+    # Above 2^16 mul has no zero test: the table-free product returns 0.
+    f = make_field(2, 17)
+    for a in (0, 1, 2, 12345, f.q - 1):
+        assert f.mul(a, 0) == f.mul(0, a) == 0
+    assert f.mul(3, 5) == 15 and f.mul(f.q - 1, 1) == f.q - 1
 
 
 def test_array_mul_above_2_pow_16_is_refused():

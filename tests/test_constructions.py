@@ -59,6 +59,19 @@ def test_profile_sorts_and_validates():
         StuckCellProfile((1, 1))
 
 
+def test_non_integer_inputs_are_rejected_not_truncated():
+    code = get_preset("table8-row3")
+    with pytest.raises(ValueError, match="integers"):
+        code.encode([0.9, 1.2, 2.7, 1.0], (1, 6))
+    word = code.encode([0, 1, 2, 1], (1, 6)).codeword
+    assert (code.decode(word) == [0, 1, 2, 1]).all()
+    with pytest.raises(ValueError, match="integers"):
+        code.decode(word + 0.6)
+    with pytest.raises(TypeError):
+        StuckCellProfile((1.9, 6.2))
+    assert StuckCellProfile(np.array([6, 1])).positions == (1, 6)
+
+
 # ---------------------------------------------------------------------------
 # matrix construction
 # ---------------------------------------------------------------------------
@@ -438,6 +451,9 @@ GOLDEN_WORDS = 150
 # one-error decode results over a seeded set of (message, stuck set)
 # inputs at u = u_max and u_max + 1, recorded with the three separate
 # per-construction encoders and decoders that the shared core replaced.
+# The GF(9), GF(25) and GF(3^7) codes pin odd-characteristic extension
+# fields; their digests were recorded before scalar and array field ops
+# shared one digit kernel and one exp/log layout.
 GOLDEN_DIGESTS = {
     "appendix-n14": "ee11bb7f11470269313cb8b70826f19749ee142834478640364d268b6c37e04c",
     "appendix-n14-r0": "b20abc1bfe5ed3f8cb550c2368401803c2b53475c64d93a76149afa9062a6d66",
@@ -452,12 +468,18 @@ GOLDEN_DIGESTS = {
     "table8-row6": "247f6bba519ff363ab4878f9eb9b534dc17553b6520b329ebf68a441b0bdc918",
     "table8-row7": "66f48577c0c6a7494ac1278cea42dff0b9757ad97a42e72f27d453d9b44f19be",
     "cyclic-n9-gf8": "5de171ec1e596d1b221a3b429579985dfa67840f6479ce0a4c1be92829bfaa5c",
+    "cyclic-n10-gf9": "bc59878771bc0a9a0e94cd375cf2f52bf8ee97fca2a17248cda0382755c0b075",
+    "cyclic-n8-gf25": "b2ca16c43a6af0a3c862f82007edaf36b07a9876e01a3a3871f39cd06eb05fd0",
+    "matrix-n6-gf2187": "8ec13c0d4f14414ff7e8e5875316935fd6435563df030659b4f67ddef56eac19",
 }
 
 
 def golden_codes():
     codes = {name: get_preset(name) for name in sorted(PRESETS)}
     codes["cyclic-n9-gf8"] = PsmcCyclicCode(9, make_field(2, 3), (1,))
+    codes["cyclic-n10-gf9"] = PsmcCyclicCode(10, make_field(3, 2), (1, 2))
+    codes["cyclic-n8-gf25"] = PsmcCyclicCode(8, make_field(5, 2), (1, 2))
+    codes["matrix-n6-gf2187"] = PsmcMatrixCode(6, make_field(3, 7), None, t=0)
     return codes
 
 

@@ -14,6 +14,7 @@ from psmc.linear import (
     ENUM_BUDGET,
     BudgetExceeded,
     LinearCode,
+    as_word,
     mat_mul,
     min_distance,
     parity_check_matrix,
@@ -46,6 +47,17 @@ def row3_code():
 # ---------------------------------------------------------------------------
 # construction and parity checks
 # ---------------------------------------------------------------------------
+
+def test_as_word_rejects_non_integer_symbols():
+    for bad in ([0.0, 1.0, 2.0], np.array([0.5, 1.0]), [1, 2.7], ["1", "2"]):
+        with pytest.raises(ValueError, match="integers"):
+            as_word(bad, GF3)
+    for good in ([0, 1, 2], np.array([2, 0], dtype=np.uint8), (np.int32(1),)):
+        w = as_word(good, GF3)
+        assert w.dtype == np.int64 and w.tolist() == [int(x) for x in good]
+    empty = as_word([], GF3, 0)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+
 
 def test_parity_check_orthogonality():
     for reps in [(4,), (4, 5), (2, 5), (1, 2, 5)]:
