@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from itertools import zip_longest
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -476,7 +477,7 @@ class Polynomial:
 
     def __init__(self, alphabet: Alphabet, coeffs: Iterable[int] = ()):
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "coeffs", _strip([alphabet.check(int(c)) for c in coeffs]))
+        object.__setattr__(self, "coeffs", _strip([alphabet.check(index(c)) for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")

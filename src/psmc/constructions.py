@@ -49,7 +49,7 @@ import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import LinearCode, as_word, min_distance, parity_check_matrix
+from .linear import LinearCode, _integers, as_word, min_distance, parity_check_matrix
 
 
 class MaskingImpossible(Exception):
@@ -110,10 +110,19 @@ class MaskingOutcome:
     def __post_init__(self):
         object.__setattr__(self, "codeword", np.asarray(self.codeword, dtype=np.int64))
 
+    @classmethod
+    def _of(cls, codeword: np.ndarray, z: tuple[int, ...], v: int | None) -> "MaskingOutcome":
+        """Wrap an encoder's own int64 codeword without converting it again."""
+        outcome = object.__new__(cls)
+        object.__setattr__(outcome, "codeword", codeword)
+        object.__setattr__(outcome, "z", z)
+        object.__setattr__(outcome, "v", v)
+        return outcome
+
 
 def _systematic_g1(n: int, l: int, ecc_columns) -> tuple[np.ndarray, int]:
     """G1 = [0 | I_k1 | P] with l leading zero columns; returns (G1, r)."""
-    P = None if ecc_columns is None else np.asarray(ecc_columns, dtype=np.int64)
+    P = None if ecc_columns is None else _integers(ecc_columns)
     r = 0 if P is None else P.shape[1]
     k1 = n - l - r
     if k1 < 1:
@@ -201,14 +210,15 @@ class _MaskingCode:
                 raise AssertionError("guaranteed regime violated: no masking vector found")
             raise MaskingImpossible(f"no masking vector z for positions {prof.positions}")
         c = self.alphabet.vadd(w, shifts[i])
-        return MaskingOutcome(codeword=c, z=zs[i], v=vs[i])
+        return MaskingOutcome._of(c, zs[i], vs[i])
 
     def decode(self, word) -> np.ndarray:
         """Correct up to t errors and return the message m."""
-        c = self.base.decode_bounded(word, self.t)
-        if c is None:
+        y = as_word(word, self.alphabet, self.n)
+        ok, x = self.base._decode_rows(y[None, :], self.t)
+        if not ok[0]:
             raise DecodingFailure(f"no unique codeword within distance {self.t}")
-        return self.base.message_of(c)[: self.k1]
+        return x[0, : self.k1]
 
 
 class PsmcMatrixCode(_MaskingCode):
@@ -289,7 +299,7 @@ class PsmcExtendedCode(_MaskingCode):
     """
 
     def __init__(self, alphabet: Alphabet, masking_check, ecc_columns=None, *, t: int | None = None):
-        H0 = np.asarray(masking_check, dtype=np.int64)
+        H0 = _integers(masking_check)
         if H0.ndim != 2:
             raise ValueError("masking check must be an l x n matrix")
         l, n = H0.shape

@@ -10,22 +10,37 @@ the code (q^k words) and its dual (q^(n-k) words).  From the dual's
 weight distribution the code's own follows by the MacWilliams identity
 (MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 5).
 
+Decoding reads the syndrome and the message in one product.  The read
+matrix K = [H^T | R] stacks the check matrix with an n x k matrix R
+whose rows at an information set hold the inverse of G there and whose
+other rows are zero, so a word y = x G + e gives
+
+    y K = [e H^T | x + e R].
+
+The syndrome table maps each syndrome of the error patterns E of weight
+<= t to a row of the offsets array O = E R, the row of the lightest
+pattern e that has it, and the decoder subtracts that row from the
+second half: x = y R - e R.  A syndrome whose lightest patterns are two
+or more of equal weight maps to the tie marker :data:`TIE` instead, and
+a syndrome that no pattern has is absent.  Both decode as failures
+rather than an arbitrary pick, and a caller can tell a tie from a word
+beyond the radius.  The table holds the patterns of weight <= t whatever
+the redundancy n - k; past their budget, decoding enumerates codewords.
+The first decode at radius t builds the table, and the first table
+builds K, so constructing a code builds neither.
+
 Decoding failure is an explicit result (``None``), not an exception, so
-simulation campaigns can count failures cheaply.  When the caller asks
-for a radius t beyond the code's true capability, syndromes reachable
-from two error patterns of equal weight are marked ambiguous and decode
-as failures rather than an arbitrary pick.  Decoding looks the syndrome
-up in a table of the error patterns of weight <= t, whatever the
-redundancy n - k, and enumerates codewords only when those patterns
-exceed their budget.  Work that would exceed an explicit budget raises
-:class:`BudgetExceeded`.
+simulation campaigns can count failures cheaply.  Work that would
+exceed an explicit budget raises :class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations, islice, product
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +48,47 @@ from .alphabet import Alphabet
 
 ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
 CHUNK_WORDS = 8192        # codewords enumerated per matrix product
-# Max error patterns of weight <= t in one syndrome table, whatever q^(n-k);
-# at n = 14..40 each pattern holds 0.5-0.8 KB once built and peaks near 1 KB.
+# Max error patterns of weight <= t in one syndrome table, whatever q^(n-k).
+# Each syndrome a table holds keeps about 8n + 100 bytes (an 8(n-k)-byte key,
+# a k-symbol int64 offsets row, the dict entry): 420 B at n = 40, where a
+# table at the budget would need about 0.9 GB.  Building adds one block of
+# TABLE_BLOCK patterns and, until it ends, an offsets row for every pattern.
 TABLE_BUDGET = 1 << 21
+TABLE_BLOCK = 8192        # error patterns per product while a table is built
+TIE = -1                  # table entry of a syndrome whose lightest patterns tie
+_ABSENT = -2              # lookup result of a syndrome no pattern reaches
 
 
 class BudgetExceeded(Exception):
     """Raised when exact enumeration or table building would exceed its budget."""
+
+
+class SyndromeTable(NamedTuple):
+    """Syndrome bytes -> row of ``offsets`` holding e R for the lightest
+    pattern e with that syndrome, or ``TIE``."""
+
+    rows: dict[bytes, int]
+    offsets: np.ndarray
+
+
+def _integers(values) -> np.ndarray:
+    """values as an int64 array; a non-integer dtype raises ValueError
+    rather than being truncated."""
+    a = np.asarray(values)
+    if a.dtype != np.int64:
+        if a.size and a.dtype.kind not in "iu":
+            raise ValueError(f"symbols must be integers, got dtype {a.dtype}")
+        a = a.astype(np.int64)
+    return a
+
+
+def _in_range(a: np.ndarray, alphabet: Alphabet) -> bool:
+    """Whether every entry of an int64 array lies in [0, q).
+
+    Viewed as uint64, a negative entry wraps to at least 2^63 > q, so one
+    maximum checks both bounds.
+    """
+    return not a.size or np.maximum.reduce(a.view(np.uint64), axis=None) < alphabet.q
 
 
 def as_word(values, alphabet: Alphabet, n: int | None = None) -> np.ndarray:
@@ -47,16 +96,12 @@ def as_word(values, alphabet: Alphabet, n: int | None = None) -> np.ndarray:
 
     A non-integer dtype raises ValueError rather than being truncated.
     """
-    w = np.asarray(values)
-    if w.dtype != np.int64:
-        if w.size and w.dtype.kind not in "iu":
-            raise ValueError(f"symbols must be integers, got dtype {w.dtype}")
-        w = w.astype(np.int64)
+    w = _integers(values)
     if w.ndim != 1:
         raise ValueError("expected a 1-D symbol vector")
     if n is not None and w.size != n:
         raise ValueError(f"expected length {n}, got {w.size}")
-    if w.size and (w.min() < 0 or w.max() >= alphabet.q):
+    if not _in_range(w, alphabet):
         raise ValueError(f"symbols out of range for {alphabet!r}")
     return w
 
@@ -128,10 +173,10 @@ class LinearCode:
     """An [n, k] linear code over a field, held as generator G and check H."""
 
     def __init__(self, generator, alphabet: Alphabet):
-        G = np.asarray(generator, dtype=np.int64)
+        G = _integers(generator)
         if G.ndim != 2:
             raise ValueError("generator must be a 2-D matrix")
-        if G.size and (G.min() < 0 or G.max() >= alphabet.q):
+        if not _in_range(G, alphabet):
             raise ValueError(f"generator entries out of range for {alphabet!r}")
         self.alphabet = alphabet
         self.G = G
@@ -140,7 +185,7 @@ class LinearCode:
         self._info_set = np.array(pivots, dtype=np.intp)
         self.H = _check_from_rref(R, pivots, alphabet)
         # t -> syndrome table, or None where decoding enumerates codewords
-        self._tables: dict[int, dict[bytes, tuple[int, np.ndarray | None]] | None] = {}
+        self._tables: dict[int, SyndromeTable | None] = {}
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n}, {self.k}] over {self.alphabet!r})"
@@ -150,13 +195,8 @@ class LinearCode:
         return self.alphabet.matmul(m[None, :], self.G)[0]
 
     def syndrome(self, word) -> np.ndarray:
-        return self._syndromes(as_word(word, self.alphabet, self.n)[None, :])[0]
-
-    def _syndromes(self, words: np.ndarray) -> np.ndarray:
-        """Syndromes of the rows of a 2-D int64 symbol array."""
-        if self.H.shape[0] == 0:
-            return np.zeros((words.shape[0], 0), dtype=np.int64)
-        return self.alphabet.matmul(words, self.H.T)
+        w = as_word(word, self.alphabet, self.n)
+        return self.alphabet.matmul(w[None, :], self.H.T)[0]
 
     def message_of(self, codeword) -> np.ndarray:
         """The message x with x G = codeword, read off an information set."""
@@ -165,8 +205,15 @@ class LinearCode:
 
     # -- bounded-distance decoding -----------------------------------------
 
-    def _syndrome_table(self, t: int) -> dict[bytes, tuple[int, np.ndarray | None]] | None:
-        """Syndrome -> (weight, leader) over the patterns of weight <= t.
+    @cached_property
+    def _read_matrix(self) -> np.ndarray:
+        """K = [H^T | R]: y K = [syndrome | x + e R] for y = x G + e."""
+        R = np.zeros((self.n, self.k), dtype=np.int64)
+        R[self._info_set] = self._info_inverse
+        return np.hstack([self.H.T, R])
+
+    def _syndrome_table(self, t: int) -> SyndromeTable | None:
+        """The syndrome table of the error patterns of weight <= t.
 
         None when the pattern count exceeds ``TABLE_BUDGET``; decoding then
         enumerates codewords.  Decided and built once per t.
@@ -176,29 +223,66 @@ class LinearCode:
                 raise ValueError("t must be >= 0")
             q, n = self.alphabet.q, self.n
             count = sum(comb(n, w) * (q - 1) ** w for w in range(t + 1))
-            if count > TABLE_BUDGET:
-                self._tables[t] = None
-                return None
-            patterns = [
-                (w, pos, vals)
-                for w in range(t + 1)
-                for pos in combinations(range(n), w)
-                for vals in product(range(1, q), repeat=w)
-            ]
-            E = np.zeros((len(patterns), n), dtype=np.int64)
-            for row, (_, pos, vals) in zip(E, patterns):
-                row[list(pos)] = vals
-            S = self._syndromes(E)
-            table: dict[bytes, tuple[int, np.ndarray | None]] = {}
-            for (w, _, _), e, s in zip(patterns, E, S):
-                key = s.tobytes()
-                prev = table.get(key)
-                if prev is None:
-                    table[key] = (w, e)
-                elif prev[0] == w:
-                    table[key] = (w, None)  # tie at equal weight
-            self._tables[t] = table
+            self._tables[t] = None if count > TABLE_BUDGET else self._build_table(t, count)
         return self._tables[t]
+
+    def _build_table(self, t: int, count: int) -> SyndromeTable:
+        """Patterns in order of weight: the first to reach a syndrome keeps
+        it, and a second of the same weight turns it into a tie."""
+        K, r = self._read_matrix, self.n - self.k
+        width = 8 * r  # bytes of an int64 syndrome
+        rows = {bytes(width): 0}  # the zero pattern: zero syndrome, zero offset
+        offsets = np.empty((count, self.k), dtype=np.int64)
+        offsets[0] = 0
+        kept = 1
+        for w in range(1, t + 1):
+            first = kept  # rows below this one belong to lighter patterns
+            for E in _patterns(self.n, self.alphabet.q, w):
+                raw = self.alphabet.matmul(E, K)
+                keys = raw[:, :r].tobytes()
+                start, keep = kept, []
+                for i in range(E.shape[0]):
+                    key = keys[i * width : (i + 1) * width]
+                    j = rows.setdefault(key, kept)
+                    if j == kept:
+                        keep.append(i)
+                        kept += 1
+                    elif j >= first:
+                        rows[key] = TIE
+                offsets[start:kept] = raw[keep, r:]
+        # Patterns that reach a syndrome already held keep no row; shrinking
+        # in place frees their share without a second copy of the kept rows.
+        offsets.resize((kept, self.k), refcheck=False)
+        return SyndromeTable(rows, offsets)
+
+    def _decode_rows(self, Y: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bounded-distance decode the rows of a 2-D int64 array Y, whose
+        symbols the caller checked with ``as_word``.
+
+        Returns (ok, messages): ok[i] says whether row i lies within
+        distance t of a unique codeword x G, and messages[i] is that x.
+        The message of a row that fails is meaningless.
+        """
+        table = self._syndrome_table(t)
+        if table is None:
+            found = [self._decode_by_enumeration(y, t) for y in Y]
+            X = np.zeros((Y.shape[0], self.k), dtype=np.int64)
+            for i, c in enumerate(found):
+                if c is not None:
+                    X[i] = self.message_of(c)
+            return np.array([c is not None for c in found], dtype=bool), X
+        r = self.n - self.k
+        raw = self.alphabet.matmul(Y, self._read_matrix)
+        if not r:  # no check symbols: every word is a codeword, read as is
+            return np.ones(Y.shape[0], dtype=bool), raw
+        width = 8 * r  # bytes of an int64 syndrome
+        keys = raw[:, :r].tobytes()
+        get = table.rows.get
+        idx = [get(keys[i : i + width], _ABSENT) for i in range(0, len(keys), width)]
+        ok = np.array([i >= 0 for i in idx], dtype=bool)
+        # A failed row reads an arbitrary offsets row; ok marks it.
+        offsets = table.offsets.take(idx, axis=0, mode="clip")
+        return ok, self.alphabet.vsub(raw[:, r:], offsets)
 
     def decode_bounded(self, word, t: int) -> np.ndarray | None:
         """Unique codeword within Hamming distance t of word, or None.
@@ -207,14 +291,8 @@ class LinearCode:
         <= t fit the budget, otherwise falls back to nearest-codeword
         enumeration.
         """
-        y = as_word(word, self.alphabet, self.n)
-        table = self._syndrome_table(t)
-        if table is None:
-            return self._decode_by_enumeration(y, t)
-        entry = table.get(self._syndromes(y[None, :])[0].tobytes())
-        if entry is None or entry[1] is None:
-            return None
-        return self.alphabet.vsub(y, entry[1])
+        ok, X = self._decode_rows(as_word(word, self.alphabet, self.n)[None, :], t)
+        return self.alphabet.matmul(X, self.G)[0] if ok[0] else None
 
     def _decode_by_enumeration(self, y: np.ndarray, t: int) -> np.ndarray | None:
         """decode_bounded by a scan of every codeword for the nearest ones."""
@@ -233,6 +311,22 @@ class LinearCode:
         if best_d > t or best_count != 1:
             return None
         return best_cw
+
+
+def _patterns(n: int, q: int, w: int):
+    """The error patterns of weight w >= 1, in blocks of rows.
+
+    Supports in lexicographic order, and on each support the nonzero
+    values in lexicographic order.
+    """
+    values = np.array(list(product(range(1, q), repeat=w)), dtype=np.int64)
+    count = len(values)
+    supports = combinations(range(n), w)
+    while block := list(islice(supports, max(1, TABLE_BLOCK // count))):
+        E = np.zeros((len(block), count, n), dtype=np.int64)
+        cols = np.array(block, dtype=np.intp)[:, None, :]
+        E[np.arange(len(block))[:, None, None], np.arange(count)[:, None], cols] = values
+        yield E.reshape(-1, n)
 
 
 def _message_block(start: int, stop: int, k: int, q: int) -> np.ndarray:

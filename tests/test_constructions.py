@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psmc.alphabet import make_field
+from psmc.alphabet import Polynomial, make_field
 from psmc.constructions import (
     DecodingFailure,
     MaskingImpossible,
@@ -20,6 +20,7 @@ from psmc.constructions import (
     redundancy_gain,
     stuck_redundancy_lower_bound,
 )
+from psmc.linear import LinearCode
 from psmc.presets import (
     DEMO14_ECC_COLUMNS,
     PRESETS,
@@ -70,6 +71,20 @@ def test_non_integer_inputs_are_rejected_not_truncated():
     with pytest.raises(TypeError):
         StuckCellProfile((1.9, 6.2))
     assert StuckCellProfile(np.array([6, 1])).positions == (1, 6)
+
+
+def test_non_integer_code_inputs_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="integers"):
+        LinearCode([[1.9, 0, 1.2], [0, 1, 1]], GF3)
+    with pytest.raises(ValueError, match="integers"):
+        PsmcExtendedCode(GF3, [[1.0, 1.7, 1, 1, 1, 1]], t=0)
+    with pytest.raises(ValueError, match="integers"):
+        PsmcMatrixCode(5, GF3, [[1.5], [0.2], [2.9]], t=0)
+    with pytest.raises(TypeError):
+        Polynomial(GF3, [1.7, 2.2])
+    assert LinearCode(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8), GF3).G.dtype == np.int64
+    assert PsmcMatrixCode(5, GF3, np.array([[1], [0], [2]], dtype=np.int8), t=0).r == 1
+    assert Polynomial(GF3, np.array([1, 2])).coeffs == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import psmc.alphabet
 import psmc.linear
 from psmc.alphabet import make_field
-from psmc.constructions import PsmcCyclicCode
+from psmc.constructions import DecodingFailure, PsmcCyclicCode
 from psmc.cyclic import all_cosets, build_cyclic_code
 from psmc.linear import (
     ENUM_BUDGET,
+    TIE,
     BudgetExceeded,
     LinearCode,
     as_word,
@@ -21,6 +22,7 @@ from psmc.linear import (
     rref,
     systematize,
 )
+from psmc.presets import PRESETS, get_preset
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -57,6 +59,19 @@ def test_as_word_rejects_non_integer_symbols():
         assert w.dtype == np.int64 and w.tolist() == [int(x) for x in good]
     empty = as_word([], GF3, 0)
     assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
+def test_as_word_range_check_covers_both_ends_of_int64():
+    # One maximum over the uint64 view checks both bounds: negatives wrap
+    # to at least 2^63.
+    for bad in (-1, 3, 2**63 - 1, -(2**63)):
+        with pytest.raises(ValueError, match="out of range"):
+            as_word([0, bad, 1], GF3)
+        with pytest.raises(ValueError, match="out of range"):
+            as_word(np.array([bad, 0], dtype=np.int64), GF3)
+    with pytest.raises(ValueError, match="out of range"):
+        as_word(np.array([2**64 - 1], dtype=np.uint64), GF3)
+    assert as_word([0, 2, 1], GF3).tolist() == [0, 2, 1]
 
 
 def test_parity_check_orthogonality():
@@ -335,9 +350,11 @@ def test_gf8_syndrome_table_round_trips_every_double_error():
     code = build_cyclic_code(9, GF8, (1, 3)).to_linear_code()
     assert (code.n, code.k, min_distance(code).d) == (9, 5, 5)
     patterns = list(weight_patterns(9, 8, 2))
-    # The 1828 syndromes of the table build span two matmul blocks.
-    assert len(patterns) > psmc.alphabet._MATMUL_BLOCK // (9 * 4)
-    assert len(code._syndrome_table(2)) == len(patterns)  # no ties at d = 5
+    # The 1764 double errors of the table build span several matmul blocks
+    # of the 9 x (4 + 5) read matrix.
+    assert len(patterns) - 64 > psmc.alphabet._MATMUL_BLOCK // (9 * 9)
+    table = code._syndrome_table(2)
+    assert len(table.rows) == len(table.offsets) == len(patterns)  # no ties at d = 5
     c = code.encode([1, 2, 3, 4, 5])
     for e in patterns:
         assert (code.decode_bounded(GF8.vadd(c, e), 2) == c).all()
@@ -391,7 +408,7 @@ def test_syndrome_table_is_gated_by_pattern_count_alone():
     # 2048^2 syndromes, but only 1 + 3*2047 patterns of weight <= 1.
     repetition = LinearCode(np.array([[1, 5, 2047]]), make_field(2, 11))
     assert (repetition.decode_bounded([1, 5, 0], 1) == [1, 5, 2047]).all()
-    assert len(repetition._tables[1]) == 1 + 3 * 2047
+    assert len(repetition._tables[1].rows) == 1 + 3 * 2047
     # [40, 20] over GF(3): 3^20 syndromes, 1 + 40*2 + 780*4 = 3201 patterns.
     code = PsmcCyclicCode(40, GF3, (1, 2, 4, 7, 11), t=2)
     assert code.base.n - code.base.k == 20
@@ -400,7 +417,7 @@ def test_syndrome_table_is_gated_by_pattern_count_alone():
     y[3] = (y[3] + 1) % 3
     y[30] = (y[30] + 2) % 3
     assert (code.decode(y) == m).all()
-    assert len(code.base._tables[2]) == 3201
+    assert len(code.base._tables[2].rows) == 3201
 
 
 def test_decode_enumeration_tie_returns_none():
@@ -449,6 +466,166 @@ def test_decode_extension_field_code():
     assert not code.syndrome(c).any()
     got = code.decode_bounded(c, 0)
     assert (got == c).all()
+
+
+# ---------------------------------------------------------------------------
+# the decode kernel against the enumeration oracle
+# ---------------------------------------------------------------------------
+
+def assert_kernel_matches_enumeration(code: LinearCode, t: int, Y: np.ndarray) -> np.ndarray:
+    """Compare _decode_rows with _decode_by_enumeration + message_of, row by
+    row, and decode_bounded with the oracle's codeword; returns ok."""
+    ok, X = code._decode_rows(Y, t)
+    assert ok.shape == (len(Y),) and X.shape == (len(Y), code.k)
+    for y, good, x in zip(Y, ok, X):
+        c = code._decode_by_enumeration(y, t)
+        assert good == (c is not None)
+        got = code.decode_bounded(y, t)
+        if c is None:
+            assert got is None
+        else:
+            assert (x == code.message_of(c)).all() and (got == c).all()
+    return ok
+
+
+def words_around(code: LinearCode, t: int, rng, count: int) -> np.ndarray:
+    """Codewords plus errors of weight 0..t+2, and uniform words."""
+    A, n = code.alphabet, code.n
+    rows = []
+    for i in range(count):
+        c = code.encode(rng.integers(0, A.q, code.k))
+        e = np.zeros(n, dtype=np.int64)
+        cells = rng.choice(n, size=min(n, i % (t + 3)), replace=False)
+        e[cells] = rng.integers(1, A.q, len(cells))
+        rows.append(A.vadd(c, e))
+    rows += [rng.integers(0, A.q, n) for _ in range(count // 2)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+EXTENSION_FIELD_CODES = {
+    "cyclic-n9-gf8": lambda: PsmcCyclicCode(9, GF8, (1,)),
+    "cyclic-n10-gf9": lambda: PsmcCyclicCode(10, make_field(3, 2), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + list(EXTENSION_FIELD_CODES))
+def test_decode_kernel_matches_enumeration_on_presets(name):
+    code = EXTENSION_FIELD_CODES[name]() if name in EXTENSION_FIELD_CODES else get_preset(name)
+    base, t = code.base, code.t
+    rng = np.random.default_rng(sum(map(ord, name)))
+    # The oracle walks all q^k codewords per word, so the big codes get fewer.
+    size = base.alphabet.q ** base.k
+    Y = words_around(base, t, rng, 12 if size <= 20_000 else 3 if size <= 10**6 else 1)
+    ok = assert_kernel_matches_enumeration(base, t, Y)
+    _, X = base._decode_rows(Y, t)
+    for y, good, x in zip(Y, ok, X):
+        if good:
+            assert (code.decode(y) == x[: code.k1]).all()
+        else:
+            with pytest.raises(DecodingFailure, match=f"no unique codeword within distance {t}$"):
+                code.decode(y)
+
+
+def test_decode_kernel_ties_on_appendix_n14_single_errors():
+    code = get_preset("appendix-n14")
+    base, t = code.base, code.t
+    assert t == 1
+    c = base.encode(np.arange(base.k) % 3)
+    Y = np.array([GF3.vadd(c, e) for e in weight_patterns(base.n, 3, 1)][1:])
+    assert len(Y) == 28
+    ok = assert_kernel_matches_enumeration(base, t, Y)
+    assert int(ok.sum()) == 24  # 4 of the 28 single errors tie: 6/7 decode
+    table = base._syndrome_table(t)
+    r = base.n - base.k
+    for y, good in zip(Y, ok):
+        entry = table.rows[base.syndrome(y).tobytes()]
+        assert (entry == TIE) == (not good)
+        if good:  # the offset is e R for the single error e
+            e = GF3.vsub(y, c)
+            assert (table.offsets[entry] == GF3.matmul(e[None, :], base._read_matrix[:, r:])[0]).all()
+
+
+def reference_table(code: LinearCode, t: int) -> dict:
+    """Syndrome -> lightest pattern, or None for a tie, one pattern at a time."""
+    best = {}
+    for e in weight_patterns(code.n, code.alphabet.q, t):
+        key, w = code.syndrome(e).tobytes(), np.count_nonzero(e)
+        prev = best.get(key)
+        if prev is None:
+            best[key] = (w, e)
+        elif prev[0] == w:
+            best[key] = (w, None)
+    return {key: e for key, (_, e) in best.items()}
+
+
+@pytest.mark.parametrize("block", [8192, 7, 1])
+def test_syndrome_table_matches_one_pattern_at_a_time(block):
+    cases = [
+        (build_cyclic_code(8, GF3, [2, 4, 5]).to_linear_code(), 3),  # [8, 3, 5]
+        (row3_code(), 2),
+        (build_cyclic_code(9, GF8, (1,)).to_linear_code(), 2),
+        (LinearCode(np.eye(4, dtype=np.int64), GF5), 1),  # empty H
+    ]
+    with mock.patch.object(psmc.linear, "TABLE_BLOCK", block):
+        for code, t in cases:
+            table = code._syndrome_table(t)
+            reference = reference_table(code, t)
+            assert table.rows.keys() == reference.keys()
+            R = code._read_matrix[:, code.n - code.k :]
+            for key, e in reference.items():
+                row = table.rows[key]
+                if e is None:
+                    assert row == TIE
+                else:
+                    assert (table.offsets[row] == code.alphabet.matmul(e[None, :], R)[0]).all()
+            assert len(table.offsets) == len(table.rows)  # one row per syndrome held
+
+
+def test_decode_kernel_absent_syndromes_fail_beyond_the_radius():
+    code = row3_code()  # [8, 5, 3]: 27 syndromes, 17 reached by weight <= 1
+    table = code._syndrome_table(1)
+    assert len(table.rows) == 17 and TIE not in table.rows.values()
+    Y = np.array(list(weight_patterns(8, 3, 2)), dtype=np.int64)
+    ok = assert_kernel_matches_enumeration(code, 1, Y)
+    for y, good in zip(Y, ok):
+        assert good == (code.syndrome(y).tobytes() in table.rows)
+    assert not ok.all()
+
+
+def test_decode_kernel_on_empty_check_matrix():
+    base = get_preset("masking-n8-r0").base  # [8, 8]: every word is a codeword
+    assert base.H.shape == (0, 8)
+    rng = np.random.default_rng(5)
+    Y = rng.integers(0, 3, (40, 8))
+    ok, X = base._decode_rows(Y, 0)
+    assert ok.all() and all((base.encode(x) == y).all() for x, y in zip(X, Y))
+    assert list(base._tables[0].rows) == [b""]
+    # At t = 1 the single errors share the zero pattern's empty syndrome but
+    # weigh more, so the zero pattern keeps it and there is no tie.
+    ok, X = base._decode_rows(Y, 1)
+    assert ok.all() and all((base.encode(x) == y).all() for x, y in zip(X, Y))
+
+
+def test_decode_kernel_on_gf2048_codes():
+    F = make_field(2, 11)
+    rng = np.random.default_rng(12)
+    repetition = LinearCode(np.array([[1, 5, 2047]]), F)  # d = 3
+    for t in (1, 2):
+        ok = assert_kernel_matches_enumeration(repetition, t, words_around(repetition, t, rng, 10))
+        assert ok.any() and not ok.all()
+    assert repetition._tables[2] is None  # t = 2 decodes by enumeration
+
+
+@settings(max_examples=100, deadline=None)
+@given(full_rank_generators(), st.integers(0, 2), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@example((GF3, np.eye(4, dtype=np.int64)), 1, 3, 0)  # k = n, empty H
+@example((GF2, np.ones((1, 4), dtype=np.int64)), 2, 4, 1)  # ties at weight 2
+@example((GF4, np.array([[1, 2, 3, 1, 0]], dtype=np.int64)), 1, 0, 2)  # no rows
+def test_decode_kernel_matches_enumeration_on_random_codes(case, t, rows, seed):
+    field, G = case
+    code = LinearCode(G, field)
+    rng = np.random.default_rng(seed)
+    assert_kernel_matches_enumeration(code, t, words_around(code, t, rng, rows))
 
 
 # ---------------------------------------------------------------------------
