@@ -24,8 +24,8 @@ with them over its prime field: Rabin's irreducibility test (the only
 user of gcd) picks the modulus, and the primitive element and the
 exp/log tables are found by multiplying digit tuples modulo it.
 
-The array operations (:meth:`Alphabet.vadd`, ``vsub``, ``vneg``, ``vmul``
-and :meth:`Alphabet.matmul`) act element-wise on int64 arrays of symbols:
+The array operations (:meth:`Alphabet.vadd`, ``vsub``, ``vneg``, ``vmul``,
+:meth:`Alphabet.matmul` and ``vecmat``) act on int64 arrays of symbols:
 prime fields reduce mod q, characteristic 2 adds by XOR, other extension
 fields add through a flattened q x q table up to q = 1024 and through
 ``_digitwise`` above, and extension-field products gather from the
@@ -41,7 +41,8 @@ rows, not one per inner index: one ``vmul`` of every product of the block
 (rows x k x columns), then a sum along k, which is one XOR reduction in
 characteristic 2 and ceil(log2 k) halving ``vadd`` passes for odd p.  A
 block holds about ``_MATMUL_BLOCK`` = 2^16 products, so the temporary
-stays near 512 KiB however many rows the product has.
+stays near 512 KiB however many rows the product has.  ``vecmat`` times
+a word by a matrix held once per code as :meth:`Alphabet.fixed` gives it.
 
 All operations are pure.  An Alphabet's tables are caches, each filled
 once on first use; every fill computes the same values, so instances can
@@ -312,8 +313,10 @@ class Alphabet:
         return self._exp, self._log
 
     def _explog(self) -> tuple[np.ndarray, np.ndarray]:
-        """The :meth:`_tables` layout as int64 arrays, for :meth:`vmul`."""
+        """The :meth:`_tables` layout as int64 arrays, for the array products."""
         if self._explog_arrays is None:
+            if self.q > _EXPLOG_ORDER_LIMIT:
+                raise ValueError(f"array arithmetic over {self!r} needs order <= {_EXPLOG_ORDER_LIMIT}")
             exp, log = self._tables()
             self._explog_arrays = np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
         return self._explog_arrays
@@ -363,12 +366,8 @@ class Alphabet:
     def vmul(self, a, b) -> np.ndarray:
         if self.m == 1:
             return np.multiply(a, b) % self.q
-        if self.q <= _EXPLOG_ORDER_LIMIT:
-            exp, log = self._explog()
-            return exp[log[a] + log[b]]
-        raise ValueError(
-            f"array arithmetic over {self!r} needs an extension field of order <= {_EXPLOG_ORDER_LIMIT}"
-        )
+        exp, log = self._explog()
+        return exp[log[a] + log[b]]
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of 2-D int64 symbol matrices.
@@ -397,21 +396,34 @@ class Alphabet:
             out[start : start + step] = self._inner_sum(self.vmul(block, b[None, :, :]))
         return out
 
+    def fixed(self, b: np.ndarray) -> np.ndarray:
+        """A fixed 2-D matrix b in the form :meth:`vecmat` multiplies by:
+        b itself over a prime field, its logs over an extension field."""
+        return b if self.m == 1 else self._explog()[1][b]
+
+    def vecmat(self, a: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+        """Product of a 1-D int64 word a with the matrix b, fixed = fixed(b):
+        one exp gather of log a + log b and one inner sum over GF(p^m)."""
+        if self.m == 1:
+            return a @ fixed % self.q
+        exp, log = self._explog()
+        return self._inner_sum(exp[log[a][:, None] + fixed])
+
     def _inner_sum(self, products: np.ndarray) -> np.ndarray:
-        """Field sum of a fresh (rows, k, cols) array along axis 1, k >= 1.
+        """Field sum of a fresh (..., k, cols) array along axis -2, k >= 1.
 
         Odd p folds the upper half of the inner axis onto the lower half in
         place, ceil(log2 k) times; an odd k leaves its middle column for
         the next pass.
         """
         if self.p == 2:
-            return np.bitwise_xor.reduce(products, axis=1)
-        k = products.shape[1]
+            return np.bitwise_xor.reduce(products, axis=-2)
+        k = products.shape[-2]
         while k > 1:
             half = (k + 1) // 2
-            products[:, : k - half] = self.vadd(products[:, : k - half], products[:, half:k])
+            products[..., : k - half, :] = self.vadd(products[..., : k - half, :], products[..., half:k, :])
             k = half
-        return products[:, 0]
+        return products[..., 0, :]
 
     # -- identity -------------------------------------------------------------
 
@@ -463,8 +475,6 @@ def field_of_order(q: int) -> Alphabet:
 # Polynomials
 # ---------------------------------------------------------------------------
 
-NEG_INF = -math.inf
-
 
 class Polynomial:
     """Dense univariate polynomial over an :class:`Alphabet`.
@@ -500,7 +510,7 @@ class Polynomial:
 
     @property
     def degree(self) -> float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.coeffs) - 1 if self.coeffs else -math.inf
 
     @property
     def is_zero(self) -> bool:

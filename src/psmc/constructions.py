@@ -8,11 +8,12 @@ word is
 
 where the k1 x n matrix G1 carries the message m and the l x n masking
 matrix H0 turns the masking vector z into a shift of the whole word.
-The encoder scans the q^l candidates in a fixed order (z = -v, v
-lexicographic) and keeps the first whose shift leaves every stuck cell
-nonzero.  The stacked code [G1 ; H0] corrects up to t substitution errors
-on read-back, and the decoder reads [m | z] back off an information set
-of the stacked generator.
+The encoder takes the first of the q^l candidates in a fixed order
+(z = -v, v lexicographic) whose shift leaves every stuck cell nonzero,
+without trying each: for each prefix of v, a stuck cell rules out one
+value of the last coordinate (or all).  The stacked code [G1 ; H0]
+corrects t substitution errors on read-back, and the decoder reads
+[m | z] back off an information set of the stacked generator.
 
 The three constructors differ only in G1 and H0:
 
@@ -49,7 +50,7 @@ import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import LinearCode, _integers, as_word, min_distance, parity_check_matrix
+from .linear import LinearCode, _integers, as_word, min_distance, parity_check_matrix, systematize
 
 
 class MaskingImpossible(Exception):
@@ -89,12 +90,6 @@ class StuckCellProfile:
             raise ValueError(f"stuck position {self.positions[-1]} outside word length {n}")
 
 
-def _coerce_profile(profile) -> StuckCellProfile:
-    if isinstance(profile, StuckCellProfile):
-        return profile
-    return StuckCellProfile(tuple(profile))
-
-
 @dataclass(frozen=True)
 class MaskingOutcome:
     """Encoder output: the stored word, the masking vector z, and v.
@@ -114,9 +109,7 @@ class MaskingOutcome:
     def _of(cls, codeword: np.ndarray, z: tuple[int, ...], v: int | None) -> "MaskingOutcome":
         """Wrap an encoder's own int64 codeword without converting it again."""
         outcome = object.__new__(cls)
-        object.__setattr__(outcome, "codeword", codeword)
-        object.__setattr__(outcome, "z", z)
-        object.__setattr__(outcome, "v", v)
+        outcome.__dict__.update(codeword=codeword, z=z, v=v)  # bypasses the frozen __setattr__
         return outcome
 
 
@@ -138,8 +131,8 @@ class _MaskingCode:
     """The coset-shift scheme c = m G1 + z H0 shared by all constructions.
 
     Subclasses build G1 and H0 and call :meth:`_build`.  d0 is the
-    minimum distance of the code H0 checks; the all-ones row checks a
-    code of distance 2.
+    minimum distance of the code H0 checks (2 for the all-ones row); at
+    d0 = 1 a zero column of H0 leaves its cell unmasked, so u_max is 0.
     """
 
     d0 = 2
@@ -147,8 +140,10 @@ class _MaskingCode:
     def _build(self, alphabet: Alphabet, G1: np.ndarray, H0: np.ndarray, t: int | None) -> None:
         self.alphabet = alphabet
         self.G1, self.H0 = G1, H0
+        self._g1 = alphabet.fixed(G1)  # G1 as vecmat reads it
         self.k1, self.n = G1.shape
         self.l = H0.shape[0]
+        self._ones = H0.tolist() == [[1] * self.n]
         self.base = LinearCode(np.vstack([G1, H0]), alphabet)
         if t is not None:
             self.t = int(t)
@@ -160,28 +155,46 @@ class _MaskingCode:
         return min_distance(self.base).t
 
     @cached_property
-    def _candidates(self) -> tuple[np.ndarray, list, list, list]:
-        """The masking candidates in scan order, built by the first encode.
-
-        Returns the shift z H0, z and v of each candidate, and
-        zeroing[j][w]: the candidates that leave cell j at 0 when m G1
-        holds w there.
-        """
-        A, q = self.alphabet, self.alphabet.q
-        v = np.array(list(product(range(q), repeat=self.l)), dtype=np.int64)
-        # z H0 = -(v H0), so candidate i drops cell j to 0 iff m G1 holds hits[i, j].
+    def _rule(self) -> tuple[list[int], list[list[int]], np.ndarray | None, list | None]:
+        """Built by the first encode: each last H0 entry's inverse (0 for 0),
+        the prefix rows p H0[:-1] and, for l >= 2, v H0 and z = -v of each v."""
+        A, q, l = self.alphabet, self.alphabet.q, self.l
+        inv = [A.inv(h) if h else 0 for h in self.H0[-1].tolist()]
+        if l == 1:
+            return inv, [[0] * self.n], None, None
+        v = np.array(list(product(range(q), repeat=l)), dtype=np.int64)
         hits = A.matmul(v, self.H0)
-        zeroing = [[[] for _ in range(q)] for _ in range(self.n)]
-        for i, row in enumerate(hits.tolist()):
-            for j, w in enumerate(row):
-                zeroing[j][w].append(i)
-        zs = [tuple(row) for row in A.vneg(v).tolist()]
-        vs = [row[0] if self.l == 1 else None for row in v.tolist()]
-        return A.vneg(hits), zs, vs, zeroing
+        return inv, hits[::q].tolist(), hits, [tuple(z) for z in A.vneg(v).tolist()]
+
+    def _first_mask(self, values: list[int], cells) -> int | None:
+        """Index of the first v in lexicographic order with (v H0)_j != w_j
+        at every stuck cell j, or None.  For each prefix p of v, cell j rules
+        out the last coordinate x = (w_j - p H0[:-1, j]) / H0[-1, j], or
+        every x when H0[-1, j] = 0 and p H0[:-1, j] = w_j."""
+        q, sub, mul = self.alphabet.q, self.alphabet.sub, self.alphabet.mul
+        inv, prefixes, _, _ = self._rule
+        for i, row in enumerate(prefixes):
+            if self._ones:  # v H0 = (v, ..., v): v must differ from every stuck value
+                ruled = {values[j] for j in cells}
+            else:
+                ruled = set()
+                for j in cells:
+                    a = sub(values[j], row[j])
+                    if inv[j]:
+                        ruled.add(mul(a, inv[j]))
+                    elif not a:
+                        ruled = range(q)  # every x
+                        break
+            x = 0
+            while x in ruled:
+                x += 1
+            if x < q:
+                return i * q + x
+        return None
 
     @property
     def u_max(self) -> int:
-        return min(self.n, self.alphabet.q + self.d0 - 3)
+        return min(self.n, self.alphabet.q + self.d0 - 3) if self.d0 > 1 else 0
 
     def encode(self, message, profile=(), *, probabilistic: bool = False) -> MaskingOutcome:
         """Mask the stuck positions and attach the ECC structure.
@@ -190,35 +203,32 @@ class _MaskingCode:
         for the first masking vector z (in the order z = -v, v
         lexicographic) that leaves every stuck cell nonzero.
         """
-        prof = _coerce_profile(profile)
+        prof = profile if isinstance(profile, StuckCellProfile) else StuckCellProfile(tuple(profile))
         prof.check_length(self.n)
         if not probabilistic and prof.u > self.u_max:
             raise ValueError(
                 f"u={prof.u} exceeds the guaranteed bound {self.u_max}; "
                 "pass probabilistic=True to attempt masking anyway"
             )
-        m = as_word(message, self.alphabet, self.k1)
-        w = self.alphabet.matmul(m[None, :], self.G1)[0]
-        shifts, zs, vs, zeroing = self._candidates
-        values = w.tolist()
-        zeroed: set[int] = set()
-        for j in prof.positions:
-            zeroed.update(zeroing[j][values[j]])
-        i = next((i for i in range(len(zs)) if i not in zeroed), None)
+        A = self.alphabet
+        w = A.vecmat(as_word(message, A, self.k1), self._g1)
+        i = self._first_mask(w.tolist(), prof.positions)
         if i is None:
             if prof.u <= self.u_max:
                 raise AssertionError("guaranteed regime violated: no masking vector found")
             raise MaskingImpossible(f"no masking vector z for positions {prof.positions}")
-        c = self.alphabet.vadd(w, shifts[i])
-        return MaskingOutcome._of(c, zs[i], vs[i])
+        if self.l == 1:  # v = i, and the shift is computed per word
+            shift = i if self._ones else A.vmul(self.H0[0], i)
+            return MaskingOutcome._of(A.vsub(w, shift), (A.neg(i),), i)
+        _, _, hits, zs = self._rule
+        return MaskingOutcome._of(A.vsub(w, hits[i]), zs[i], None)
 
     def decode(self, word) -> np.ndarray:
         """Correct up to t errors and return the message m."""
-        y = as_word(word, self.alphabet, self.n)
-        ok, x = self.base._decode_rows(y[None, :], self.t)
-        if not ok[0]:
+        x = self.base._decode_word(as_word(word, self.alphabet, self.n), self.t, self.k1)
+        if x is None:
             raise DecodingFailure(f"no unique codeword within distance {self.t}")
-        return x[0, : self.k1]
+        return x
 
 
 class PsmcMatrixCode(_MaskingCode):
@@ -241,8 +251,6 @@ class PsmcMatrixCode(_MaskingCode):
         Returns the masking code together with the column permutation that
         was applied to reach the required generator form.
         """
-        from .linear import systematize
-
         M, perm = systematize(code.G, code.alphabet)
         k1 = code.k - 1
         P = M[:k1, k1 + 1 :]

@@ -29,6 +29,10 @@ the redundancy n - k; past their budget, decoding enumerates codewords.
 The first decode at radius t builds the table, and the first table
 builds K, so constructing a code builds neither.
 
+One word kernel serves ``decode_bounded`` and the constructions: one
+product y K (K held as ``Alphabet.fixed`` returns it), one dict lookup of
+the syndrome's bytes, one subtraction on the message symbols kept.
+
 Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  Work that would
 exceed an explicit budget raises :class:`BudgetExceeded`.
@@ -255,50 +259,35 @@ class LinearCode:
         offsets.resize((kept, self.k), refcheck=False)
         return SyndromeTable(rows, offsets)
 
-    def _decode_rows(self, Y: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bounded-distance decode the rows of a 2-D int64 array Y, whose
-        symbols the caller checked with ``as_word``.
+    @cached_property
+    def _read_fixed(self) -> np.ndarray:
+        """K in the form ``Alphabet.vecmat`` multiplies by."""
+        return self.alphabet.fixed(self._read_matrix)
 
-        Returns (ok, messages): ok[i] says whether row i lies within
-        distance t of a unique codeword x G, and messages[i] is that x.
-        The message of a row that fails is meaningless.
-        """
+    def _decode_word(self, y: np.ndarray, t: int, keep: int) -> np.ndarray | None:
+        """The first ``keep`` symbols of the message of the unique codeword
+        within distance t of y, which ``as_word`` checked, or None."""
         table = self._syndrome_table(t)
         if table is None:
-            found = [self._decode_by_enumeration(y, t) for y in Y]
-            X = np.zeros((Y.shape[0], self.k), dtype=np.int64)
-            for i, c in enumerate(found):
-                if c is not None:
-                    X[i] = self.message_of(c)
-            return np.array([c is not None for c in found], dtype=bool), X
+            c = self._decode_by_enumeration(y, t)
+            return None if c is None else self.message_of(c)[:keep]
         r = self.n - self.k
-        raw = self.alphabet.matmul(Y, self._read_matrix)
-        if not r:  # no check symbols: every word is a codeword, read as is
-            return np.ones(Y.shape[0], dtype=bool), raw
-        width = 8 * r  # bytes of an int64 syndrome
-        keys = raw[:, :r].tobytes()
-        get = table.rows.get
-        idx = [get(keys[i : i + width], _ABSENT) for i in range(0, len(keys), width)]
-        ok = np.array([i >= 0 for i in idx], dtype=bool)
-        # A failed row reads an arbitrary offsets row; ok marks it.
-        offsets = table.offsets.take(idx, axis=0, mode="clip")
-        return ok, self.alphabet.vsub(raw[:, r:], offsets)
+        raw = self.alphabet.vecmat(y, self._read_fixed)
+        i = table.rows.get(raw[:r].tobytes(), _ABSENT)
+        if i <= 0:  # row 0 is the zero pattern, whose offset is 0
+            return None if i else raw[r : r + keep]
+        return self.alphabet.vsub(raw[r : r + keep], table.offsets[i, :keep])
 
     def decode_bounded(self, word, t: int) -> np.ndarray | None:
-        """Unique codeword within Hamming distance t of word, or None.
-
-        Uses a precomputed syndrome table when the error patterns of weight
-        <= t fit the budget, otherwise falls back to nearest-codeword
-        enumeration.
-        """
-        ok, X = self._decode_rows(as_word(word, self.alphabet, self.n)[None, :], t)
-        return self.alphabet.matmul(X, self.G)[0] if ok[0] else None
+        """Unique codeword within Hamming distance t of word, or None: by
+        syndrome table while the patterns of weight <= t fit its budget,
+        otherwise by nearest-codeword enumeration."""
+        x = self._decode_word(as_word(word, self.alphabet, self.n), t, self.k)
+        return None if x is None else self.alphabet.matmul(x[None, :], self.G)[0]
 
     def _decode_by_enumeration(self, y: np.ndarray, t: int) -> np.ndarray | None:
         """decode_bounded by a scan of every codeword for the nearest ones."""
-        best_d = self.n + 1
-        best_cw = None
-        best_count = 0
+        best_d, best_cw, best_count = self.n + 1, None, 0
         for chunk in _codeword_chunks(self.G, self.alphabet):
             dist = (chunk != y[None, :]).sum(axis=1)
             dmin = int(dist.min())
@@ -308,9 +297,7 @@ class LinearCode:
                 best_cw = chunk[int(dist.argmin())].copy()
             elif dmin == best_d:
                 best_count += int((dist == dmin).sum())
-        if best_d > t or best_count != 1:
-            return None
-        return best_cw
+        return best_cw if best_d <= t and best_count == 1 else None
 
 
 def _patterns(n: int, q: int, w: int):
@@ -371,14 +358,9 @@ def min_distance(code: LinearCode, *, bch_lower_bound: int | None = None) -> Dis
     """
     if code.k <= code.n - code.k:
         best = code.n
-        first = True
-        for chunk in _codeword_chunks(code.G, code.alphabet):
-            w = np.count_nonzero(chunk, axis=1)
-            if first:
-                w = w[1:]  # skip the zero codeword
-                first = False
-            if w.size:
-                best = min(best, int(w.min()))
+        for i, chunk in enumerate(_codeword_chunks(code.G, code.alphabet)):
+            w = np.count_nonzero(chunk[1:] if i == 0 else chunk, axis=1)  # not the zero word
+            best = int(w.min(initial=best))
     else:
         best = _distance_from_dual(code)
     return DistanceReport(d=best, bch_lower_bound=bch_lower_bound, t=(best - 1) // 2)

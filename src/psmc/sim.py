@@ -255,7 +255,7 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
             except DecodingFailure as exc:
                 log_failure(trial, "decode", str(exc))
                 continue
-            if (mhat == m).all():
+            if mhat.tolist() == m.tolist():
                 decoded += 1
             else:
                 log_failure(trial, "decode", "decoded to a different message")

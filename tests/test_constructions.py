@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -581,6 +582,65 @@ def test_masking_vector_is_first_valid_candidate(name, data):
     assert out.codeword.tolist() == expected[0] and out.z == expected[1]
     assert out.v == (code.alphabet.neg(out.z[0]) if code.l == 1 else None)
     assert (code.decode(out.codeword) == m).all()
+
+
+@st.composite
+def systematic_masking_codes(draw):
+    """PsmcExtendedCode over GF(3), GF(4) or GF(5) with a random systematic
+    l x n masking check, l in {1, 2, 3}.  Entries may be 0, zero columns
+    included (d0 = 1), and an l = 1 check may be the all-ones row."""
+    field = draw(st.sampled_from([GF3, make_field(2, 2), make_field(5)]))
+    l = draw(st.integers(1, 3))
+    n = draw(st.integers(l + 1, l + 4))
+    if l == 1 and draw(st.booleans()):
+        tail = [1] * (n - 1)
+    else:
+        tail = draw(st.lists(st.integers(0, field.q - 1), min_size=l * (n - l), max_size=l * (n - l)))
+    H0 = np.hstack([np.eye(l, dtype=np.int64), np.array(tail, dtype=np.int64).reshape(l, n - l)])
+    return PsmcExtendedCode(field, H0, t=0)
+
+
+@given(code=systematic_masking_codes(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_masking_rule_matches_a_scan_of_every_candidate(code, data):
+    q = code.alphabet.q
+    m = data.draw(st.lists(st.integers(0, q - 1), min_size=code.k1, max_size=code.k1))
+    u = data.draw(st.integers(0, code.n))
+    stuck = tuple(sorted(data.draw(st.permutations(range(code.n)))[:u]))
+    expected = scalar_first_mask(code, m, stuck)
+    if expected is None:
+        assert u > code.u_max
+        with pytest.raises(MaskingImpossible):
+            code.encode(m, stuck, probabilistic=True)
+        return
+    out = code.encode(m, stuck, probabilistic=True)
+    assert out.codeword.tolist() == expected[0] and out.z == expected[1]
+    assert out.v == (code.alphabet.neg(out.z[0]) if code.l == 1 else None)
+    assert (code.decode(out.codeword) == m).all()
+
+
+def test_zero_column_in_masking_check_guarantees_nothing():
+    code = PsmcExtendedCode(GF3, [[1, 0, 2]], t=0)  # cell 1 is never shifted
+    assert code.d0 == 1 and code.u_max == 0
+    with pytest.raises(ValueError, match="exceeds the guaranteed bound 0"):
+        code.encode([0, 0], (1,))
+    with pytest.raises(MaskingImpossible):
+        code.encode([0, 0], (1,), probabilistic=True)
+    assert code.encode([1, 0], (1,), probabilistic=True).codeword.tolist() == [0, 1, 0]
+
+
+def test_first_encode_over_a_large_prime_field_stays_small():
+    # The masking search keeps no table with a row per symbol value, which
+    # at q = 1048573 would take hundreds of megabytes.
+    code = PsmcMatrixCode(6, make_field(1048573), t=0)
+    tracemalloc.start()
+    try:
+        out = code.encode([1, 2, 3, 4, 5], (0, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.codeword.tolist() == [1048570, 1048571, 1048572, 0, 1, 2] and out.v == 3
+    assert peak < 16 * 2**20, peak
 
 
 def test_gf2048_matrix_code_roundtrip_with_stuck_cells():
