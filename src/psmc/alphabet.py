@@ -12,13 +12,16 @@ labels are reproducible across runs and across ports of this library.
 
 Scalar arithmetic covers every field of order up to ``MAX_ORDER`` (2^20).
 Scalar and array operations share one digit kernel and one exp/log
-layout: extension-field add, sub and neg sum base-p digits in
+layout: characteristic 2 adds, subtracts and negates by XOR (negation is
+the identity), other extension fields sum base-p digits in
 ``_digitwise``, on ints and int64 arrays alike, and fields with
 q <= 2^16 multiply through exp/log tables that need neither a zero test
 nor a modulus.  Larger fields multiply digit vectors directly.
 
 One set of polynomial kernels on coefficient tuples (add/sub, mul,
-divmod, gcd, power mod f) works over any :class:`Alphabet`.
+divmod, gcd, power mod f) serves every :class:`Alphabet`.  Prime fields
+run mul and divmod on plain ints and reduce mod q once per coefficient;
+extension fields call their scalar ops per symbol.
 :class:`Polynomial` wraps them, and an extension field is bootstrapped
 with them over its prime field: Rabin's irreducibility test (the only
 user of gcd) picks the modulus, and the primitive element and the
@@ -97,32 +100,50 @@ def _pzip(op, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def _pmul(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """a * b; a prime field sums integer products and reduces each coefficient once."""
     if not a or not b:
         return ()
-    add, mul = A.add, A.mul
     out = [0] * (len(a) + len(b) - 1)
+    if A.m == 1:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        q = A.q
+        return _strip([c % q for c in out])
+    add, mul = A.add, A.mul
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ai, bj))
+            for j, bj in enumerate(b, i):
+                out[j] = add(out[j], mul(ai, bj))
     return _strip(out)
 
 
 def _pdivmod(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder of a by b; b must be nonzero with no trailing zeros."""
+    """Quotient and remainder of a by b; b must be nonzero with no trailing zeros.
+    A prime field reduces a remainder coefficient mod q when it leads."""
     dd = len(b) - 1
     rem = list(a)
     if len(rem) <= dd:
         return (), _strip(rem)
-    sub, mul, inv_lc = A.sub, A.mul, A.inv(b[-1])
+    inv_lc = A.inv(b[-1])
     quot = [0] * (len(rem) - dd)
+    if A.m == 1:
+        q = A.q
+        for shift in range(len(rem) - dd - 1, -1, -1):
+            c = rem[shift + dd] % q
+            if c:
+                f = quot[shift] = c * inv_lc % q
+                for i, bc in enumerate(b, shift):
+                    rem[i] -= f * bc
+        return _strip(quot), _strip([c % q for c in rem[:dd]])
+    sub, mul = A.sub, A.mul
     for shift in range(len(rem) - dd - 1, -1, -1):
         c = rem[shift + dd]
         if c:
-            f = mul(c, inv_lc)
-            quot[shift] = f
-            for i, bc in enumerate(b):
-                rem[shift + i] = sub(rem[shift + i], mul(f, bc))
+            f = quot[shift] = mul(c, inv_lc)
+            for i, bc in enumerate(b, shift):
+                rem[i] = sub(rem[i], mul(f, bc))
     return _strip(quot), _strip(rem)
 
 
@@ -221,17 +242,17 @@ class Alphabet:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.q
-        return self._digitwise(a, b, 1)
+        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.q
-        return self._digitwise(a, b, -1)
+        return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.q
-        return self._digitwise(0, a, -1)
+        return a if self.p == 2 else self._digitwise(0, a, -1)
 
     def _ext_mul_raw(self, a: int, b: int) -> int:
         # Table-free product of digit tuples modulo the field's modulus.

@@ -126,9 +126,10 @@ def cmd_tables(args) -> int:
 def cmd_factor(args) -> int:
     field = field_of_order(args.q)
     cosets = all_cosets(args.n, field.q)
+    # Every factor is built before the first line, so an error prints nothing.
+    factors = [(c, minimal_polynomial(c.representative, args.n, field)) for c in cosets]
     print(f"x^{args.n} - 1 over {field!r}: cyclotomic cosets and minimal polynomials")
-    for coset in cosets:
-        mp = minimal_polynomial(coset.representative, args.n, field)
+    for coset, mp in factors:
         members = ",".join(str(x) for x in coset.members)
         print(
             f"a={coset.representative}  M_a={{{members}}}  "

@@ -16,6 +16,9 @@ first root, in power order, of that element's minimal polynomial over the
 prime field.  Minimal polynomials are products of linear factors x - b
 over a Frobenius orbit.
 
+Cosets are cached per (a, n, q) and minimal polynomials per coset and
+root context.  Roots in a field above ``MAX_ORDER`` raise BudgetExceeded.
+
 The BCH lower bound reported for a defining set counts the longest run of
 cyclically consecutive members (a run may wrap n-1 -> 0) plus one, which
 covers runs starting at any offset.
@@ -24,12 +27,13 @@ covers runs starting at any offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 
 import numpy as np
 
-from .alphabet import Alphabet, Polynomial, make_field
+from .alphabet import MAX_ORDER, Alphabet, Polynomial, make_field
+from .linear import BudgetExceeded, LinearCode
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,7 @@ class CyclotomicCoset:
     q: int
 
 
+@cache
 def cyclotomic_coset(a: int, n: int, q: int) -> CyclotomicCoset:
     """Orbit of a under multiplication by q mod n; representative = minimum."""
     if gcd(n, q) != 1:
@@ -93,7 +98,10 @@ class _RootContext:
 
     def __init__(self, n: int, base: Alphabet):
         self.base = base
-        self.ext = make_field(base.p, base.m * extension_degree(n, base.q))
+        m = base.m * extension_degree(n, base.q)
+        if base.p ** m > MAX_ORDER:
+            raise BudgetExceeded(f"x^{n} - 1 over {base!r} splits in GF({base.p}^{m}), above 2^20")
+        self.ext = make_field(base.p, m)
         self._embed, self._project = self._subfield_maps()
         self.alpha = self.ext.pow(self.ext.primitive, (self.ext.q - 1) // n)
         # coset representative -> minimal polynomial over the base field
@@ -220,9 +228,7 @@ class CyclicCodeSpec:
         rows = [np.roll(gvec, i) for i in range(self.k)]
         return np.array(rows, dtype=np.int64)
 
-    def to_linear_code(self):
-        from .linear import LinearCode
-
+    def to_linear_code(self) -> LinearCode:
         return LinearCode(self.generator_matrix(), self.alphabet)
 
 
@@ -238,7 +244,7 @@ def build_cyclic_code(n: int, base: Alphabet, coset_representatives) -> CyclicCo
         cosets.values(),
         Polynomial.one(base),
     )
-    xn_minus_1 = Polynomial(base, (base.neg(1),) + (0,) * (n - 1) + (1,))
+    xn_minus_1 = Polynomial._of(base, (base.neg(1),) + (0,) * (n - 1) + (1,))
     h, rem = divmod(xn_minus_1, g)
     if not rem.is_zero:
         raise ArithmeticError("generator polynomial does not divide x^n - 1")

@@ -64,7 +64,8 @@ _ABSENT = -2              # lookup result of a syndrome no pattern reaches
 
 
 class BudgetExceeded(Exception):
-    """Raised when exact enumeration or table building would exceed its budget."""
+    """Raised when exact enumeration or table building would exceed its
+    budget, or when a code needs a field above ``alphabet.MAX_ORDER``."""
 
 
 class SyndromeTable(NamedTuple):
@@ -105,7 +106,9 @@ def as_word(values, alphabet: Alphabet, n: int | None = None) -> np.ndarray:
         raise ValueError("expected a 1-D symbol vector")
     if n is not None and w.size != n:
         raise ValueError(f"expected length {n}, got {w.size}")
-    if not _in_range(w, alphabet):
+    # On a word a list's min and max beat a numpy reduction's call overhead.
+    symbols = w.tolist()
+    if symbols and not (min(symbols) >= 0 and max(symbols) < alphabet.q):
         raise ValueError(f"symbols out of range for {alphabet!r}")
     return w
 

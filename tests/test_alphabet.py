@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import zip_longest
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 import psmc.alphabet
 from psmc.alphabet import (
     Polynomial,
+    _pdivmod,
+    _pgcd,
+    _pmul,
     field_of_order,
     format_poly,
     make_field,
@@ -373,6 +377,71 @@ def test_poly_divmod_roundtrip(ab):
     quot, rem = divmod(a, b)
     assert quot * b + rem == a
     assert rem.degree < b.degree
+
+
+# The kernels on coefficient tuples, over prime fields small and large,
+# against the schoolbook oracle int_conv.
+POLY_KERNEL_FIELDS = [make_field(p) for p in (2, 3, 7, 1048573)]
+
+
+def trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+@st.composite
+def kernel_operands(draw):
+    f = draw(st.sampled_from(POLY_KERNEL_FIELDS))
+    coeffs = st.lists(st.integers(0, f.q - 1), max_size=10).map(trim)
+    return f, draw(coeffs), draw(coeffs), draw(coeffs)
+
+
+def divides(f, d, x):
+    """Whether d divides x, the quotient checked by the oracle."""
+    quot, rem = _pdivmod(f, x, d)
+    return not rem and int_conv(quot, d, f.q) == x
+
+
+@given(kernel_operands())
+@settings(max_examples=300, deadline=None)
+def test_prime_field_kernels_match_schoolbook_oracle(operands):
+    f, a, b, c = operands
+    q = f.q
+    assert _pmul(f, a, b) == int_conv(a, b, q)
+    if b:
+        quot, rem = _pdivmod(f, a, b)
+        recombined = [(x + y) % q for x, y in zip_longest(int_conv(quot, b, q), rem, fillvalue=0)]
+        assert trim(recombined) == a
+        assert len(rem) < len(b)
+    # With a common factor c the monic gcd divides both inputs, and c divides it.
+    ca, cb = int_conv(c, a, q), int_conv(c, b, q)
+    g = _pgcd(f, ca, cb)
+    if not ca and not cb:
+        assert g == ()
+        return
+    assert g[-1] == 1 and divides(f, g, ca) and divides(f, g, cb) and divides(f, c, g)
+
+
+def test_char2_scalar_ops_match_digitwise_exhaustive():
+    for m in range(2, 7):
+        f = make_field(2, m)
+        for a in range(f.q):
+            assert f.neg(a) == f._digitwise(0, a, -1)
+            for b in range(f.q):
+                assert f.add(a, b) == f._digitwise(a, b, 1) == f.sub(a, b) == f._digitwise(a, b, -1)
+
+
+def test_char2_scalar_ops_match_digitwise_sampled():
+    rng = random.Random(20)
+    for m in range(7, 21):
+        f = make_field(2, m)
+        for _ in range(200):
+            a, b = rng.randrange(f.q), rng.randrange(f.q)
+            assert f.add(a, b) == f._digitwise(a, b, 1)
+            assert f.sub(a, b) == f._digitwise(a, b, -1)
+            assert f.neg(a) == f._digitwise(0, a, -1)
 
 
 def test_poly_over_extension_field():

@@ -153,6 +153,15 @@ def test_budget_overrun_exits_2_with_json(capsys):
     assert "exceeds budget" in payload["message"]
 
 
+def test_splitting_field_too_large_exits_2_with_json(capsys):
+    # x^29 - 1 over GF(2) splits in GF(2^28): valid n and q, beyond the field bound.
+    for argv in (("factor",), ("encode", "--factors", "1", "--m", "0")):
+        code, out, err = run_cli(capsys, *argv, "--n", "29", "--q", "2")
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "BudgetExceeded" and "GF(2^28)" in payload["message"]
+
+
 def test_large_code_with_small_dual_decodes(capsys):
     # The [26, 23] code has 3^23 words but a dual of 27: t = 0 is exact.
     code, out, err = run_cli(

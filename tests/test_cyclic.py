@@ -1,10 +1,11 @@
+import hashlib
 from functools import reduce
 from itertools import combinations
 
 import pytest
 
 import psmc.cyclic
-from psmc.alphabet import Polynomial, make_field, poly_pretty
+from psmc.alphabet import Polynomial, field_of_order, format_poly, make_field, poly_pretty
 from psmc.cyclic import (
     all_cosets,
     bch_bound_from_defining_set,
@@ -15,6 +16,7 @@ from psmc.cyclic import (
     minimal_polynomial,
     root_context,
 )
+from psmc.linear import BudgetExceeded
 
 GF3 = make_field(3)
 
@@ -279,6 +281,39 @@ def test_build_code_g_times_h():
 def test_build_code_rejects_zero_code():
     with pytest.raises(ValueError):
         build_cyclic_code(8, GF3, [0, 1, 2, 4, 5])
+
+
+def test_splitting_field_above_max_order_is_a_budget_error():
+    # x^29 - 1 over GF(2) splits in GF(2^28), above the 2^20 bound.
+    gf2 = make_field(2)
+    with pytest.raises(BudgetExceeded, match=r"GF\(2\^28\)"):
+        root_context(29, gf2)
+    with pytest.raises(BudgetExceeded):
+        build_cyclic_code(29, gf2, (1,))
+
+
+# sha256 of one line per code, "defining set;g;h;BCH bound", over every
+# non-full union of cosets in the order of the benchmark's analysis sweep.
+SWEEP_DIGESTS = {
+    (26, 3): ("f201cac3933565376f1c4c02004f3a1387138fe8f61620149a8c42ce0eba7bf5", 1023),
+    (21, 4): ("2cebd30de9e1b6da006f13ed54b576f330972ebc9671d88ed0adf22081ae6810", 511),
+    (9, 8): ("1c3d179013b8e5c48d20a41db36ab935a9be05576ad3071922459aef49c30f73", 31),
+    (15, 2): ("9e9a429b6b24155a0135d4933762d685fb9c9d674e1f2d02b5a5ba39e737a7e3", 31),
+}
+
+
+@pytest.mark.parametrize("n,q", list(SWEEP_DIGESTS), ids=[f"n{n}-q{q}" for n, q in SWEEP_DIGESTS])
+def test_cyclic_construction_sweep_digest(n, q):
+    base = field_of_order(q)
+    reps = [c.representative for c in all_cosets(n, q)]
+    lines = []
+    for take in range(len(reps)):
+        for chosen in combinations(reps, take):
+            spec = build_cyclic_code(n, base, chosen)
+            members = ",".join(map(str, spec.defining_set))
+            lines.append(f"{members};{format_poly(spec.g)};{format_poly(spec.h)};{spec.bch_bound}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (digest, len(lines)) == SWEEP_DIGESTS[n, q]
 
 
 def test_generator_matrix_rows_are_shifts():
