@@ -9,7 +9,6 @@ from .constructions import (
     PsmcExtendedCode,
     PsmcMatrixCode,
     StuckCellProfile,
-    improved_masking_value,
     masking_probability,
     redundancy_gain,
     stuck_redundancy_lower_bound,
@@ -18,12 +17,11 @@ from .cyclic import (
     CyclicCodeSpec,
     all_cosets,
     bch_bound_from_defining_set,
-    bch_redundancy_bound,
     build_cyclic_code,
     cyclotomic_coset,
     minimal_polynomial,
 )
-from .linear import BudgetExceeded, DistanceReport, LinearCode, min_distance, systematize
+from .linear import BudgetExceeded, DistanceReport, LinearCode, min_distance
 from .presets import PRESETS, get_preset
 from .sim import CampaignReport, ChannelConfig, inject, run_campaign
 
@@ -48,11 +46,9 @@ __all__ = [
     "StuckCellProfile",
     "all_cosets",
     "bch_bound_from_defining_set",
-    "bch_redundancy_bound",
     "build_cyclic_code",
     "cyclotomic_coset",
     "get_preset",
-    "improved_masking_value",
     "inject",
     "make_field",
     "masking_probability",
@@ -61,5 +57,4 @@ __all__ = [
     "redundancy_gain",
     "run_campaign",
     "stuck_redundancy_lower_bound",
-    "systematize",
 ]

@@ -45,12 +45,13 @@ from functools import cached_property
 from itertools import product
 from math import comb, floor, log
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import LinearCode, _integers, as_word, min_distance, parity_check_matrix, systematize
+from .linear import LinearCode, _integers, as_word, min_distance, parity_check_matrix
 
 
 class MaskingImpossible(Exception):
@@ -90,9 +91,8 @@ class StuckCellProfile:
             raise ValueError(f"stuck position {self.positions[-1]} outside word length {n}")
 
 
-@dataclass(frozen=True)
-class MaskingOutcome:
-    """Encoder output: the stored word, the masking vector z, and v.
+class MaskingOutcome(NamedTuple):
+    """Encoder output: the stored int64 word, the masking vector z, and v.
 
     v is the masking value (z = (-v,)) when there is one masking symbol,
     and None when there are several.
@@ -101,16 +101,6 @@ class MaskingOutcome:
     codeword: np.ndarray
     z: tuple[int, ...]
     v: int | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "codeword", np.asarray(self.codeword, dtype=np.int64))
-
-    @classmethod
-    def _of(cls, codeword: np.ndarray, z: tuple[int, ...], v: int | None) -> "MaskingOutcome":
-        """Wrap an encoder's own int64 codeword without converting it again."""
-        outcome = object.__new__(cls)
-        outcome.__dict__.update(codeword=codeword, z=z, v=v)  # bypasses the frozen __setattr__
-        return outcome
 
 
 def _systematic_g1(n: int, l: int, ecc_columns) -> tuple[np.ndarray, int]:
@@ -219,9 +209,9 @@ class _MaskingCode:
             raise MaskingImpossible(f"no masking vector z for positions {prof.positions}")
         if self.l == 1:  # v = i, and the shift is computed per word
             shift = i if self._ones else A.vmul(self.H0[0], i)
-            return MaskingOutcome._of(A.vsub(w, shift), (A.neg(i),), i)
+            return MaskingOutcome(A.vsub(w, shift), (A.neg(i),), i)
         _, _, hits, zs = self._rule
-        return MaskingOutcome._of(A.vsub(w, hits[i]), zs[i], None)
+        return MaskingOutcome(A.vsub(w, hits[i]), zs[i], None)
 
     def decode(self, word) -> np.ndarray:
         """Correct up to t errors and return the message m."""
@@ -244,18 +234,6 @@ class PsmcMatrixCode(_MaskingCode):
         G1, self.r = _systematic_g1(n, 1, ecc_columns)
         self._build(alphabet, G1, np.ones((1, n), dtype=np.int64), t)
 
-    @classmethod
-    def from_linear(cls, code: LinearCode, *, t: int | None = None) -> tuple["PsmcMatrixCode", tuple[int, ...]]:
-        """Build from any linear code containing the all-ones vector.
-
-        Returns the masking code together with the column permutation that
-        was applied to reach the required generator form.
-        """
-        M, perm = systematize(code.G, code.alphabet)
-        k1 = code.k - 1
-        P = M[:k1, k1 + 1 :]
-        return cls(code.n, code.alphabet, P if P.size else None, t=t), perm
-
     def __repr__(self) -> str:
         return f"PsmcMatrixCode(n={self.n}, k1={self.k1}, r={self.r}, t={self.t}, {self.alphabet!r})"
 
@@ -268,8 +246,7 @@ class PsmcCyclicCode(_MaskingCode):
     product of the minimal polynomials of the given coset representatives
     and must divide g0 (equivalently, 0 must not be in its defining set).
     Messages are coefficient vectors of length k1 = n - r - 1.  The
-    stacked code is the cyclic code g1 generates, also available as
-    ``ecc``.
+    stacked code ``base`` is the [n, n-r] cyclic code g1 generates.
     """
 
     def __init__(self, n: int, alphabet: Alphabet, g1_coset_reps=(), *, t: int | None = None):
@@ -282,14 +259,12 @@ class PsmcCyclicCode(_MaskingCode):
         k1 = n - self.r - 1
         if k1 < 1:
             raise ValueError("no room for information symbols (deg g1 too large)")
-        self.g0 = Polynomial(alphabet, (1,) * n)
-        self.delta0 = 2
+        g0 = Polynomial(alphabet, (1,) * n)
         self.delta1 = spec.bch_bound
         # Sanity: g1 | g0 exactly.
-        if not (self.g0 % self.g1).is_zero:
+        if not (g0 % self.g1).is_zero:
             raise ArithmeticError("g1 does not divide g0")
-        self._build(alphabet, spec.generator_matrix()[:k1], self.g0.vector(n)[None, :], t)
-        self.ecc = self.base  # the [n, n-r] code generated by g1
+        self._build(alphabet, spec.generator_matrix()[:k1], g0.vector(n)[None, :], t)
 
     def __repr__(self) -> str:
         return (
@@ -316,8 +291,7 @@ class PsmcExtendedCode(_MaskingCode):
         G1, self.r = _systematic_g1(n, l, ecc_columns)
         self._build(alphabet, G1, H0, t)
         # d0 is the exact minimum distance of the code H0 checks.
-        self.masked_code = LinearCode(parity_check_matrix(H0, alphabet), alphabet)
-        self.d0 = min_distance(self.masked_code).d
+        self.d0 = min_distance(LinearCode(parity_check_matrix(H0, alphabet), alphabet)).d
 
     def __repr__(self) -> str:
         return (
@@ -341,6 +315,8 @@ def masking_probability(q: int, u: int) -> Fraction:
     """
     if q < 2 or u < 0:
         raise ValueError("need q >= 2 and u >= 0")
+    if u < q:  # u symbols cannot cover q values; the sum has q big terms
+        return Fraction(1)
     num = sum((-1) ** (i + 1) * comb(q, i) * (q - i) ** u for i in range(1, q + 1))
     return Fraction(num, q**u)
 
@@ -356,28 +332,6 @@ def redundancy_gain(q: int, u: int, k1: int) -> tuple[float, float]:
         raise ValueError("requires u + 1 <= q")
     gain = log(floor(q / (u + 1))) / log(q)
     return k1 + gain, 1.0 - gain
-
-
-def improved_masking_value(word, positions, q: int, u: int | None = None) -> tuple[int, int]:
-    """Masking pair (v, z0) with v drawn from [0, u+1) instead of [0, q).
-
-    v is the smallest element of [0, u+1) that differs from every stuck
-    value mod (u+1); since u values cannot occupy u+1 residues, v always
-    exists, and adding z0 = -v mod q keeps each stuck cell nonzero:
-    a stuck cell could only land on 0 if its value equaled v exactly,
-    which the residue condition rules out.
-    """
-    pos = list(positions)
-    if u is None:
-        u = len(pos)
-    if u + 1 > q:
-        raise ValueError("requires u + 1 <= q")
-    if len(pos) > u:
-        raise ValueError(f"{len(pos)} stuck positions but u = {u}")
-    w = np.asarray(word, dtype=np.int64)
-    residues = {int(w[p]) % (u + 1) for p in pos}
-    v = next(v for v in range(u + 1) if v not in residues)
-    return v, (-v) % q
 
 
 def stuck_redundancy_lower_bound(u: int) -> int:

@@ -196,13 +196,6 @@ def bch_bound_from_defining_set(defining_set, n: int) -> int:
     return longest + 1
 
 
-def bch_redundancy_bound(m: int, delta1: int) -> int:
-    """Generator-degree budget sufficient for designed distance delta1."""
-    if m < 1 or delta1 < 1:
-        raise ValueError("need m >= 1 and delta1 >= 1")
-    return m * -(-(delta1 - 1) // 2)
-
-
 @dataclass
 class CyclicCodeSpec:
     """A built cyclic code; treat as immutable.

@@ -87,13 +87,10 @@ def _integers(values) -> np.ndarray:
     return a
 
 
-def _in_range(a: np.ndarray, alphabet: Alphabet) -> bool:
-    """Whether every entry of an int64 array lies in [0, q).
-
-    Viewed as uint64, a negative entry wraps to at least 2^63 > q, so one
-    maximum checks both bounds.
-    """
-    return not a.size or np.maximum.reduce(a.view(np.uint64), axis=None) < alphabet.q
+def _in_range(symbols: list[int], alphabet: Alphabet) -> bool:
+    """Whether every symbol lies in [0, q).  On a word, a list's min and
+    max beat a numpy reduction's call overhead."""
+    return not symbols or (min(symbols) >= 0 and max(symbols) < alphabet.q)
 
 
 def as_word(values, alphabet: Alphabet, n: int | None = None) -> np.ndarray:
@@ -106,9 +103,7 @@ def as_word(values, alphabet: Alphabet, n: int | None = None) -> np.ndarray:
         raise ValueError("expected a 1-D symbol vector")
     if n is not None and w.size != n:
         raise ValueError(f"expected length {n}, got {w.size}")
-    # On a word a list's min and max beat a numpy reduction's call overhead.
-    symbols = w.tolist()
-    if symbols and not (min(symbols) >= 0 and max(symbols) < alphabet.q):
+    if not _in_range(w.tolist(), alphabet):
         raise ValueError(f"symbols out of range for {alphabet!r}")
     return w
 
@@ -183,7 +178,7 @@ class LinearCode:
         G = _integers(generator)
         if G.ndim != 2:
             raise ValueError("generator must be a 2-D matrix")
-        if not _in_range(G, alphabet):
+        if not _in_range(G.ravel().tolist(), alphabet):
             raise ValueError(f"generator entries out of range for {alphabet!r}")
         self.alphabet = alphabet
         self.G = G
@@ -390,24 +385,3 @@ def _krawtchouk(i: int, j: int, n: int, q: int) -> int:
     return sum(
         (-1) ** s * (q - 1) ** (i - s) * comb(j, s) * comb(n - j, i - s) for s in range(i + 1)
     )
-
-
-def systematize(generator, alphabet: Alphabet) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Equivalent generator of the form [0 | I | P] stacked over all-ones.
-
-    Returns the new k x n matrix together with the column permutation that
-    was applied (entry j gives the original index of new column j).  The
-    input's row space must contain the all-ones vector.
-    """
-    G = np.asarray(generator, dtype=np.int64)
-    k, n = G.shape
-    R, pivots = rref(G, alphabet)
-    if len(pivots) != k:
-        raise ValueError("generator matrix is not full rank")
-    perm = tuple(pivots) + tuple(c for c in range(n) if c not in pivots)
-    Rp = R[:, perm]
-    ones = np.ones(n, dtype=np.int64)
-    if (mat_mul(ones[None, :k], Rp, alphabet)[0] != ones).any():
-        raise ValueError("the all-ones vector is not in the code")
-    out = np.vstack([Rp[1:], ones[None, :]])
-    return out, perm

@@ -64,7 +64,7 @@ def build_table() -> list[TableRow]:
     for spec in TABLE8_ROWS:
         code = table8_code(spec["row"])
         # The row reads t off this report, never code.t, so the code is enumerated once.
-        report = min_distance(code.ecc, bch_lower_bound=code.delta1)
+        report = min_distance(code.base, bch_lower_bound=code.delta1)
         k1_star, l_star = redundancy_gain(GAIN_Q, GAIN_U, code.k1)
         h0_label = _coset_label(0, code)
         g1_labels = "*".join(_coset_label(a, code) for a in spec["g1_reps"])
@@ -83,7 +83,7 @@ def build_table() -> list[TableRow]:
                 l=1,
                 l_star=round(l_star, 3),
                 r=code.r,
-                delta0=code.delta0,
+                delta0=code.d0,
                 delta1_stated=spec["stated_delta1"],
                 bch_bound=code.delta1,
                 d_measured=report.d,

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import psmc
 from psmc.cli import main, parse_word, format_word, _probability_digits
 from psmc.presets import PRESETS, get_preset
 from fractions import Fraction
@@ -342,6 +343,12 @@ def test_presets_roundtrip_random_messages():
             out = code.encode(m, phi)
             assert all(out.codeword[p] >= 1 for p in phi)
             assert (code.decode(out.codeword) == m).all()
+
+
+def test_every_exported_name_resolves():
+    assert len(set(psmc.__all__)) == len(psmc.__all__)
+    for name in psmc.__all__:
+        assert hasattr(psmc, name), name
 
 
 def test_python_dash_m_entry_point():

@@ -16,7 +16,6 @@ from psmc.constructions import (
     PsmcExtendedCode,
     PsmcMatrixCode,
     StuckCellProfile,
-    improved_masking_value,
     masking_probability,
     redundancy_gain,
     stuck_redundancy_lower_bound,
@@ -97,6 +96,14 @@ def test_matrix_masking_only_demo_vector():
     out = code.encode(APPENDIX_M1, APPENDIX_STUCK)
     assert out.v == 2 and out.z == (1,)
     assert "".join(map(str, out.codeword)) == "11021021021021"
+
+
+def test_encoder_outcome_is_immutable():
+    for name in ("masking-n8-r0", "extended-n8-l3"):  # one masking symbol, and three
+        code = get_preset(name)
+        out = code.encode([0] * code.k1, (1,))
+        with pytest.raises(AttributeError):
+            out.v = 0
 
 
 def test_matrix_ecc_demo_vector():
@@ -185,17 +192,6 @@ def test_matrix_all_zero_word_decodes_to_zero():
     assert (code.decode(np.zeros(8, dtype=np.int64)) == 0).all()
 
 
-def test_matrix_from_linear_roundtrip():
-    from psmc.linear import LinearCode
-
-    base = demo14_code().base
-    code, perm = PsmcMatrixCode.from_linear(LinearCode(base.G, GF3), t=1)
-    assert perm == tuple(range(14))
-    assert (code.G1[:, 11:] == DEMO14_ECC_COLUMNS).all()
-    out = code.encode(APPENDIX_M2, APPENDIX_STUCK)
-    assert "".join(map(str, out.codeword)) == "11021021021000"
-
-
 # ---------------------------------------------------------------------------
 # cyclic construction
 # ---------------------------------------------------------------------------
@@ -256,7 +252,7 @@ def test_cyclic_decoding_failure_surfaces():
     c = code.encode([1, 0, 0, 2], ()).codeword
     # Hit a syndrome with no weight<=1 leader (exists: 27 syndromes, 17 leaders).
     for e in weight_patterns(8, 3, 2):
-        if np.count_nonzero(e) == 2 and code.ecc.decode_bounded((c + e) % 3, 1) is None:
+        if np.count_nonzero(e) == 2 and code.base.decode_bounded((c + e) % 3, 1) is None:
             with pytest.raises(DecodingFailure):
                 code.decode((c + e) % 3)
             return
@@ -296,7 +292,7 @@ def test_cyclic_stacked_code_is_the_code_g1_generates():
     for row in (1, 3, 5, 7):
         code = table8_code(row)
         ref = code.spec.to_linear_code()
-        assert code.ecc is code.base and code.base.k == ref.k == code.k1 + 1
+        assert code.base.k == ref.k == code.k1 + 1
         assert (code.base.H == ref.H).all()
 
 
@@ -310,6 +306,7 @@ def test_masking_probability_known_values():
     for q in range(2, 8):
         for u in range(q):
             assert masking_probability(q, u) == 1
+    assert masking_probability(1048573, 7) == 1  # a field the codes support
 
 
 def test_masking_probability_monotone_in_u():
@@ -334,23 +331,6 @@ def test_redundancy_gain_published_values():
     assert k1s == 9.0 and ls == 1.0  # floor(q/q) = 1, zero gain
     with pytest.raises(ValueError):
         redundancy_gain(3, 3, 5)
-
-
-def test_improved_masking_value_simple():
-    # Residues {0, 1} at the stuck cells leave v = 2.
-    w = [0, 4, 0, 0]
-    v, z0 = improved_masking_value(w, (1, 2), q=6)  # values 4,0 -> residues {1,0}
-    assert v == 2 and z0 == 4
-
-
-def test_improved_masking_value_always_masks_mod_6():
-    q, u = 6, 2
-    for vals in product(range(q), repeat=u):
-        w = np.array(vals, dtype=np.int64)
-        v, z0 = improved_masking_value(w, (0, 1), q=q)
-        assert v in range(u + 1)
-        assert v % (u + 1) not in {x % (u + 1) for x in vals}
-        assert all((x + z0) % q != 0 for x in vals)
 
 
 def test_stuck_redundancy_lower_bound():

@@ -9,7 +9,6 @@ from psmc.alphabet import Polynomial, field_of_order, format_poly, make_field, p
 from psmc.cyclic import (
     all_cosets,
     bch_bound_from_defining_set,
-    bch_redundancy_bound,
     build_cyclic_code,
     cyclotomic_coset,
     extension_degree,
@@ -235,13 +234,6 @@ def test_bch_bound_values(defining, n, expected):
 def test_bch_bound_rejects_full_set():
     with pytest.raises(ValueError):
         bch_bound_from_defining_set(range(8), 8)
-
-
-def test_bch_redundancy_bound():
-    assert bch_redundancy_bound(2, 3) == 2
-    assert bch_redundancy_bound(2, 5) == 4
-    assert bch_redundancy_bound(7, 1) == 0
-    assert bch_redundancy_bound(3, 4) == 6
 
 
 # ---------------------------------------------------------------------------

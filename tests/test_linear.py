@@ -20,7 +20,6 @@ from psmc.linear import (
     min_distance,
     parity_check_matrix,
     rref,
-    systematize,
 )
 from psmc.presets import PRESETS, get_preset
 
@@ -62,8 +61,8 @@ def test_as_word_rejects_non_integer_symbols():
 
 
 def test_as_word_range_check_covers_both_ends_of_int64():
-    # One maximum over the uint64 view checks both bounds: negatives wrap
-    # to at least 2^63.
+    # min and max over the symbols check both bounds; a uint64 above 2^63
+    # becomes a negative int64 before the check.
     for bad in (-1, 3, 2**63 - 1, -(2**63)):
         with pytest.raises(ValueError, match="out of range"):
             as_word([0, bad, 1], GF3)
@@ -217,9 +216,9 @@ def test_min_distance_matches_walk_on_presets():
     for build in PRESETS.values():
         code = build()
         assert_distance_matches_walk(code.base)
-        if hasattr(code, "masked_code"):
-            assert_distance_matches_walk(code.masked_code)
-            assert code.d0 == walk_distance(code.masked_code.G, GF3)
+        checked = LinearCode(parity_check_matrix(code.H0, code.alphabet), code.alphabet)
+        assert_distance_matches_walk(checked)
+        assert code.d0 == walk_distance(checked.G, code.alphabet)
 
 
 def test_min_distance_matches_walk_on_bch_sweep():
@@ -626,50 +625,3 @@ def test_decode_kernel_matches_enumeration_on_random_codes(case, t, rows, seed):
     code = LinearCode(G, field)
     rng = np.random.default_rng(seed)
     assert_kernel_matches_enumeration(code, t, words_around(code, t, rng, rows))
-
-
-# ---------------------------------------------------------------------------
-# systematize
-# ---------------------------------------------------------------------------
-
-def psmc_form_ok(M, k):
-    n = M.shape[1]
-    k1 = k - 1
-    return (
-        (M[:k1, 0] == 0).all()
-        and (M[:k1, 1 : k1 + 1] == np.eye(k1, dtype=int)).all()
-        and (M[k1] == 1).all()
-    )
-
-
-def test_systematize_already_in_form():
-    P = np.array([[1, 2], [0, 1], [2, 2]])
-    G = np.vstack([
-        np.hstack([np.zeros((3, 1), dtype=int), np.eye(3, dtype=int), P]),
-        np.ones((1, 6), dtype=int),
-    ])
-    out, perm = systematize(G, GF3)
-    assert perm == (0, 1, 2, 3, 4, 5)
-    assert (out == G).all()
-
-
-def test_systematize_random_code_with_all_ones():
-    rng = np.random.default_rng(11)
-    while True:
-        rows = rng.integers(0, 3, size=(3, 7))
-        G = np.vstack([rows, np.ones((1, 7), dtype=np.int64)])
-        R, piv = rref(G, GF3)
-        if len(piv) == 4:
-            break
-    out, perm = systematize(G, GF3)
-    assert psmc_form_ok(out, 4)
-    # Same row space after permuting the original columns the same way.
-    a, _ = rref(out, GF3)
-    b, _ = rref(G[:, list(perm)], GF3)
-    assert (a == b).all()
-
-
-def test_systematize_rejects_code_without_all_ones():
-    G = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
-    with pytest.raises(ValueError):
-        systematize(G, GF3)
