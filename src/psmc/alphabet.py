@@ -11,12 +11,12 @@ the familiar textbook moduli (x^2+x+1, x^3+x+1, x^4+x+1, ...), so element
 labels are reproducible across runs and across ports of this library.
 
 Scalar arithmetic covers every field of order up to ``MAX_ORDER`` (2^20).
-Scalar and array operations share one digit kernel and one exp/log
-layout: characteristic 2 adds, subtracts and negates by XOR (negation is
-the identity), other extension fields sum base-p digits in
-``_digitwise``, on ints and int64 arrays alike, and fields with
-q <= 2^16 multiply through exp/log tables that need neither a zero test
-nor a modulus.  Larger fields multiply digit vectors directly.
+:meth:`Alphabet.add`, ``sub`` and ``neg`` take a symbol or an int64 array
+of symbols alike: prime fields reduce mod q, characteristic 2 adds,
+subtracts and negates by XOR (negation is the identity), and other
+extension fields sum base-p digits in ``_digitwise``.  Fields with
+q <= 2^16 multiply through one exp/log layout that needs neither a zero
+test nor a modulus.  Larger fields multiply digit vectors directly.
 
 One set of polynomial kernels on coefficient tuples (add/sub, mul,
 divmod, gcd, power mod f) serves every :class:`Alphabet`.  Prime fields
@@ -27,22 +27,19 @@ with them over its prime field: Rabin's irreducibility test (the only
 user of gcd) picks the modulus, and the primitive element and the
 exp/log tables are found by multiplying digit tuples modulo it.
 
-The array operations (:meth:`Alphabet.vadd`, ``vsub``, ``vneg``, ``vmul``,
-:meth:`Alphabet.matmul` and ``vecmat``) act on int64 arrays of symbols:
-prime fields reduce mod q, characteristic 2 adds by XOR, other extension
-fields add through a flattened q x q table up to q = 1024 and through
-``_digitwise`` above, and extension-field products gather from the
-exp/log arrays up to q = 2^16.  Every table lookup is a gather from a
-1-D array: on arrays of thousands of symbols numpy does that about twice
-as fast as indexing a 2-D table with two index arrays.  Codes and
-everything built on them therefore support every prime field up to 2^20
-and extension fields up to 2^16.
+The array products (:meth:`Alphabet.vmul`, :meth:`Alphabet.matmul` and
+``vecmat``) act on int64 arrays of symbols: prime fields reduce mod q,
+and extension fields gather from the exp/log arrays up to q = 2^16.
+Every table lookup is a gather from a 1-D array: on arrays of thousands
+of symbols numpy does that about twice as fast as indexing a 2-D table
+with two index arrays.  Codes and everything built on them therefore
+support every prime field up to 2^20 and extension fields up to 2^16.
 
 A prime-field matmul is one integer product and one reduction mod q.  An
 extension-field matmul takes a fixed number of array passes per block of
 rows, not one per inner index: one ``vmul`` of every product of the block
 (rows x k x columns), then a sum along k, which is one XOR reduction in
-characteristic 2 and ceil(log2 k) halving ``vadd`` passes for odd p.  A
+characteristic 2 and ceil(log2 k) halving ``add`` passes for odd p.  A
 block holds about ``_MATMUL_BLOCK`` = 2^16 products, so the temporary
 stays near 512 KiB however many rows the product has.  ``vecmat`` times
 a word by a matrix held once per code as :meth:`Alphabet.fixed` gives it.
@@ -196,6 +193,12 @@ class Alphabet:
 
     Use :func:`make_field`, which caches and reuses instances, instead of
     calling this constructor directly.
+
+    add, sub and neg take ints or int64 arrays and return the same kind;
+    in characteristic 2, neg returns its argument itself, not a copy.
+    Products stay apart (mul for ints, vmul for arrays): one method would
+    return ``np.int64`` for ints, which would leak into
+    :class:`Polynomial` coefficients and change their repr under numpy 2.
     """
 
     def __init__(self, p: int, m: int):
@@ -237,19 +240,19 @@ class Alphabet:
             a += (d % self.p) * self.p ** i
         return a
 
-    # -- scalar arithmetic --------------------------------------------------
+    # -- arithmetic: add, sub and neg also take int64 arrays -------------------
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
         if self.m == 1:
             return (a + b) % self.q
         return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         if self.m == 1:
             return (a - b) % self.q
         return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
 
-    def neg(self, a: int) -> int:
+    def neg(self, a):
         if self.m == 1:
             return (-a) % self.q
         return a if self.p == 2 else self._digitwise(0, a, -1)
@@ -351,7 +354,8 @@ class Alphabet:
         return out
 
     def add_table(self) -> np.ndarray:
-        """q x q numpy addition table; only for q <= 1024."""
+        """q x q numpy addition table, q <= 1024.  The library does not read it:
+        the benchmark builds read-back words with it, and tests check axioms."""
         if self.q > _TABLE_ORDER_LIMIT:
             raise ValueError(f"dense tables limited to q <= {_TABLE_ORDER_LIMIT}")
         if self._add_table is None:
@@ -359,30 +363,7 @@ class Alphabet:
             self._add_table = self._digitwise(idx[:, None], idx[None, :], 1)
         return self._add_table
 
-    # -- array arithmetic (element-wise, numpy broadcasting) ------------------
-
-    def vadd(self, a, b) -> np.ndarray:
-        if self.m == 1:
-            return np.add(a, b) % self.q
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.q <= _TABLE_ORDER_LIMIT:
-            return self.add_table().ravel()[np.multiply(a, self.q) + b]
-        return self._digitwise(a, b, 1)
-
-    def vsub(self, a, b) -> np.ndarray:
-        if self.m == 1:
-            return np.subtract(a, b) % self.q
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        return self.vadd(a, self.vneg(b))
-
-    def vneg(self, a) -> np.ndarray:
-        if self.m == 1:
-            return np.negative(a) % self.q
-        if self.p == 2:
-            return np.array(a, dtype=np.int64)
-        return self._digitwise(0, a, -1)
+    # -- array products (element-wise, numpy broadcasting) --------------------
 
     def vmul(self, a, b) -> np.ndarray:
         if self.m == 1:
@@ -397,7 +378,7 @@ class Alphabet:
         Extension fields take every product of a block of rows of a with
         b in one :meth:`vmul` pass, then sum along the inner axis: one
         XOR reduction in characteristic 2, ceil(log2 k) halving
-        :meth:`vadd` passes for odd p.  Blocks hold about
+        :meth:`add` passes for odd p.  Blocks hold about
         ``_MATMUL_BLOCK`` products (rows x k x columns), which caps the
         temporary however many rows a has.
         """
@@ -442,7 +423,7 @@ class Alphabet:
         k = products.shape[-2]
         while k > 1:
             half = (k + 1) // 2
-            products[..., : k - half, :] = self.vadd(products[..., : k - half, :], products[..., half:k, :])
+            products[..., : k - half, :] = self.add(products[..., : k - half, :], products[..., half:k, :])
             k = half
         return products[..., 0, :]
 
@@ -610,7 +591,7 @@ def format_poly(poly: Polynomial) -> str:
     return ",".join(str(c) for c in poly.coeffs)
 
 
-def poly_pretty(poly: Polynomial, var: str = "x") -> str:
+def poly_pretty(poly: Polynomial) -> str:
     """Human-readable form, highest degree first, e.g. ``x^2 + 2x + 2``."""
     if poly.is_zero:
         return "0"
@@ -622,6 +603,6 @@ def poly_pretty(poly: Polynomial, var: str = "x") -> str:
         if k == 0:
             parts.append(str(c))
         else:
-            xs = var if k == 1 else f"{var}^{k}"
+            xs = "x" if k == 1 else f"x^{k}"
             parts.append(xs if c == 1 else f"{c}{xs}")
     return " + ".join(parts)

@@ -51,7 +51,8 @@ import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import LinearCode, _integers, as_word, min_distance, parity_check_matrix
+from .linear import (PROB_BUDGET, BudgetExceeded, LinearCode, _integers, as_word,
+                     min_distance, parity_check_matrix)
 
 
 class MaskingImpossible(Exception):
@@ -154,7 +155,7 @@ class _MaskingCode:
             return inv, [[0] * self.n], None, None
         v = np.array(list(product(range(q), repeat=l)), dtype=np.int64)
         hits = A.matmul(v, self.H0)
-        return inv, hits[::q].tolist(), hits, [tuple(z) for z in A.vneg(v).tolist()]
+        return inv, hits[::q].tolist(), hits, [tuple(z) for z in A.neg(v).tolist()]
 
     def _first_mask(self, values: list[int], cells) -> int | None:
         """Index of the first v in lexicographic order with (v H0)_j != w_j
@@ -209,9 +210,9 @@ class _MaskingCode:
             raise MaskingImpossible(f"no masking vector z for positions {prof.positions}")
         if self.l == 1:  # v = i, and the shift is computed per word
             shift = i if self._ones else A.vmul(self.H0[0], i)
-            return MaskingOutcome(A.vsub(w, shift), (A.neg(i),), i)
+            return MaskingOutcome(A.sub(w, shift), (A.neg(i),), i)
         _, _, hits, zs = self._rule
-        return MaskingOutcome(A.vsub(w, hits[i]), zs[i], None)
+        return MaskingOutcome(A.sub(w, hits[i]), zs[i], None)
 
     def decode(self, word) -> np.ndarray:
         """Correct up to t errors and return the message m."""
@@ -311,12 +312,15 @@ def masking_probability(q: int, u: int) -> Fraction:
     sum_{i=1}^{q} (-1)^(i+1) C(q, i) (q-i)^u / q^u.  Equals 1 for u < q,
     and is the masking success probability of the single-symbol
     constructions for uniform messages when the stuck positions index
-    linearly independent generator columns.
+    linearly independent generator columns.  BudgetExceeded for u >= q
+    when q * u * bit_length(q) exceeds ``PROB_BUDGET``.
     """
     if q < 2 or u < 0:
         raise ValueError("need q >= 2 and u >= 0")
     if u < q:  # u symbols cannot cover q values; the sum has q big terms
         return Fraction(1)
+    if q * u * q.bit_length() > PROB_BUDGET:
+        raise BudgetExceeded(f"masking probability for q = {q}, u = {u} exceeds budget {PROB_BUDGET}")
     num = sum((-1) ** (i + 1) * comb(q, i) * (q - i) ** u for i in range(1, q + 1))
     return Fraction(num, q**u)
 

@@ -51,6 +51,9 @@ import numpy as np
 from .alphabet import Alphabet
 
 ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
+# Max q * u * bit_length(q) of an exact masking probability for u >= q, whose
+# q terms have about u log2(q) bits: q = u = 2053 computes, 4099 raises.
+PROB_BUDGET = 1 << 26
 CHUNK_WORDS = 8192        # codewords enumerated per matrix product
 # Max error patterns of weight <= t in one syndrome table, whatever q^(n-k).
 # Each syndrome a table holds keeps about 8n + 100 bytes (an 8(n-k)-byte key,
@@ -64,8 +67,8 @@ _ABSENT = -2              # lookup result of a syndrome no pattern reaches
 
 
 class BudgetExceeded(Exception):
-    """Raised when exact enumeration or table building would exceed its
-    budget, or when a code needs a field above ``alphabet.MAX_ORDER``."""
+    """Raised when an enumeration, a syndrome table or a masking probability
+    would exceed its budget, or a code needs a field above ``MAX_ORDER``."""
 
 
 class SyndromeTable(NamedTuple):
@@ -93,15 +96,15 @@ def _in_range(symbols: list[int], alphabet: Alphabet) -> bool:
     return not symbols or (min(symbols) >= 0 and max(symbols) < alphabet.q)
 
 
-def as_word(values, alphabet: Alphabet, n: int | None = None) -> np.ndarray:
-    """Validate and convert to an int64 symbol vector.
+def as_word(values, alphabet: Alphabet, n: int) -> np.ndarray:
+    """Validate and convert to an int64 symbol vector of length n.
 
     A non-integer dtype raises ValueError rather than being truncated.
     """
     w = _integers(values)
     if w.ndim != 1:
         raise ValueError("expected a 1-D symbol vector")
-    if n is not None and w.size != n:
+    if w.size != n:
         raise ValueError(f"expected length {n}, got {w.size}")
     if not _in_range(w.tolist(), alphabet):
         raise ValueError(f"symbols out of range for {alphabet!r}")
@@ -135,7 +138,7 @@ def rref(matrix: np.ndarray, alphabet: Alphabet) -> tuple[np.ndarray, tuple[int,
             R[r] = alphabet.vmul(R[r], alphabet.inv(col[r]))
         col[r] = 0
         if any(col):
-            R = alphabet.vsub(R, alphabet.vmul(np.array(col)[:, None], R[r]))
+            R = alphabet.sub(R, alphabet.vmul(np.array(col)[:, None], R[r]))
         pivots.append(c)
     return R, tuple(pivots)
 
@@ -158,10 +161,8 @@ def _check_from_rref(R: np.ndarray, pivots: tuple[int, ...], alphabet: Alphabet)
     k, n = R.shape
     nonpivots = [c for c in range(n) if c not in pivots]
     H = np.zeros((n - k, n), dtype=np.int64)
-    for t, c in enumerate(nonpivots):
-        H[t, c] = 1
-        for i, pc in enumerate(pivots):
-            H[t, pc] = alphabet.neg(int(R[i, c]))
+    H[np.arange(n - k), nonpivots] = 1
+    H[:, list(pivots)] = alphabet.neg(R[:, nonpivots].T)
     return H
 
 
@@ -274,7 +275,7 @@ class LinearCode:
         i = table.rows.get(raw[:r].tobytes(), _ABSENT)
         if i <= 0:  # row 0 is the zero pattern, whose offset is 0
             return None if i else raw[r : r + keep]
-        return self.alphabet.vsub(raw[r : r + keep], table.offsets[i, :keep])
+        return self.alphabet.sub(raw[r : r + keep], table.offsets[i, :keep])
 
     def decode_bounded(self, word, t: int) -> np.ndarray | None:
         """Unique codeword within Hamming distance t of word, or None: by

@@ -159,7 +159,7 @@ def inject(word, error, alphabet) -> np.ndarray:
     e = np.asarray(error, dtype=np.int64)
     if c.shape != e.shape:
         raise ValueError("word and error must have the same length")
-    return alphabet.vadd(c, e)
+    return alphabet.add(c, e)
 
 
 class _Draws(NamedTuple):

@@ -189,20 +189,30 @@ def assert_array_ops_match_scalar(f, a, b):
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     pairs = list(zip(a.tolist(), b.tolist()))
-    assert f.vadd(a, b).tolist() == [f.add(x, y) for x, y in pairs]
-    assert f.vsub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
+    assert f.add(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+    assert f.sub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
     assert f.vmul(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
-    assert f.vneg(a).tolist() == [f.neg(x) for x in a.tolist()]
+    assert f.neg(a).tolist() == [f.neg(x) for x in a.tolist()]
+    # add, sub and neg return an int for ints and an int64 array of the
+    # same shape for int64 arrays, 2-D ones included.
+    x, y = pairs[-1]
+    assert {type(f.add(x, y)), type(f.sub(x, y)), type(f.neg(x))} == {int}
+    a2, b2 = a.reshape(-1, 1), b.reshape(-1, 1)
+    for out in (f.add(a, b), f.sub(a, b), f.neg(a), f.add(a2, b2), f.sub(a2, b2), f.neg(a2)):
+        assert isinstance(out, np.ndarray) and out.dtype == np.int64
+    assert f.add(a2, b2).shape == f.sub(a2, b2).shape == f.neg(a2).shape == a2.shape
     if f.m > 1:
-        # Scalar and array ops share their code, so check both against
+        # Symbols and arrays share one expression, so check both against
         # digit-tuple sums and the table-free product.
-        assert f.vadd(a, b).tolist() == [digit_sum(f, x, y, 1) for x, y in pairs]
-        assert f.vsub(a, b).tolist() == [digit_sum(f, x, y, -1) for x, y in pairs]
-        assert f.vneg(a).tolist() == [digit_sum(f, 0, x, -1) for x in a.tolist()]
+        assert f.add(a, b).tolist() == [digit_sum(f, x, y, 1) for x, y in pairs]
+        assert f.sub(a, b).tolist() == [digit_sum(f, x, y, -1) for x, y in pairs]
+        assert f.neg(a).tolist() == [digit_sum(f, 0, x, -1) for x in a.tolist()]
         assert f.vmul(a, b).tolist() == [f._ext_mul_raw(x, y) for x, y in pairs]
 
 
-@pytest.mark.parametrize("p,m", [(7, 1), (2, 3), (3, 2)], ids=["GF(7)", "GF(2^3)", "GF(3^2)"])
+@pytest.mark.parametrize(
+    "p,m", [(7, 1), (2, 3), (3, 2), (5, 1)], ids=["GF(7)", "GF(2^3)", "GF(3^2)", "GF(5)"]
+)
 def test_array_ops_match_scalar_exhaustive(p, m):
     f = make_field(p, m)
     grid = np.indices((f.q, f.q)).reshape(2, -1)
@@ -234,10 +244,10 @@ def scalar_matmul(f, a, b):
 
 
 def loop_matmul(f, a, b):
-    """One vmul and one vadd pass per inner index (reference for large shapes)."""
+    """One vmul and one add pass per inner index (reference for large shapes)."""
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for i in range(a.shape[1]):
-        acc = f.vadd(acc, f.vmul(a[:, i, None], b[i]))
+        acc = f.add(acc, f.vmul(a[:, i, None], b[i]))
     return acc
 
 
@@ -306,7 +316,7 @@ def test_scalar_products_with_zero_above_2_pow_16():
 
 def test_array_mul_above_2_pow_16_is_refused():
     f = make_field(2, 17)
-    assert f.vadd(np.array([3]), np.array([5])).tolist() == [6]
+    assert f.add(np.array([3]), np.array([5])).tolist() == [6]
     with pytest.raises(ValueError, match="65536"):
         f.vmul(np.array([3]), np.array([5]))
 

@@ -36,10 +36,14 @@ def test_parse_word_validation():
 
     with pytest.raises(UsageError):
         parse_word("0groan", 3)
-    with pytest.raises(UsageError):
-        parse_word("039", 3)
-    with pytest.raises(UsageError):
-        parse_word("012", 3, length=4)
+
+
+@pytest.mark.parametrize("m", ["0390", "012"], ids=["out-of-range", "wrong-length"])
+def test_encode_word_checked_once_as_usage_error(capsys, m):
+    # parse_word only parses; encode's as_word checks the range and length.
+    code, out, err = run_cli(capsys, "encode", "--preset", "table8-row3", "--m", m, "--stuck", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error")
 
 
 def test_probability_digits_exact():
@@ -62,6 +66,13 @@ def test_prob_command(capsys):
 def test_prob_command_u_below_q(capsys):
     code, out, _ = run_cli(capsys, "prob", "--q", "5", "--u", "2")
     assert code == 0 and out.strip() == "1"
+
+
+def test_prob_command_over_budget_exits_2_with_json(capsys):
+    code, out, err = run_cli(capsys, "prob", "--q", "4099", "--u", "4099")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BudgetExceeded" and "exceeds budget" in payload["message"]
 
 
 def test_factor_command(capsys):

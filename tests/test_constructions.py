@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -20,7 +21,7 @@ from psmc.constructions import (
     redundancy_gain,
     stuck_redundancy_lower_bound,
 )
-from psmc.linear import LinearCode
+from psmc.linear import BudgetExceeded, LinearCode
 from psmc.presets import (
     DEMO14_ECC_COLUMNS,
     PRESETS,
@@ -307,6 +308,17 @@ def test_masking_probability_known_values():
         for u in range(q):
             assert masking_probability(q, u) == 1
     assert masking_probability(1048573, 7) == 1  # a field the codes support
+
+
+def test_masking_probability_budget():
+    # q * u * bit_length(q): 1031 is about 1.2e7, within PROB_BUDGET; 4099
+    # is about 2.2e8, over it, and refused before any term is summed.
+    p = masking_probability(1031, 1031)
+    assert isinstance(p, Fraction) and 0 < p < 1
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="exceeds budget"):
+        masking_probability(4099, 4099)
+    assert time.perf_counter() - start < 1
 
 
 def test_masking_probability_monotone_in_u():

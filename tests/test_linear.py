@@ -52,9 +52,9 @@ def row3_code():
 def test_as_word_rejects_non_integer_symbols():
     for bad in ([0.0, 1.0, 2.0], np.array([0.5, 1.0]), [1, 2.7], ["1", "2"]):
         with pytest.raises(ValueError, match="integers"):
-            as_word(bad, GF3)
+            as_word(bad, GF3, len(bad))
     for good in ([0, 1, 2], np.array([2, 0], dtype=np.uint8), (np.int32(1),)):
-        w = as_word(good, GF3)
+        w = as_word(good, GF3, len(good))
         assert w.dtype == np.int64 and w.tolist() == [int(x) for x in good]
     empty = as_word([], GF3, 0)
     assert empty.dtype == np.int64 and empty.shape == (0,)
@@ -65,12 +65,12 @@ def test_as_word_range_check_covers_both_ends_of_int64():
     # becomes a negative int64 before the check.
     for bad in (-1, 3, 2**63 - 1, -(2**63)):
         with pytest.raises(ValueError, match="out of range"):
-            as_word([0, bad, 1], GF3)
+            as_word([0, bad, 1], GF3, 3)
         with pytest.raises(ValueError, match="out of range"):
-            as_word(np.array([bad, 0], dtype=np.int64), GF3)
+            as_word(np.array([bad, 0], dtype=np.int64), GF3, 2)
     with pytest.raises(ValueError, match="out of range"):
-        as_word(np.array([2**64 - 1], dtype=np.uint64), GF3)
-    assert as_word([0, 2, 1], GF3).tolist() == [0, 2, 1]
+        as_word(np.array([2**64 - 1], dtype=np.uint64), GF3, 1)
+    assert as_word([0, 2, 1], GF3, 3).tolist() == [0, 2, 1]
 
 
 def test_parity_check_orthogonality():
@@ -183,7 +183,7 @@ def walk_distance(G, field):
     best = n
     for head in product(range(q), repeat=k - tail):
         offset = field.matmul(np.array(head, dtype=np.int64).reshape(1, -1), G[:k - tail])
-        weights = np.count_nonzero(field.vadd(block, offset), axis=1)
+        weights = np.count_nonzero(field.add(block, offset), axis=1)
         if not any(head):
             weights = weights[1:]  # the zero codeword
         best = min(best, int(weights.min()))
@@ -356,7 +356,7 @@ def test_gf8_syndrome_table_round_trips_every_double_error():
     assert len(table.rows) == len(table.offsets) == len(patterns)  # no ties at d = 5
     c = code.encode([1, 2, 3, 4, 5])
     for e in patterns:
-        assert (code.decode_bounded(GF8.vadd(c, e), 2) == c).all()
+        assert (code.decode_bounded(GF8.add(c, e), 2) == c).all()
 
 
 def test_decode_failure_is_none():
@@ -499,7 +499,7 @@ def words_around(code: LinearCode, t: int, rng, count: int) -> np.ndarray:
         e = np.zeros(n, dtype=np.int64)
         cells = rng.choice(n, size=min(n, i % (t + 3)), replace=False)
         e[cells] = rng.integers(1, A.q, len(cells))
-        rows.append(A.vadd(c, e))
+        rows.append(A.add(c, e))
     rows += [rng.integers(0, A.q, n) for _ in range(count // 2)]
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
@@ -532,7 +532,7 @@ def test_decode_kernel_ties_on_appendix_n14_single_errors():
     base, t = code.base, code.t
     assert t == 1
     c = base.encode(np.arange(base.k) % 3)
-    Y = np.array([GF3.vadd(c, e) for e in weight_patterns(base.n, 3, 1)][1:])
+    Y = np.array([GF3.add(c, e) for e in weight_patterns(base.n, 3, 1)][1:])
     assert len(Y) == 28
     ok = assert_kernel_matches_enumeration(base, t, Y)
     assert int(ok.sum()) == 24  # 4 of the 28 single errors tie: 6/7 decode
@@ -542,7 +542,7 @@ def test_decode_kernel_ties_on_appendix_n14_single_errors():
         entry = table.rows[base.syndrome(y).tobytes()]
         assert (entry == TIE) == (not good)
         if good:  # the offset is e R for the single error e
-            e = GF3.vsub(y, c)
+            e = GF3.sub(y, c)
             assert (table.offsets[entry] == GF3.matmul(e[None, :], base._read_matrix[:, r:])[0]).all()
 
 

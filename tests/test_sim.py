@@ -26,7 +26,6 @@ from psmc.presets import (
 )
 from psmc.sim import (
     CSV_COLUMNS,
-    CampaignReport,
     ChannelConfig,
     _draw,
     inject,
