@@ -51,8 +51,9 @@ import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import (PROB_BUDGET, BudgetExceeded, LinearCode, _integers, as_word,
-                     min_distance, parity_check_matrix)
+from .linear import (PROB_BUDGET, BudgetExceeded, LinearCode, _integers, _pack_rows,
+                     _PackedMatrix, _packs, _unpack, _word, min_distance,
+                     parity_check_matrix)
 
 
 class MaskingImpossible(Exception):
@@ -131,7 +132,6 @@ class _MaskingCode:
     def _build(self, alphabet: Alphabet, G1: np.ndarray, H0: np.ndarray, t: int | None) -> None:
         self.alphabet = alphabet
         self.G1, self.H0 = G1, H0
-        self._g1 = alphabet.fixed(G1)  # G1 as vecmat reads it
         self.k1, self.n = G1.shape
         self.l = H0.shape[0]
         self._ones = H0.tolist() == [[1] * self.n]
@@ -157,7 +157,7 @@ class _MaskingCode:
         hits = A.matmul(v, self.H0)
         return inv, hits[::q].tolist(), hits, [tuple(z) for z in A.neg(v).tolist()]
 
-    def _first_mask(self, values: list[int], cells) -> int | None:
+    def _first_mask(self, values: list[int] | bytes, cells) -> int | None:
         """Index of the first v in lexicographic order with (v H0)_j != w_j
         at every stuck cell j, or None.  For each prefix p of v, cell j rules
         out the last coordinate x = (w_j - p H0[:-1, j]) / H0[-1, j], or
@@ -183,7 +183,22 @@ class _MaskingCode:
                 return i * q + x
         return None
 
-    @property
+    @cached_property
+    def _g1(self) -> _PackedMatrix | np.ndarray:
+        """G1 as the first encode holds it: packed where no byte of m G1
+        plus one shift can carry, else in the form ``vecmat`` reads."""
+        A = self.alphabet
+        return _PackedMatrix(self.G1, A) if _packs(A, self.k1) else A.fixed(self.G1)
+
+    @cached_property
+    def _shifts(self) -> list[int]:
+        """Built by the first packed encode: -(v H0) for each v in
+        lexicographic order, packed as the codeword is."""
+        A = self.alphabet
+        hits = self._rule[2] if self.l > 1 else A.vmul(np.arange(A.q)[:, None], self.H0)
+        return _pack_rows(A.neg(hits))
+
+    @cached_property
     def u_max(self) -> int:
         return min(self.n, self.alphabet.q + self.d0 - 3) if self.d0 > 1 else 0
 
@@ -201,22 +216,32 @@ class _MaskingCode:
                 f"u={prof.u} exceeds the guaranteed bound {self.u_max}; "
                 "pass probabilistic=True to attempt masking anyway"
             )
-        A = self.alphabet
-        w = A.vecmat(as_word(message, A, self.k1), self._g1)
-        i = self._first_mask(w.tolist(), prof.positions)
+        A, G1 = self.alphabet, self._g1
+        m, symbols = _word(message, A, self.k1)
+        packed = isinstance(G1, _PackedMatrix)
+        if packed:
+            acc = G1.product(symbols)
+            values = G1.reduced(acc)
+        else:
+            w = A.vecmat(m, G1)
+            values = w.tolist()
+        i = self._first_mask(values, prof.positions)
         if i is None:
             if prof.u <= self.u_max:
                 raise AssertionError("guaranteed regime violated: no masking vector found")
             raise MaskingImpossible(f"no masking vector z for positions {prof.positions}")
+        z = (A.neg(i),) if self.l == 1 else self._rule[3][i]
+        v = i if self.l == 1 else None
+        if packed:
+            return MaskingOutcome(_unpack(G1.reduced(G1.add(acc, self._shifts[i]))), z, v)
         if self.l == 1:  # v = i, and the shift is computed per word
-            shift = i if self._ones else A.vmul(self.H0[0], i)
-            return MaskingOutcome(A.sub(w, shift), (A.neg(i),), i)
-        _, _, hits, zs = self._rule
-        return MaskingOutcome(A.sub(w, hits[i]), zs[i], None)
+            return MaskingOutcome(A.sub(w, i if self._ones else A.vmul(self.H0[0], i)), z, v)
+        return MaskingOutcome(A.sub(w, self._rule[2][i]), z, v)
 
     def decode(self, word) -> np.ndarray:
         """Correct up to t errors and return the message m."""
-        x = self.base._decode_word(as_word(word, self.alphabet, self.n), self.t, self.k1)
+        y, symbols = _word(word, self.alphabet, self.n)
+        x = self.base._decode_word(y, self.t, self.k1, symbols)
         if x is None:
             raise DecodingFailure(f"no unique codeword within distance {self.t}")
         return x

@@ -27,11 +27,25 @@ rather than an arbitrary pick, and a caller can tell a tie from a word
 beyond the radius.  The table holds the patterns of weight <= t whatever
 the redundancy n - k; past their budget, decoding enumerates codewords.
 The first decode at radius t builds the table, and the first table
-builds K, so constructing a code builds neither.
+builds K, so constructing a code builds neither.  A key is the syndrome
+in the narrowest unsigned dtype that holds q - 1 (one byte a symbol up
+to q = 256, see :func:`_syndrome_key`), and the offset rows are stored
+in that dtype too.
 
-One word kernel serves ``decode_bounded`` and the constructions: one
-product y K (K held as ``Alphabet.fixed`` returns it), one dict lookup of
-the syndrome's bytes, one subtraction on the message symbols kept.
+One word kernel serves ``decode_bounded`` and the constructions, and
+the encoders' product m G1 runs on the same two forms.  Where no byte
+can carry (:func:`_packs`: characteristic 2 with q <= 256, or a prime q
+with (rows + 1)(q - 1) <= 255), a fixed matrix is held packed
+(:class:`_PackedMatrix`): one Python int per (row, symbol) with one byte
+a column, so a word's product is a sum of one int per symbol (XOR in
+characteristic 2) and one ``bytes.translate`` reduces every byte mod q.
+The syndrome key is then the product's first n - k bytes, and an offset
+row is negated by a second translate and added as one more int.  Every
+other field (q > 256, odd-characteristic extension fields, prime fields
+whose sums would carry) keeps the numpy form: ``Alphabet.fixed`` holds
+the matrix and ``vecmat`` multiplies, since a byte per symbol cannot
+hold its sums; the key is that product's first n - k symbols cast to
+the key dtype.  Both forms read one table.
 
 Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  Work that would
@@ -41,9 +55,10 @@ exceed an explicit budget raises :class:`BudgetExceeded`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import combinations, islice, product
 from math import comb
+from operator import add, xor
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +71,11 @@ ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
 PROB_BUDGET = 1 << 26
 CHUNK_WORDS = 8192        # codewords enumerated per matrix product
 # Max error patterns of weight <= t in one syndrome table, whatever q^(n-k).
-# Each syndrome a table holds keeps about 8n + 100 bytes (an 8(n-k)-byte key,
-# a k-symbol int64 offsets row, the dict entry): 420 B at n = 40, where a
-# table at the budget would need about 0.9 GB.  Building adds one block of
-# TABLE_BLOCK patterns and, until it ends, an offsets row for every pattern.
+# Each syndrome a table holds keeps its key (a bytes object of n - k symbols,
+# one byte each up to q = 256), a k-symbol offsets row in the same dtype and
+# a dict entry: 139 B at n = 40 over GF(3), where a table at the budget would
+# need about 0.3 GB.  Building adds one block of TABLE_BLOCK patterns and,
+# until it ends, an offsets row for every pattern.
 TABLE_BUDGET = 1 << 21
 TABLE_BLOCK = 8192        # error patterns per product while a table is built
 TIE = -1                  # table entry of a syndrome whose lightest patterns tie
@@ -72,11 +88,95 @@ class BudgetExceeded(Exception):
 
 
 class SyndromeTable(NamedTuple):
-    """Syndrome bytes -> row of ``offsets`` holding e R for the lightest
-    pattern e with that syndrome, or ``TIE``."""
+    """Syndrome key (:func:`_syndrome_key`) -> row of ``offsets`` holding
+    e R for the lightest pattern e with that syndrome, or ``TIE``.  The
+    offsets are stored in the key dtype, :func:`_symbol_dtype`; ``flat``
+    views them row after row in one dimension, for the packed kernel to
+    slice without numpy indexing."""
 
     rows: dict[bytes, int]
     offsets: np.ndarray
+    flat: memoryview
+
+
+def _symbol_dtype(q: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds q - 1."""
+    return np.dtype(np.uint8 if q <= 1 << 8 else np.uint16 if q <= 1 << 16 else np.uint32)
+
+
+def _syndrome_key(syndrome: np.ndarray, alphabet: Alphabet) -> bytes:
+    """A syndrome as the syndrome table keys it: its symbols in the
+    narrowest dtype that holds them, one byte each up to q = 256."""
+    return syndrome.astype(_symbol_dtype(alphabet.q)).tobytes()
+
+
+def _packs(alphabet: Alphabet, rows: int) -> bool:
+    """Whether one-word products by a fixed matrix of ``rows`` rows run
+    packed (:class:`_PackedMatrix`): whether no byte can carry.  XOR never
+    carries, and a prime field's byte sums ``rows`` products and one more
+    symbol, each at most q - 1."""
+    if alphabet.p == 2:
+        return alphabet.q <= 1 << 8
+    return alphabet.m == 1 and (rows + 1) * (alphabet.q - 1) <= 255
+
+
+@cache
+def _byte_maps(alphabet: Alphabet) -> tuple[tuple[bytes, ...], bytes | None, bytes | None]:
+    """``bytes.translate`` tables of a packed field, built once per field:
+    ``times[s]`` maps each symbol b to the field product s b, ``reduce``
+    maps each byte to itself mod q and ``negate`` to its negation mod q;
+    the last two are None, the identity, in characteristic 2."""
+    q, mul = alphabet.q, alphabet.mul
+    times = tuple(bytes(mul(s, b) for b in range(q)) + bytes(256 - q) for s in range(q))
+    if alphabet.p == 2:
+        return times, None, None
+    repeat = 256 // q + 1
+    return times, (bytes(range(q)) * repeat)[:256], (bytes([0, *range(q - 1, 0, -1)]) * repeat)[:256]
+
+
+def _byte_rows(matrix: np.ndarray) -> list[bytes]:
+    """Each row of a matrix of symbols below 256 as bytes."""
+    blob, width = bytes(matrix.ravel().tolist()), matrix.shape[1]
+    return [blob[i : i + width] for i in range(0, len(blob), width)]
+
+
+def _pack_rows(matrix: np.ndarray) -> list[int]:
+    """Each row of a matrix of symbols below 256 as one int, column j in byte j."""
+    return [int.from_bytes(row, "little") for row in _byte_rows(matrix)]
+
+
+class _PackedMatrix:
+    """A fixed matrix b held for one-word products where :func:`_packs`
+    allows: ``rows[i][s]`` is the field product s b[i] packed as
+    :func:`_pack_rows` packs, so a word y gives the packed y b as the sum
+    of ``rows[i][y_i]`` under ``add`` (XOR in characteristic 2, int
+    addition over a prime field), and :meth:`reduced` then brings every
+    byte below q."""
+
+    __slots__ = ("rows", "cols", "add", "reduce", "negate")
+
+    def __init__(self, matrix: np.ndarray, alphabet: Alphabet):
+        times, self.reduce, self.negate = _byte_maps(alphabet)
+        self.rows = [[int.from_bytes(row.translate(t), "little") for t in times] for row in _byte_rows(matrix)]
+        self.cols = matrix.shape[1]
+        self.add = xor if alphabet.p == 2 else add
+
+    def product(self, symbols: list[int]) -> int:
+        """The packed product of a word, bytes not yet reduced."""
+        terms = map(list.__getitem__, self.rows, symbols)
+        return sum(terms) if self.add is add else reduce(xor, terms, 0)
+
+    def reduced(self, packed: int) -> bytes:
+        """A packed row, a product plus shifts, as one symbol a byte."""
+        return packed.to_bytes(self.cols, "little").translate(self.reduce)
+
+
+_U8, _I64 = np.dtype(np.uint8), np.dtype(np.int64)
+
+
+def _unpack(packed: bytes) -> np.ndarray:
+    """Reduced packed bytes as an int64 symbol vector."""
+    return np.frombuffer(packed, _U8).astype(_I64)
 
 
 def _integers(values) -> np.ndarray:
@@ -101,14 +201,21 @@ def as_word(values, alphabet: Alphabet, n: int) -> np.ndarray:
 
     A non-integer dtype raises ValueError rather than being truncated.
     """
+    return _word(values, alphabet, n)[0]
+
+
+def _word(values, alphabet: Alphabet, n: int) -> tuple[np.ndarray, list[int]]:
+    """:func:`as_word` and the same symbols as a list, which the range
+    check reads and a packed product indexes by."""
     w = _integers(values)
     if w.ndim != 1:
         raise ValueError("expected a 1-D symbol vector")
     if w.size != n:
         raise ValueError(f"expected length {n}, got {w.size}")
-    if not _in_range(w.tolist(), alphabet):
+    symbols = w.tolist()
+    if not _in_range(symbols, alphabet):
         raise ValueError(f"symbols out of range for {alphabet!r}")
-    return w
+    return w, symbols
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, alphabet: Alphabet) -> np.ndarray:
@@ -159,8 +266,10 @@ def _reduce_generator(generator: np.ndarray, alphabet: Alphabet):
 
 def _check_from_rref(R: np.ndarray, pivots: tuple[int, ...], alphabet: Alphabet) -> np.ndarray:
     k, n = R.shape
-    nonpivots = [c for c in range(n) if c not in pivots]
     H = np.zeros((n - k, n), dtype=np.int64)
+    if k == n:  # no check rows: skip the index writes and their fixed numpy cost
+        return H
+    nonpivots = [c for c in range(n) if c not in pivots]
     H[np.arange(n - k), nonpivots] = 1
     H[:, list(pivots)] = alphabet.neg(R[:, nonpivots].T)
     return H
@@ -233,16 +342,17 @@ class LinearCode:
         """Patterns in order of weight: the first to reach a syndrome keeps
         it, and a second of the same weight turns it into a tie."""
         K, r = self._read_matrix, self.n - self.k
-        width = 8 * r  # bytes of an int64 syndrome
+        dtype = _symbol_dtype(self.alphabet.q)
+        width = dtype.itemsize * r  # bytes of a key
         rows = {bytes(width): 0}  # the zero pattern: zero syndrome, zero offset
-        offsets = np.empty((count, self.k), dtype=np.int64)
+        offsets = np.empty((count, self.k), dtype=dtype)
         offsets[0] = 0
         kept = 1
         for w in range(1, t + 1):
             first = kept  # rows below this one belong to lighter patterns
             for E in _patterns(self.n, self.alphabet.q, w):
                 raw = self.alphabet.matmul(E, K)
-                keys = raw[:, :r].tobytes()
+                keys = raw[:, :r].astype(dtype).tobytes()
                 start, keep = kept, []
                 for i in range(E.shape[0]):
                     key = keys[i * width : (i + 1) * width]
@@ -256,32 +366,51 @@ class LinearCode:
         # Patterns that reach a syndrome already held keep no row; shrinking
         # in place frees their share without a second copy of the kept rows.
         offsets.resize((kept, self.k), refcheck=False)
-        return SyndromeTable(rows, offsets)
+        return SyndromeTable(rows, offsets, memoryview(offsets.reshape(-1)))
+
+    @cached_property
+    def _read_packed(self) -> _PackedMatrix | None:
+        """K packed where :func:`_packs` allows, else None."""
+        return _PackedMatrix(self._read_matrix, self.alphabet) if _packs(self.alphabet, self.n) else None
 
     @cached_property
     def _read_fixed(self) -> np.ndarray:
-        """K in the form ``Alphabet.vecmat`` multiplies by."""
+        """K in the form ``Alphabet.vecmat`` multiplies by, where it is not packed."""
         return self.alphabet.fixed(self._read_matrix)
 
-    def _decode_word(self, y: np.ndarray, t: int, keep: int) -> np.ndarray | None:
+    def _decode_word(self, y: np.ndarray, t: int, keep: int,
+                     symbols: list[int] | None = None) -> np.ndarray | None:
         """The first ``keep`` symbols of the message of the unique codeword
-        within distance t of y, which ``as_word`` checked, or None."""
+        within distance t of y, which ``as_word`` checked, or None.
+        ``symbols`` is y as a list, when the caller has it."""
         table = self._syndrome_table(t)
         if table is None:
             c = self._decode_by_enumeration(y, t)
             return None if c is None else self.message_of(c)[:keep]
-        r = self.n - self.k
-        raw = self.alphabet.vecmat(y, self._read_fixed)
-        i = table.rows.get(raw[:r].tobytes(), _ABSENT)
-        if i <= 0:  # row 0 is the zero pattern, whose offset is 0
-            return None if i else raw[r : r + keep]
-        return self.alphabet.sub(raw[r : r + keep], table.offsets[i, :keep])
+        r, K = self.n - self.k, self._read_packed
+        if K is None:
+            raw = self.alphabet.vecmat(y, self._read_fixed)
+            i = table.rows.get(_syndrome_key(raw[:r], self.alphabet), _ABSENT)
+            if i <= 0:  # row 0 is the zero pattern, whose offset is 0
+                return None if i else raw[r : r + keep]
+            return self.alphabet.sub(raw[r : r + keep], table.offsets[i, :keep].astype(np.int64))
+        acc = K.product(y.tolist() if symbols is None else symbols)
+        raw = K.reduced(acc)
+        i = table.rows.get(raw[:r], _ABSENT)
+        if i < 0:
+            return None
+        if i:  # add the negated offset row to the message bytes
+            start = i * self.k
+            offset = int.from_bytes(table.flat[start : start + keep].tobytes().translate(K.negate), "little")
+            raw = K.reduced(K.add(acc, offset << 8 * r))
+        return _unpack(raw[r : r + keep])
 
     def decode_bounded(self, word, t: int) -> np.ndarray | None:
         """Unique codeword within Hamming distance t of word, or None: by
         syndrome table while the patterns of weight <= t fit its budget,
         otherwise by nearest-codeword enumeration."""
-        x = self._decode_word(as_word(word, self.alphabet, self.n), t, self.k)
+        y, symbols = _word(word, self.alphabet, self.n)
+        x = self._decode_word(y, t, self.k, symbols)
         return None if x is None else self.alphabet.matmul(x[None, :], self.G)[0]
 
     def _decode_by_enumeration(self, y: np.ndarray, t: int) -> np.ndarray | None:

@@ -229,10 +229,13 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
     decoded = 0
     attempts = 0
     failures: list[dict] = []
+    guaranteed = cfg.u <= code.u_max
 
     def log_failure(trial, stage, detail):
+        """Log a failure while the log has room; detail is a message or an
+        exception, formatted only when logged."""
         if len(failures) < FAILURE_LOG_CAP:
-            failures.append({"trial": trial, "stage": stage, "detail": detail})
+            failures.append({"trial": trial, "stage": stage, "detail": str(detail)})
 
     for start in range(0, cfg.trials, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, cfg.trials)
@@ -241,19 +244,20 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
             try:
                 out = code.encode(m, StuckCellProfile._of(tuple(stuck)), probabilistic=True)
             except MaskingImpossible as exc:
-                if cfg.u <= code.u_max:
+                if guaranteed:
                     raise AssertionError(
                         f"masking failed inside the guaranteed regime (u={cfg.u})"
                     ) from exc
-                log_failure(trial, "mask", str(exc))
+                log_failure(trial, "mask", exc)
                 continue
             masked += 1
-            y = inject(out.codeword, e, code.alphabet)
+            # With no errors to inject, the stored word is read back as it is.
+            y = inject(out.codeword, e, code.alphabet) if cfg.t_inj else out.codeword
             attempts += 1
             try:
                 mhat = code.decode(y)
             except DecodingFailure as exc:
-                log_failure(trial, "decode", str(exc))
+                log_failure(trial, "decode", exc)
                 continue
             if mhat.tolist() == m.tolist():
                 decoded += 1

@@ -4,12 +4,15 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psmc.alphabet import Polynomial, make_field
+import psmc.constructions
+import psmc.linear
+from psmc.alphabet import Polynomial, field_of_order, make_field
 from psmc.constructions import (
     DecodingFailure,
     MaskingImpossible,
@@ -21,7 +24,7 @@ from psmc.constructions import (
     redundancy_gain,
     stuck_redundancy_lower_bound,
 )
-from psmc.linear import BudgetExceeded, LinearCode
+from psmc.linear import TIE, BudgetExceeded, LinearCode, _PackedMatrix, _packs, _syndrome_key
 from psmc.presets import (
     DEMO14_ECC_COLUMNS,
     PRESETS,
@@ -646,3 +649,103 @@ def test_gf2048_matrix_code_roundtrip_with_stuck_cells():
         out = code.encode(m, stuck)
         assert all(out.codeword[p] >= 1 for p in stuck)
         assert (code.decode(out.codeword) == m).all()
+
+
+# ---------------------------------------------------------------------------
+# the packed word kernel against the numpy kernel
+# ---------------------------------------------------------------------------
+
+# (q, rows, packed): characteristic 2 packs up to q = 256 at any row count;
+# a prime q packs while (rows + 1)(q - 1) <= 255; nothing else packs.
+GATE_CASES = [
+    (2, 1000, True), (8, 40, True), (256, 1, True), (512, 1, False),
+    (3, 126, True), (3, 127, False), (31, 7, True), (31, 8, False),
+    (251, 0, True), (251, 1, False), (9, 1, False), (25, 1, False), (1048573, 1, False),
+]
+
+
+@pytest.mark.parametrize("q, rows, packed", GATE_CASES)
+def test_gate_picks_the_packed_kernel_only_where_no_byte_can_carry(q, rows, packed):
+    assert _packs(field_of_order(q), rows) == packed
+
+
+def test_gate_picks_each_kernel_of_a_code():
+    # GF(31), n = 7: m G1 sums k1 = 5 rows and y K sums n = 7, so both pack;
+    # at n = 8 y K would carry, while m G1 (k1 = 6) still packs.
+    for n, read_packed in ((7, True), (8, False)):
+        code = PsmcMatrixCode(n, make_field(31), np.ones((n - 2, 1), dtype=np.int64), t=0)
+        assert isinstance(code._g1, _PackedMatrix)
+        assert (code.base._read_packed is not None) == read_packed
+    for code in (get_preset("appendix-n14"), PsmcCyclicCode(9, make_field(2, 3), (1,))):
+        assert isinstance(code._g1, _PackedMatrix) and code.base._read_packed is not None
+    for code in (PsmcCyclicCode(10, make_field(3, 2), (1, 2)), PsmcMatrixCode(6, make_field(1048573), t=0)):
+        assert not isinstance(code._g1, _PackedMatrix) and code.base._read_packed is None
+
+
+def numpy_kernel(code):
+    """A copy of code built with the packed kernel gated off everywhere."""
+    with mock.patch.object(psmc.linear, "_packs", return_value=False), \
+            mock.patch.object(psmc.constructions, "_packs", return_value=False):
+        twin = PsmcExtendedCode(code.alphabet, code.H0, code.G1[:, code.n - code.r :], t=code.t)
+        assert twin.base._read_packed is None
+    return twin
+
+
+# (q, n): every field on both sides of the gate, and GF(31) words just inside
+# (n = 7) and just outside (n = 8) its byte limit.
+KERNEL_SHAPES = [(2, 6), (2, 9), (3, 8), (4, 6), (5, 6), (7, 5), (8, 5), (256, 3), (31, 7), (31, 8)]
+
+
+@st.composite
+def kernel_codes(draw):
+    """A code [0 | I | P ; H0] with H0 = [I | X] whose q^k codewords the
+    enumeration oracle can walk, at t <= 2 (t <= 1 above q = 8)."""
+    q, n = draw(st.sampled_from(KERNEL_SHAPES))
+    field = field_of_order(q)
+    l = draw(st.integers(1, 2 if q <= 8 else 1))
+    kmax = max(k for k in range(1, n + 1) if q**k <= 1 << 16)
+    r = draw(st.integers(max(0, n - kmax), n - l - 1))
+    symbols = lambda count: draw(st.lists(st.integers(0, q - 1), min_size=count, max_size=count))
+    H0 = np.hstack([np.eye(l, dtype=np.int64), np.array(symbols(l * (n - l)), dtype=np.int64).reshape(l, n - l)])
+    P = np.array(symbols((n - l - r) * r), dtype=np.int64).reshape(n - l - r, r)
+    t = draw(st.integers(0, 2 if q <= 8 else 1))
+    return PsmcExtendedCode(field, H0, P, t=t)
+
+
+@given(code=kernel_codes(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_kernel_matches_the_numpy_kernel_and_the_oracle(code, data):
+    A, n, t = code.alphabet, code.n, code.t
+    twin = numpy_kernel(code)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    base, other = code.base, twin.base
+    for _ in range(6):
+        m = rng.integers(0, A.q, code.k1)
+        stuck = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()))
+        try:
+            out = code.encode(m, stuck, probabilistic=True)
+        except MaskingImpossible:
+            with pytest.raises(MaskingImpossible):
+                twin.encode(m, stuck, probabilistic=True)
+            out = None
+        else:
+            ref = twin.encode(m, stuck, probabilistic=True)
+            assert out.codeword.dtype == np.int64
+            assert (out.codeword.tolist(), out.z, out.v) == (ref.codeword.tolist(), ref.z, ref.v)
+            assert (code.decode(out.codeword) == m).all()
+        e = np.zeros(n, dtype=np.int64)
+        cells = rng.choice(n, size=int(rng.integers(0, min(n, t + 2) + 1)), replace=False)
+        e[cells] = rng.integers(1, A.q, len(cells))
+        c = base.encode(rng.integers(0, A.q, base.k)) if out is None else out.codeword
+        for y in (A.add(c, e), rng.integers(0, A.q, n)):
+            x = base._decode_word(y, t, base.k)
+            assert x is None or x.dtype == np.int64
+            ref = other._decode_word(y, t, base.k)
+            oracle = base._decode_by_enumeration(y, t)
+            assert (x is None) == (ref is None) == (oracle is None)
+            key = _syndrome_key(base.syndrome(y), A)
+            assert base._syndrome_table(t).rows.get(key) == other._syndrome_table(t).rows.get(key)
+            if x is None:  # a tie or an absent syndrome
+                assert base._syndrome_table(t).rows.get(key, TIE) == TIE
+            else:
+                assert x.tolist() == ref.tolist() == base.message_of(oracle).tolist()

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 from unittest import mock
 
@@ -15,6 +16,7 @@ from psmc.linear import (
     TIE,
     BudgetExceeded,
     LinearCode,
+    _syndrome_key,
     as_word,
     mat_mul,
     min_distance,
@@ -28,6 +30,11 @@ GF3 = make_field(3)
 GF4 = make_field(2, 2)
 GF5 = make_field(5)
 GF8 = make_field(2, 3)
+
+
+def table_key(code, word) -> bytes:
+    """The syndrome table's key for the syndrome of word."""
+    return _syndrome_key(code.syndrome(word), code.alphabet)
 
 
 def weight_patterns(n, q, t):
@@ -419,6 +426,25 @@ def test_syndrome_table_is_gated_by_pattern_count_alone():
     assert len(code.base._tables[2].rows) == 3201
 
 
+def test_syndrome_table_memory_on_a_40_20_code():
+    # [40, 20] over GF(3) at t = 3: 82 241 patterns reach 81 841 syndromes.
+    # One-byte keys and uint8 offset rows keep well under the 419 B per
+    # syndrome (531 B at peak) that 160-byte int64 keys and rows took.
+    base = PsmcCyclicCode(40, GF3, (1, 2, 4, 7, 11), t=3).base
+    base._read_matrix
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = base._syndrome_table(3)
+        kept, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    count = len(table.rows)
+    assert count == len(table.offsets) == 81_841 and table.offsets.dtype == np.uint8
+    assert kept <= 200 * count, kept / count
+    assert peak <= 531 * count, peak / count
+
+
 def test_decode_enumeration_tie_returns_none():
     rep = LinearCode(np.ones((1, 4), dtype=int), GF2)  # d = 4
     y = np.array([0, 0, 1, 1], dtype=np.int64)  # equidistant from both codewords
@@ -539,7 +565,7 @@ def test_decode_kernel_ties_on_appendix_n14_single_errors():
     table = base._syndrome_table(t)
     r = base.n - base.k
     for y, good in zip(Y, ok):
-        entry = table.rows[base.syndrome(y).tobytes()]
+        entry = table.rows[table_key(base, y)]
         assert (entry == TIE) == (not good)
         if good:  # the offset is e R for the single error e
             e = GF3.sub(y, c)
@@ -550,7 +576,7 @@ def reference_table(code: LinearCode, t: int) -> dict:
     """Syndrome -> lightest pattern, or None for a tie, one pattern at a time."""
     best = {}
     for e in weight_patterns(code.n, code.alphabet.q, t):
-        key, w = code.syndrome(e).tobytes(), np.count_nonzero(e)
+        key, w = table_key(code, e), np.count_nonzero(e)
         prev = best.get(key)
         if prev is None:
             best[key] = (w, e)
@@ -589,7 +615,7 @@ def test_decode_kernel_absent_syndromes_fail_beyond_the_radius():
     Y = np.array(list(weight_patterns(8, 3, 2)), dtype=np.int64)
     ok = assert_kernel_matches_enumeration(code, 1, Y)
     for y, good in zip(Y, ok):
-        assert good == (code.syndrome(y).tobytes() in table.rows)
+        assert good == (table_key(code, y) in table.rows)
     assert not ok.all()
 
 
