@@ -27,9 +27,9 @@ with them over its prime field: Rabin's irreducibility test (the only
 user of gcd) picks the modulus, and the primitive element and the
 exp/log tables are found by multiplying digit tuples modulo it.
 
-The array products (:meth:`Alphabet.vmul`, :meth:`Alphabet.matmul` and
-``vecmat``) act on int64 arrays of symbols: prime fields reduce mod q,
-and extension fields gather from the exp/log arrays up to q = 2^16.
+The array products (:meth:`Alphabet.vmul` and :meth:`Alphabet.matmul`)
+act on int64 arrays of symbols: prime fields reduce mod q, and
+extension fields gather from the exp/log arrays up to q = 2^16.
 Every table lookup is a gather from a 1-D array: on arrays of thousands
 of symbols numpy does that about twice as fast as indexing a 2-D table
 with two index arrays.  Codes and everything built on them therefore
@@ -41,8 +41,8 @@ rows, not one per inner index: one ``vmul`` of every product of the block
 (rows x k x columns), then a sum along k, which is one XOR reduction in
 characteristic 2 and ceil(log2 k) halving ``add`` passes for odd p.  A
 block holds about ``_MATMUL_BLOCK`` = 2^16 products, so the temporary
-stays near 512 KiB however many rows the product has.  ``vecmat`` times
-a word by a matrix held once per code as :meth:`Alphabet.fixed` gives it.
+stays near 512 KiB however many rows the product has.  A single word is
+a batch of one: ``matmul(x[None, :], b)[0]``.
 
 All operations are pure.  An Alphabet's tables are caches, each filled
 once on first use; every fill computes the same values, so instances can
@@ -397,19 +397,6 @@ class Alphabet:
             block = a[start : start + step, :, None]
             out[start : start + step] = self._inner_sum(self.vmul(block, b[None, :, :]))
         return out
-
-    def fixed(self, b: np.ndarray) -> np.ndarray:
-        """A fixed 2-D matrix b in the form :meth:`vecmat` multiplies by:
-        b itself over a prime field, its logs over an extension field."""
-        return b if self.m == 1 else self._explog()[1][b]
-
-    def vecmat(self, a: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-        """Product of a 1-D int64 word a with the matrix b, fixed = fixed(b):
-        one exp gather of log a + log b and one inner sum over GF(p^m)."""
-        if self.m == 1:
-            return a @ fixed % self.q
-        exp, log = self._explog()
-        return self._inner_sum(exp[log[a][:, None] + fixed])
 
     def _inner_sum(self, products: np.ndarray) -> np.ndarray:
         """Field sum of a fresh (..., k, cols) array along axis -2, k >= 1.

@@ -246,32 +246,39 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo channel campaign")
+    _add_simulate_options(p)
+    p.set_defaults(func=cmd_simulate)
+    return parser
+
+
+def _add_simulate_options(p: _Parser, *, required: bool = True) -> None:
     _add_code_selection(p)
     p.add_argument("--config", metavar="PATH",
                    help="key=value file with campaign defaults; explicit flags win")
-    p.add_argument("--u", type=int, required=True, help="stuck cells per trial")
+    p.add_argument("--u", type=int, required=required, help="stuck cells per trial")
     p.add_argument("--t-inj", type=int, default=0, help="injected error weight per trial")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", metavar="PATH", help="write the full JSON report")
     p.add_argument("--csv", metavar="PATH", help="append a CSV summary row ('-' for stdout)")
-    p.set_defaults(func=cmd_simulate)
-    return parser
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Splice `--config FILE` key=value pairs in before the user's flags.
+    """Splice the key=value pairs of `--config FILE` in before the user's flags.
 
-    Later occurrences win in argparse, so explicit flags override the file.
+    A first parse with simulate's own options, none required, finds the
+    file, so every spelling the full parse accepts (`--config=FILE`, an
+    abbreviation such as `--conf`) reads it.  Later occurrences win in
+    argparse, so explicit flags override the file.
     """
-    if "--config" not in argv:
+    pre = _Parser(prog="psmc simulate", add_help=False)
+    _add_simulate_options(pre, required=False)
+    config = pre.parse_known_args(argv[1:])[0].config
+    if config is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    path = Path(argv[i + 1])
-    if not path.exists():
-        raise UsageError(f"config file {path} does not exist")
+    path = Path(config)
+    if not path.is_file():
+        raise UsageError(f"config file {config!r} does not exist")
     pairs: list[str] = []
     for ln in path.read_text(encoding="utf-8").splitlines():
         ln = ln.strip()
@@ -281,8 +288,7 @@ def _expand_config(argv: list[str]) -> list[str]:
         if not sep:
             raise UsageError(f"config line {ln!r} is not key=value")
         pairs += [f"--{key.strip()}", value.strip()]
-    rest = [a for j, a in enumerate(argv[1:], start=1) if j not in (i, i + 1)]
-    return argv[:1] + pairs + rest
+    return argv[:1] + pairs + argv[1:]
 
 
 def main(argv=None) -> int:

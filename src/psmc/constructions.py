@@ -11,7 +11,9 @@ matrix H0 turns the masking vector z into a shift of the whole word.
 The encoder takes the first of the q^l candidates in a fixed order
 (z = -v, v lexicographic) whose shift leaves every stuck cell nonzero,
 without trying each: for each prefix of v, a stuck cell rules out one
-value of the last coordinate (or all).  The stacked code [G1 ; H0]
+value of the last coordinate (or all).  Only the q^(l-1) prefix rows are
+kept, and each z the encoder picks has its shift z H0 built once, on
+first pick, never a row per candidate.  The stacked code [G1 ; H0]
 corrects t substitution errors on read-back, and the decoder reads
 [m | z] back off an information set of the stacked generator.
 
@@ -136,6 +138,7 @@ class _MaskingCode:
         self.l = H0.shape[0]
         self._ones = H0.tolist() == [[1] * self.n]
         self.base = LinearCode(np.vstack([G1, H0]), alphabet)
+        self._masks: dict[int, tuple] = {}  # masking index -> (z, shift), see _mask
         if t is not None:
             self.t = int(t)
 
@@ -146,16 +149,14 @@ class _MaskingCode:
         return min_distance(self.base).t
 
     @cached_property
-    def _rule(self) -> tuple[list[int], list[list[int]], np.ndarray | None, list | None]:
-        """Built by the first encode: each last H0 entry's inverse (0 for 0),
-        the prefix rows p H0[:-1] and, for l >= 2, v H0 and z = -v of each v."""
-        A, q, l = self.alphabet, self.alphabet.q, self.l
+    def _rule(self) -> tuple[list[int], list[list[int]]]:
+        """Built by the first encode: each last H0 entry's inverse (0 for 0)
+        and the rows p H0[:-1] of the q^(l-1) prefixes p in lexicographic
+        order (one zero row at l = 1)."""
+        A = self.alphabet
         inv = [A.inv(h) if h else 0 for h in self.H0[-1].tolist()]
-        if l == 1:
-            return inv, [[0] * self.n], None, None
-        v = np.array(list(product(range(q), repeat=l)), dtype=np.int64)
-        hits = A.matmul(v, self.H0)
-        return inv, hits[::q].tolist(), hits, [tuple(z) for z in A.neg(v).tolist()]
+        prefixes = np.array(list(product(range(A.q), repeat=self.l - 1)), dtype=np.int64)
+        return inv, A.matmul(prefixes, self.H0[:-1]).tolist()
 
     def _first_mask(self, values: list[int] | bytes, cells) -> int | None:
         """Index of the first v in lexicographic order with (v H0)_j != w_j
@@ -163,7 +164,7 @@ class _MaskingCode:
         out the last coordinate x = (w_j - p H0[:-1, j]) / H0[-1, j], or
         every x when H0[-1, j] = 0 and p H0[:-1, j] = w_j."""
         q, sub, mul = self.alphabet.q, self.alphabet.sub, self.alphabet.mul
-        inv, prefixes, _, _ = self._rule
+        inv, prefixes = self._rule
         for i, row in enumerate(prefixes):
             if self._ones:  # v H0 = (v, ..., v): v must differ from every stuck value
                 ruled = {values[j] for j in cells}
@@ -184,19 +185,20 @@ class _MaskingCode:
         return None
 
     @cached_property
-    def _g1(self) -> _PackedMatrix | np.ndarray:
-        """G1 as the first encode holds it: packed where no byte of m G1
-        plus one shift can carry, else in the form ``vecmat`` reads."""
+    def _g1(self) -> _PackedMatrix | None:
+        """G1 packed where no byte of m G1 plus one shift can carry, else None."""
         A = self.alphabet
-        return _PackedMatrix(self.G1, A) if _packs(A, self.k1) else A.fixed(self.G1)
+        return _PackedMatrix(self.G1, A) if _packs(A, self.k1) else None
 
-    @cached_property
-    def _shifts(self) -> list[int]:
-        """Built by the first packed encode: -(v H0) for each v in
-        lexicographic order, packed as the codeword is."""
-        A = self.alphabet
-        hits = self._rule[2] if self.l > 1 else A.vmul(np.arange(A.q)[:, None], self.H0)
-        return _pack_rows(A.neg(hits))
+    def _mask(self, i: int) -> tuple[tuple[int, ...], int | np.ndarray]:
+        """(z, z H0) of the i-th candidate v (i in base q, most significant
+        digit first), z = -v, built on its first pick: the shift is packed
+        where G1 is, else an int64 row."""
+        A, q = self.alphabet, self.alphabet.q
+        z = tuple(A.neg(i // q**e % q) for e in range(self.l - 1, -1, -1))
+        shift = A.matmul(np.array([z], dtype=np.int64), self.H0)
+        self._masks[i] = entry = z, shift[0] if self._g1 is None else _pack_rows(shift)[0]
+        return entry
 
     @cached_property
     def u_max(self) -> int:
@@ -218,25 +220,22 @@ class _MaskingCode:
             )
         A, G1 = self.alphabet, self._g1
         m, symbols = _word(message, A, self.k1)
-        packed = isinstance(G1, _PackedMatrix)
-        if packed:
+        if G1 is None:
+            w = A.matmul(m[None, :], self.G1)[0]
+            values = w.tolist()
+        else:
             acc = G1.product(symbols)
             values = G1.reduced(acc)
-        else:
-            w = A.vecmat(m, G1)
-            values = w.tolist()
         i = self._first_mask(values, prof.positions)
         if i is None:
             if prof.u <= self.u_max:
                 raise AssertionError("guaranteed regime violated: no masking vector found")
             raise MaskingImpossible(f"no masking vector z for positions {prof.positions}")
-        z = (A.neg(i),) if self.l == 1 else self._rule[3][i]
+        z, shift = self._masks.get(i) or self._mask(i)
         v = i if self.l == 1 else None
-        if packed:
-            return MaskingOutcome(_unpack(G1.reduced(G1.add(acc, self._shifts[i]))), z, v)
-        if self.l == 1:  # v = i, and the shift is computed per word
-            return MaskingOutcome(A.sub(w, i if self._ones else A.vmul(self.H0[0], i)), z, v)
-        return MaskingOutcome(A.sub(w, self._rule[2][i]), z, v)
+        if G1 is None:
+            return MaskingOutcome(A.add(w, shift), z, v)
+        return MaskingOutcome(_unpack(G1.reduced(G1.add(acc, shift))), z, v)
 
     def decode(self, word) -> np.ndarray:
         """Correct up to t errors and return the message m."""

@@ -42,10 +42,9 @@ characteristic 2) and one ``bytes.translate`` reduces every byte mod q.
 The syndrome key is then the product's first n - k bytes, and an offset
 row is negated by a second translate and added as one more int.  Every
 other field (q > 256, odd-characteristic extension fields, prime fields
-whose sums would carry) keeps the numpy form: ``Alphabet.fixed`` holds
-the matrix and ``vecmat`` multiplies, since a byte per symbol cannot
-hold its sums; the key is that product's first n - k symbols cast to
-the key dtype.  Both forms read one table.
+whose sums would carry) multiplies the word as a batch of one,
+``Alphabet.matmul(y[None, :], K)[0]``, and casts the product's first
+n - k symbols to the key dtype.  Both forms read one table.
 
 Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  Work that would
@@ -373,28 +372,22 @@ class LinearCode:
         """K packed where :func:`_packs` allows, else None."""
         return _PackedMatrix(self._read_matrix, self.alphabet) if _packs(self.alphabet, self.n) else None
 
-    @cached_property
-    def _read_fixed(self) -> np.ndarray:
-        """K in the form ``Alphabet.vecmat`` multiplies by, where it is not packed."""
-        return self.alphabet.fixed(self._read_matrix)
-
-    def _decode_word(self, y: np.ndarray, t: int, keep: int,
-                     symbols: list[int] | None = None) -> np.ndarray | None:
+    def _decode_word(self, y: np.ndarray, t: int, keep: int, symbols: list[int]) -> np.ndarray | None:
         """The first ``keep`` symbols of the message of the unique codeword
         within distance t of y, which ``as_word`` checked, or None.
-        ``symbols`` is y as a list, when the caller has it."""
+        ``symbols`` is y as a list."""
         table = self._syndrome_table(t)
         if table is None:
             c = self._decode_by_enumeration(y, t)
             return None if c is None else self.message_of(c)[:keep]
         r, K = self.n - self.k, self._read_packed
         if K is None:
-            raw = self.alphabet.vecmat(y, self._read_fixed)
+            raw = self.alphabet.matmul(y[None, :], self._read_matrix)[0]
             i = table.rows.get(_syndrome_key(raw[:r], self.alphabet), _ABSENT)
             if i <= 0:  # row 0 is the zero pattern, whose offset is 0
                 return None if i else raw[r : r + keep]
             return self.alphabet.sub(raw[r : r + keep], table.offsets[i, :keep].astype(np.int64))
-        acc = K.product(y.tolist() if symbols is None else symbols)
+        acc = K.product(symbols)
         raw = K.reduced(acc)
         i = table.rows.get(raw[:r], _ABSENT)
         if i < 0:

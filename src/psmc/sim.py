@@ -196,11 +196,13 @@ def _draw(cfg: ChannelConfig, k1: int, start: int, stop: int) -> _Draws:
 
 
 def _expected_rate(code, u: int) -> float | None:
-    """Exact masking probability at u stuck cells, when one is known.
+    """Reference masking probability at u stuck cells, or None.
 
-    Every trial masks inside the guarantee; above it the single-symbol
-    formula holds for one masking symbol (l = 1) and none is known for
-    several.
+    Every trial masks inside the guarantee.  Above it, one masking symbol
+    (l = 1) reports the single-symbol formula, which is exact only when
+    H0's row has no zero entry and every u columns of the stacked
+    generator are independent; otherwise the rate differs.  Several
+    masking symbols report None.
     """
     if u <= code.u_max:
         return 1.0

@@ -321,6 +321,18 @@ def test_simulate_config_file(capsys, tmp_path):
     assert code == 0 and "seed=12" in out2
     code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope"), "--u", "1")
     assert code == 1 and "does not exist" in err
+    # Every spelling argparse accepts reads the file: --config=FILE and an
+    # abbreviation, alone and with an = sign.
+    for spelling in (["--config=" + str(cfgfile)], ["--conf", str(cfgfile)], ["--conf=" + str(cfgfile)]):
+        code, out3, _ = run_cli(capsys, "simulate", *spelling)
+        assert code == 0 and "trials=60 " in out3 and "seed=11" in out3, spelling
+    code, _, err = run_cli(capsys, "simulate", "--config=" + str(tmp_path / "nope"), "--u", "1")
+    assert code == 1 and "does not exist" in err
+    code, _, err = run_cli(capsys, "simulate", "--config=", "--u", "1")
+    assert code == 1 and "does not exist" in err
+    # An abbreviation that argparse cannot resolve is a usage error.
+    code, _, err = run_cli(capsys, "simulate", "--c", str(cfgfile), "--u", "1")
+    assert code == 1 and "ambiguous" in err
 
 
 def test_simulate_human_output(capsys):

@@ -638,6 +638,23 @@ def test_first_encode_over_a_large_prime_field_stays_small():
     assert peak < 16 * 2**20, peak
 
 
+def test_first_encode_of_an_l2_code_over_gf256_stays_small():
+    # The masking search keeps the q^(l-1) = 256 prefix rows and builds the
+    # shift of the one z it picks, never a row for each of the q^l = 65 536
+    # candidates.
+    code = PsmcExtendedCode(make_field(2, 8), [[1, 0, 1, 1, 1, 1], [0, 1, 1, 2, 3, 4]], t=0)
+    m, stuck = [7, 0, 200, 13], (0, 1, 2, 3, 4, 5)
+    tracemalloc.start()
+    try:
+        out = code.encode(m, stuck)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.codeword.tolist(), out.z) == scalar_first_mask(code, m, stuck)
+    assert out.v is None and (code.decode(out.codeword) == m).all()
+    assert peak <= 2 * 2**20, peak
+
+
 def test_gf2048_matrix_code_roundtrip_with_stuck_cells():
     F = make_field(2, 11)
     code = PsmcMatrixCode(6, F, None, t=0)
@@ -687,7 +704,7 @@ def numpy_kernel(code):
     with mock.patch.object(psmc.linear, "_packs", return_value=False), \
             mock.patch.object(psmc.constructions, "_packs", return_value=False):
         twin = PsmcExtendedCode(code.alphabet, code.H0, code.G1[:, code.n - code.r :], t=code.t)
-        assert twin.base._read_packed is None
+        assert twin._g1 is None and twin.base._read_packed is None
     return twin
 
 
@@ -738,9 +755,9 @@ def test_packed_kernel_matches_the_numpy_kernel_and_the_oracle(code, data):
         e[cells] = rng.integers(1, A.q, len(cells))
         c = base.encode(rng.integers(0, A.q, base.k)) if out is None else out.codeword
         for y in (A.add(c, e), rng.integers(0, A.q, n)):
-            x = base._decode_word(y, t, base.k)
+            x = base._decode_word(y, t, base.k, y.tolist())
             assert x is None or x.dtype == np.int64
-            ref = other._decode_word(y, t, base.k)
+            ref = other._decode_word(y, t, base.k, y.tolist())
             oracle = base._decode_by_enumeration(y, t)
             assert (x is None) == (ref is None) == (oracle is None)
             key = _syndrome_key(base.syndrome(y), A)

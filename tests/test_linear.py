@@ -502,7 +502,7 @@ def assert_kernel_matches_enumeration(code: LinearCode, t: int, Y: np.ndarray) -
     row, and decode_bounded with the oracle's codeword; returns ok."""
     ok = []
     for y in Y:
-        x = code._decode_word(y, t, code.k)
+        x = code._decode_word(y, t, code.k, y.tolist())
         c = code._decode_by_enumeration(y, t)
         assert (x is not None) == (c is not None)
         got = code.decode_bounded(y, t)
@@ -511,7 +511,7 @@ def assert_kernel_matches_enumeration(code: LinearCode, t: int, Y: np.ndarray) -
         else:
             assert x.shape == (code.k,) and (x == code.message_of(c)).all() and (got == c).all()
             # Keeping fewer symbols keeps a prefix of the same message.
-            assert (code._decode_word(y, t, 1) == x[:1]).all()
+            assert (code._decode_word(y, t, 1, y.tolist()) == x[:1]).all()
         ok.append(x is not None)
     return np.array(ok, dtype=bool).reshape(len(Y))
 
@@ -547,7 +547,7 @@ def test_decode_kernel_matches_enumeration_on_presets(name):
     ok = assert_kernel_matches_enumeration(base, t, Y)
     for y, good in zip(Y, ok):
         if good:
-            assert (code.decode(y) == base._decode_word(y, t, base.k)[: code.k1]).all()
+            assert (code.decode(y) == base._decode_word(y, t, base.k, y.tolist())[: code.k1]).all()
         else:
             with pytest.raises(DecodingFailure, match=f"no unique codeword within distance {t}$"):
                 code.decode(y)
@@ -624,11 +624,11 @@ def test_decode_kernel_on_empty_check_matrix():
     assert base.H.shape == (0, 8)
     rng = np.random.default_rng(5)
     Y = rng.integers(0, 3, (40, 8))
-    assert all((base.encode(base._decode_word(y, 0, base.k)) == y).all() for y in Y)
+    assert all((base.encode(base._decode_word(y, 0, base.k, y.tolist())) == y).all() for y in Y)
     assert list(base._tables[0].rows) == [b""]
     # At t = 1 the single errors share the zero pattern's empty syndrome but
     # weigh more, so the zero pattern keeps it and there is no tie.
-    assert all((base.encode(base._decode_word(y, 1, base.k)) == y).all() for y in Y)
+    assert all((base.encode(base._decode_word(y, 1, base.k, y.tolist())) == y).all() for y in Y)
 
 
 def test_decode_kernel_on_gf2048_codes():
