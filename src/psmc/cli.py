@@ -173,7 +173,7 @@ def cmd_simulate(args) -> int:
         _emit(args.json, report.to_json(indent=2))
     if args.csv:
         target = Path(args.csv) if args.csv != "-" else None
-        header = target is None or not target.exists()
+        header = target is None or not target.exists() or target.stat().st_size == 0
         line = report.csv_line(header=header)
         if target is None:
             sys.stdout.write(line)

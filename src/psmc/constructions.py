@@ -61,6 +61,12 @@ from .linear import (PROB_BUDGET, BudgetExceeded, LinearCode, _integers, _pack_r
 class MaskingImpossible(Exception):
     """Raised when no masking value keeps every stuck cell nonzero."""
 
+    @classmethod
+    def at(cls, positions: tuple[int, ...]) -> "MaskingImpossible":
+        """The failure at the sorted stuck cells ``positions``, worded as
+        encode raises it and a campaign logs it."""
+        return cls(f"no masking vector z for positions {positions}")
+
 
 class DecodingFailure(Exception):
     """Raised when bounded-distance decoding cannot identify a codeword."""
@@ -177,12 +183,40 @@ class _MaskingCode:
                     elif not a:
                         ruled = range(q)  # every x
                         break
-            x = 0
-            while x in ruled:
-                x += 1
-            if x < q:
+            if len(ruled) < q:  # else every x is ruled out; the scan would take q steps
+                x = 0
+                while x in ruled:
+                    x += 1
                 return i * q + x
         return None
+
+    def _maskable(self, messages: np.ndarray, stuck: np.ndarray) -> np.ndarray:
+        """Whether encode finds a masking vector, for each row of a block of
+        messages and their sorted stuck cells: :meth:`_first_mask` over the
+        block at once.  For each prefix row, a cell rules out one last
+        coordinate x, or every x, or none.  A row masks when some x in
+        0..min(u, q-1) is ruled out at none of its cells: u cells rule out
+        at most u values, so if any x is free, one of the first u+1 is.
+        The prefix rows are walked only until every row has a candidate."""
+        A = self.alphabet
+        trials, u = stuck.shape
+        inv, prefixes = self._rule
+        w = np.take_along_axis(A.matmul(messages, self.G1), stuck, axis=1)
+        inv = np.array(inv, dtype=np.int64)[stuck]
+        unset = inv == 0  # cells whose last coordinate leaves their value alone
+        span = min(u + 1, A.q)
+        rows = np.arange(trials)[:, None]
+        found = np.zeros(trials, dtype=bool)
+        for prefix in np.array(prefixes, dtype=np.int64):
+            a = A.sub(w, prefix[stuck])
+            # The spare column span takes unset cells and x beyond the candidates.
+            x = np.where(unset, span, np.minimum(A.vmul(a, inv), span))
+            ruled = np.zeros((trials, span + 1), dtype=bool)
+            ruled[rows, x] = True
+            found |= ~ruled[:, :span].all(axis=1) & ~(unset & (a == 0)).any(axis=1)
+            if found.all():
+                break
+        return found
 
     @cached_property
     def _g1(self) -> _PackedMatrix | None:
@@ -230,7 +264,7 @@ class _MaskingCode:
         if i is None:
             if prof.u <= self.u_max:
                 raise AssertionError("guaranteed regime violated: no masking vector found")
-            raise MaskingImpossible(f"no masking vector z for positions {prof.positions}")
+            raise MaskingImpossible.at(prof.positions)
         z, shift = self._masks.get(i) or self._mask(i)
         v = i if self.l == 1 else None
         if G1 is None:

@@ -4,7 +4,10 @@ Each trial draws a uniform message and a uniform set of stuck-cell
 positions (without replacement), encodes in probabilistic mode, stores
 the word, adds a random error of the configured Hamming weight (uniform
 positions, uniform nonzero magnitudes), and decodes.  Memory words are
-plain numpy symbol vectors.
+plain numpy symbol vectors.  Above the construction's guarantee, one
+array pass over each block of trials first finds the trials that no
+masking vector fits; those log their masking failure without calling
+encode, and encode must succeed on every other one.
 
 Determinism (stream v3): a campaign reads one counter-based stream,
 ``numpy.random.Philox`` keyed with the two 64-bit words ``(seed, 3)``,
@@ -215,12 +218,17 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
     """Run encode -> store -> corrupt -> decode trials and aggregate.
 
     ``code`` may be any of the three construction classes (duck-typed:
-    n, k1, l, u_max, alphabet, encode, decode).  Trial inputs come from
-    the campaign's stream (module docstring), drawn a block of
-    :data:`BLOCK_TRIALS` trials at a time; encode, inject and decode run
-    once per trial, in that order.  Masking runs in
-    probabilistic mode; a masking failure inside the guaranteed regime
-    (u <= code.u_max) is an internal error and raises immediately.
+    n, k1, l, u_max, alphabet, encode, decode, and _maskable above the
+    guarantee).  Trial inputs come from the campaign's stream (module
+    docstring), drawn a block of :data:`BLOCK_TRIALS` trials at a time.
+    Inside the guaranteed regime (u <= code.u_max), encode, inject and
+    decode run once per trial, in that order.  Above it, one block check
+    (``code._maskable``) first finds the trials no masking vector fits:
+    each logs the failure encode would raise, and only the others run
+    encode, inject and decode.  Masking runs in probabilistic mode; an
+    encode that finds no masking vector inside the guarantee, or on a
+    trial the block check accepted, is an internal error and raises
+    immediately.
     """
     q = code.alphabet.q
     if cfg.n != code.n or cfg.q != q:
@@ -239,19 +247,28 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
         if len(failures) < FAILURE_LOG_CAP:
             failures.append({"trial": trial, "stage": stage, "detail": str(detail)})
 
+    def screened(trials, maskable):
+        """The trials the block check finds maskable; each other one logs
+        the mask failure encode would raise, its text built only while the
+        log has room."""
+        for trial, fits in zip(trials, maskable.tolist()):
+            if fits:
+                yield trial
+            elif len(failures) < FAILURE_LOG_CAP:
+                log_failure(trial[0], "mask", MaskingImpossible.at(tuple(trial[2])))
+
     for start in range(0, cfg.trials, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, cfg.trials)
         draws = _draw(cfg, code.k1, start, stop)
-        for trial, m, stuck, e in zip(range(start, stop), draws.messages, draws.stuck.tolist(), draws.errors):
+        trials = zip(range(start, stop), draws.messages, draws.stuck.tolist(), draws.errors)
+        if not guaranteed:
+            trials = screened(trials, code._maskable(draws.messages, draws.stuck))
+        for trial, m, stuck, e in trials:
             try:
                 out = code.encode(m, StuckCellProfile._of(tuple(stuck)), probabilistic=True)
             except MaskingImpossible as exc:
-                if guaranteed:
-                    raise AssertionError(
-                        f"masking failed inside the guaranteed regime (u={cfg.u})"
-                    ) from exc
-                log_failure(trial, "mask", exc)
-                continue
+                where = "inside the guaranteed regime" if guaranteed else "on a trial the block check accepted"
+                raise AssertionError(f"masking failed {where} (trial {trial}, u={cfg.u})") from exc
             masked += 1
             # With no errors to inject, the stored word is read back as it is.
             y = inject(out.codeword, e, code.alphabet) if cfg.t_inj else out.codeword

@@ -8,6 +8,7 @@ import pytest
 import psmc
 from psmc.cli import main, parse_word, format_word, _probability_digits
 from psmc.presets import PRESETS, get_preset
+from psmc.sim import CSV_COLUMNS
 from fractions import Fraction
 
 
@@ -305,6 +306,15 @@ def test_simulate_command(capsys, tmp_path):
     )
     lines = cdest.read_text().splitlines()
     assert len(lines) == 3 and lines[2].split(",")[-1] == "6"
+    # A file that exists but is empty gets the header too.
+    empty = tmp_path / "empty.csv"
+    empty.touch()
+    run_cli(
+        capsys, "simulate", "--preset", "masking-n8-r0", "--u", "2",
+        "--trials", "10", "--csv", str(empty),
+    )
+    lines = empty.read_text().splitlines()
+    assert len(lines) == 2 and lines[0] == ",".join(CSV_COLUMNS)
 
 
 def test_simulate_config_file(capsys, tmp_path):

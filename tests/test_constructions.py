@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from unittest import mock
 
@@ -622,6 +623,91 @@ def test_zero_column_in_masking_check_guarantees_nothing():
     with pytest.raises(MaskingImpossible):
         code.encode([0, 0], (1,), probabilistic=True)
     assert code.encode([1, 0], (1,), probabilistic=True).codeword.tolist() == [0, 1, 0]
+
+
+def encode_masks(code, message, stuck) -> bool:
+    try:
+        code.encode(message, stuck, probabilistic=True)
+    except MaskingImpossible:
+        return False
+    return True
+
+
+def assert_block_rule_matches_encode(code, messages, stuck):
+    """_maskable over the block agrees with a probabilistic encode per row."""
+    got = code._maskable(messages, stuck).tolist()
+    want = [encode_masks(code, m, s) for m, s in zip(messages, stuck.tolist())]
+    assert got == want
+    return got
+
+
+# (code, u values): every message and every stuck set of each size, above the
+# guarantee.  The GF(3) row and the GF(4) l = 2 check have zero entries: a
+# zero column (cell never shifted), and at GF(4) column 2 a zero in the last
+# row only, whose cell the prefix rows still shift.
+EXHAUSTIVE_BLOCK_RULE_CASES = {
+    "masking-n8-r0": (lambda: get_preset("masking-n8-r0"), (7, 8)),
+    "extended-n8-l2": (extended8_l2_code, (3, 4)),
+    "extended-n8-l3": (extended8_l3_code, (4, 5)),
+    "table8-row5": (lambda: table8_code(5), (4,)),
+    "gf3-zero-entry": (lambda: PsmcExtendedCode(GF3, [[1, 0, 2]], t=0), (1, 2, 3)),
+    "gf4-l2-zero-column": (
+        lambda: PsmcExtendedCode(make_field(2, 2), [[1, 0, 1, 0, 2], [0, 1, 0, 0, 3]], t=0), (1, 2, 3, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_BLOCK_RULE_CASES))
+def test_block_masking_rule_matches_encode_exhaustively(name):
+    make, us = EXHAUSTIVE_BLOCK_RULE_CASES[name]
+    code = make()
+    assert min(us) > code.u_max
+    messages = np.array(list(product(range(code.alphabet.q), repeat=code.k1)), dtype=np.int64)
+    outcomes = set()
+    for u in us:
+        sets = np.array(list(combinations(range(code.n), u)), dtype=np.int64).reshape(-1, u)
+        block_messages = np.repeat(messages, len(sets), axis=0)
+        block_stuck = np.tile(sets, (len(messages), 1))
+        outcomes.update(assert_block_rule_matches_encode(code, block_messages, block_stuck))
+    assert outcomes == {False, True}
+
+
+# Masking rows [1 | tail] over GF(1048573) with zero entries.  Deriving d0
+# enumerates the q words of the checked code's dual, about 0.1 s a code, so
+# these few are built once each.
+LARGE_FIELD_TAILS = [(0,), (0, 5, 1048572, 7), (3, 0, 0, 1, 1048572, 2, 9, 11)]
+
+
+@cache
+def large_field_zero_entry_code(tail):
+    return PsmcExtendedCode(make_field(1048573), [[1, *tail]], t=0)
+
+
+@st.composite
+def zero_entry_l1_codes(draw):
+    """An l = 1 extended code over GF(8) or GF(1048573) whose masking row
+    has a zero entry, so d0 = 1 and every u >= 1 is above the guarantee."""
+    if draw(st.booleans()):
+        code = large_field_zero_entry_code(draw(st.sampled_from(LARGE_FIELD_TAILS)))
+    else:
+        n = draw(st.integers(2, 9))
+        tail = draw(st.lists(st.integers(0, 7), min_size=n - 1, max_size=n - 1))
+        tail[draw(st.integers(0, n - 2))] = 0
+        code = PsmcExtendedCode(make_field(2, 3), [[1, *tail]], t=0)
+    assert code.u_max == 0
+    return code
+
+
+@given(code=zero_entry_l1_codes(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_masking_rule_matches_encode_on_zero_entry_codes(code, data):
+    q, n = code.alphabet.q, code.n
+    symbol = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    u = data.draw(st.integers(1, n))
+    rows = data.draw(st.integers(1, 8))
+    messages = np.array(
+        [data.draw(st.lists(symbol, min_size=code.k1, max_size=code.k1)) for _ in range(rows)], dtype=np.int64)
+    stuck = np.array([sorted(data.draw(st.permutations(range(n)))[:u]) for _ in range(rows)], dtype=np.int64)
+    assert_block_rule_matches_encode(code, messages, stuck)
 
 
 def test_first_encode_over_a_large_prime_field_stays_small():

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from psmc.constructions import (
     DecodingFailure,
     MaskingImpossible,
     PsmcCyclicCode,
+    PsmcExtendedCode,
     PsmcMatrixCode,
     StuckCellProfile,
     masking_probability,
@@ -36,6 +39,15 @@ from psmc.sim import (
 
 def gf8_cyclic_code():
     return PsmcCyclicCode(9, make_field(2, 3), (1,))
+
+
+def table8_row5_code():
+    return table8_code(5)
+
+
+def gf3_zero_entry_code():
+    # Cell 1 is never shifted, so d0 = 1 and u_max = 0.
+    return PsmcExtendedCode(make_field(3), [[1, 0, 2]], t=0)
 
 
 def config_for(code, u, t_inj, trials, seed):
@@ -315,8 +327,12 @@ def _replay(code, cfg):
     return masked, attempts, decoded, failures[: sim.FAILURE_LOG_CAP]
 
 
+# Above the guarantee, where the block check runs: masking8 at u = 7,
+# extended8_l3 at u = 4, extended8_l2 at u = 4, table8 row 5 at u = 4 and
+# the zero-entry GF(3) code at u = 2.
 @pytest.mark.parametrize("make, u, t_inj", [
     (masking8_code, 7, 0), (demo14_code, 2, 1), (extended8_l3_code, 4, 1), (gf8_cyclic_code, 7, 2),
+    (extended8_l2_code, 4, 1), (table8_row5_code, 4, 3), (gf3_zero_entry_code, 2, 0),
 ])
 def test_campaign_matches_trial_by_trial_replay(make, u, t_inj):
     code = make()
@@ -326,6 +342,46 @@ def test_campaign_matches_trial_by_trial_replay(make, u, t_inj):
     assert (report.masking_successes, report.decode_attempts, report.decode_successes) == (
         masked, attempts, decoded)
     assert report.failures == failures
+
+
+def counting(code):
+    """A copy of code, an instance of a subclass, that counts its calls of
+    encode, decode and the block masking check."""
+    calls = Counter()
+    base = type(code)
+
+    class Counting(base):
+        def encode(self, *args, **kwargs):
+            calls["encode"] += 1
+            return base.encode(self, *args, **kwargs)
+
+        def decode(self, word):
+            calls["decode"] += 1
+            return base.decode(self, word)
+
+        def _maskable(self, messages, stuck):
+            calls["_maskable"] += 1
+            return base._maskable(self, messages, stuck)
+
+    twin = copy.copy(code)
+    twin.__class__ = Counting
+    return twin, calls
+
+
+@pytest.mark.parametrize("make, u, t_inj", [
+    (masking8_code, 7, 0), (extended8_l3_code, 5, 1), (table8_row5_code, 4, 3), (gf3_zero_entry_code, 2, 0),
+    (masking8_code, 2, 1), (demo14_code, 2, 1), (extended8_l3_code, 3, 1),
+])
+def test_campaign_encodes_only_maskable_trials(make, u, t_inj):
+    twin, calls = counting(make())
+    trials = sim.BLOCK_TRIALS + 500  # two blocks
+    report = run_campaign(twin, config_for(twin, u, t_inj, trials, 20260811))
+    assert calls["encode"] == report.masking_successes
+    assert calls["decode"] == report.decode_attempts
+    if u <= twin.u_max:
+        assert report.masking_successes == trials and calls["_maskable"] == 0
+    else:
+        assert report.masking_successes < trials and calls["_maskable"] == 2
 
 
 # ---------------------------------------------------------------------------
