@@ -59,30 +59,54 @@ from .linear import (PROB_BUDGET, BudgetExceeded, LinearCode, _integers, _pack_r
 
 
 class MaskingImpossible(Exception):
-    """Raised when no masking value keeps every stuck cell nonzero."""
+    """Raised when no masking value keeps every stuck cell nonzero.
+
+    :meth:`at` keeps only the cells; their text, the same one a campaign
+    logs, is built when the exception is read, not when it is raised.
+    """
+
+    cells: tuple[int, ...] | None = None
 
     @classmethod
-    def at(cls, positions: tuple[int, ...]) -> "MaskingImpossible":
-        """The failure at the sorted stuck cells ``positions``, worded as
-        encode raises it and a campaign logs it."""
-        return cls(f"no masking vector z for positions {positions}")
+    def at(cls, cells: tuple[int, ...]) -> "MaskingImpossible":
+        """The failure at the sorted stuck cells ``cells``."""
+        exc = cls()
+        exc.cells = cells
+        return exc
+
+    def __str__(self) -> str:
+        if self.cells is None:
+            return super().__str__()
+        return f"no masking vector z for positions {self.cells}"
+
+    def __repr__(self) -> str:
+        return super().__repr__() if self.cells is None else f"{type(self).__name__}({str(self)!r})"
 
 
 class DecodingFailure(Exception):
     """Raised when bounded-distance decoding cannot identify a codeword."""
 
 
+def _stuck_cells(positions) -> tuple[int, ...]:
+    """Stuck cells as a sorted tuple of ints, checked to be distinct and
+    non-negative; encode checks them against the word length."""
+    cells = sorted(map(index, positions))
+    if len(set(cells)) != len(cells) or (cells and cells[0] < 0):
+        raise ValueError("stuck positions must be distinct and non-negative")
+    return tuple(cells)
+
+
 @dataclass(frozen=True)
 class StuckCellProfile:
-    """Positions of partially-stuck-at-1 cells, sorted."""
+    """Positions of partially-stuck-at-1 cells, sorted, distinct and
+    non-negative.  ``encode`` takes a profile's positions as they are and
+    checks only that they lie in the word; any other iterable of cells
+    goes through the same check as a profile's, once."""
 
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        pos = tuple(sorted(index(p) for p in self.positions))
-        if len(set(pos)) != len(pos) or (pos and pos[0] < 0):
-            raise ValueError("stuck positions must be distinct and non-negative")
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "positions", _stuck_cells(self.positions))
 
     @classmethod
     def _of(cls, positions: tuple[int, ...]) -> "StuckCellProfile":
@@ -95,10 +119,6 @@ class StuckCellProfile:
     @property
     def u(self) -> int:
         return len(self.positions)
-
-    def check_length(self, n: int) -> None:
-        if self.positions and self.positions[-1] >= n:
-            raise ValueError(f"stuck position {self.positions[-1]} outside word length {n}")
 
 
 class MaskingOutcome(NamedTuple):
@@ -125,6 +145,17 @@ def _systematic_g1(n: int, l: int, ecc_columns) -> tuple[np.ndarray, int]:
     if P.shape[0] != k1:
         raise ValueError(f"ecc_columns must have {k1} rows, got {P.shape[0]}")
     return np.hstack([np.zeros((k1, l), dtype=np.int64), np.eye(k1, dtype=np.int64), P]), r
+
+
+def _least_free(ruled: set[int], q: int) -> int | None:
+    """The least x in [0, q) not in ``ruled``, or None when ``ruled`` holds
+    all q; the scan would then take q steps."""
+    if len(ruled) >= q:
+        return None
+    x = 0
+    while x in ruled:
+        x += 1
+    return x
 
 
 class _MaskingCode:
@@ -169,25 +200,23 @@ class _MaskingCode:
         at every stuck cell j, or None.  For each prefix p of v, cell j rules
         out the last coordinate x = (w_j - p H0[:-1, j]) / H0[-1, j], or
         every x when H0[-1, j] = 0 and p H0[:-1, j] = w_j."""
-        q, sub, mul = self.alphabet.q, self.alphabet.sub, self.alphabet.mul
+        q = self.alphabet.q
+        if self._ones:  # l = 1 and v H0 = (v, ..., v): v must differ from every stuck value
+            return _least_free(set(map(values.__getitem__, cells)), q)
+        sub, mul = self.alphabet.sub, self.alphabet.mul
         inv, prefixes = self._rule
         for i, row in enumerate(prefixes):
-            if self._ones:  # v H0 = (v, ..., v): v must differ from every stuck value
-                ruled = {values[j] for j in cells}
+            ruled = set()
+            for j in cells:
+                a = sub(values[j], row[j])
+                if inv[j]:
+                    ruled.add(mul(a, inv[j]))
+                elif not a:
+                    break  # every x is ruled out
             else:
-                ruled = set()
-                for j in cells:
-                    a = sub(values[j], row[j])
-                    if inv[j]:
-                        ruled.add(mul(a, inv[j]))
-                    elif not a:
-                        ruled = range(q)  # every x
-                        break
-            if len(ruled) < q:  # else every x is ruled out; the scan would take q steps
-                x = 0
-                while x in ruled:
-                    x += 1
-                return i * q + x
+                x = _least_free(ruled, q)
+                if x is not None:
+                    return i * q + x
         return None
 
     def _maskable(self, messages: np.ndarray, stuck: np.ndarray) -> np.ndarray:
@@ -245,11 +274,13 @@ class _MaskingCode:
         for the first masking vector z (in the order z = -v, v
         lexicographic) that leaves every stuck cell nonzero.
         """
-        prof = profile if isinstance(profile, StuckCellProfile) else StuckCellProfile(tuple(profile))
-        prof.check_length(self.n)
-        if not probabilistic and prof.u > self.u_max:
+        cells = profile.positions if isinstance(profile, StuckCellProfile) else _stuck_cells(profile)
+        if cells and cells[-1] >= self.n:
+            raise ValueError(f"stuck position {cells[-1]} outside word length {self.n}")
+        u = len(cells)
+        if not probabilistic and u > self.u_max:
             raise ValueError(
-                f"u={prof.u} exceeds the guaranteed bound {self.u_max}; "
+                f"u={u} exceeds the guaranteed bound {self.u_max}; "
                 "pass probabilistic=True to attempt masking anyway"
             )
         A, G1 = self.alphabet, self._g1
@@ -260,11 +291,11 @@ class _MaskingCode:
         else:
             acc = G1.product(symbols)
             values = G1.reduced(acc)
-        i = self._first_mask(values, prof.positions)
+        i = self._first_mask(values, cells)
         if i is None:
-            if prof.u <= self.u_max:
+            if u <= self.u_max:
                 raise AssertionError("guaranteed regime violated: no masking vector found")
-            raise MaskingImpossible.at(prof.positions)
+            raise MaskingImpossible.at(cells)
         z, shift = self._masks.get(i) or self._mask(i)
         v = i if self.l == 1 else None
         if G1 is None:
@@ -349,8 +380,13 @@ class PsmcExtendedCode(_MaskingCode):
             raise ValueError("masking check must be systematic in its first l columns")
         G1, self.r = _systematic_g1(n, l, ecc_columns)
         self._build(alphabet, G1, H0, t)
-        # d0 is the exact minimum distance of the code H0 checks.
-        self.d0 = min_distance(LinearCode(parity_check_matrix(H0, alphabet), alphabet)).d
+        # d0 is the exact minimum distance of the code H0 checks.  For one
+        # row (1, h_1, ..., h_(n-1)), n >= 2, a zero h_j makes the unit
+        # word e_j a codeword, and otherwise h_j e_0 - e_j is one of weight 2.
+        if l == 1:
+            self.d0 = 1 if 0 in H0[0].tolist() else 2
+        else:
+            self.d0 = min_distance(LinearCode(parity_check_matrix(H0, alphabet), alphabet)).d
 
     def __repr__(self) -> str:
         return (

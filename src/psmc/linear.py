@@ -89,13 +89,10 @@ class BudgetExceeded(Exception):
 class SyndromeTable(NamedTuple):
     """Syndrome key (:func:`_syndrome_key`) -> row of ``offsets`` holding
     e R for the lightest pattern e with that syndrome, or ``TIE``.  The
-    offsets are stored in the key dtype, :func:`_symbol_dtype`; ``flat``
-    views them row after row in one dimension, for the packed kernel to
-    slice without numpy indexing."""
+    offsets are stored in the key dtype, :func:`_symbol_dtype`."""
 
     rows: dict[bytes, int]
     offsets: np.ndarray
-    flat: memoryview
 
 
 def _symbol_dtype(q: int) -> np.dtype:
@@ -180,19 +177,33 @@ def _unpack(packed: bytes) -> np.ndarray:
 
 def _integers(values) -> np.ndarray:
     """values as an int64 array; a non-integer dtype raises ValueError
-    rather than being truncated."""
+    rather than being truncated.  The dtype is compared with the cached
+    ``_I64``: a comparison with the type ``np.int64`` builds a dtype."""
     a = np.asarray(values)
-    if a.dtype != np.int64:
+    if a.dtype != _I64:
         if a.size and a.dtype.kind not in "iu":
             raise ValueError(f"symbols must be integers, got dtype {a.dtype}")
-        a = a.astype(np.int64)
+        a = a.astype(_I64)
     return a
 
 
+# _BELOW[q] holds the bytes 0..q-1: a word's symbols lie in [0, q) when
+# deleting these from its bytes leaves nothing.
+_BELOW = tuple(bytes(range(q)) for q in range(257))
+
+
 def _in_range(symbols: list[int], alphabet: Alphabet) -> bool:
-    """Whether every symbol lies in [0, q).  On a word, a list's min and
-    max beat a numpy reduction's call overhead."""
-    return not symbols or (min(symbols) >= 0 and max(symbols) < alphabet.q)
+    """Whether every symbol lies in [0, q).  Up to q = 256 this is one C
+    pass: ``bytes`` refuses any int outside [0, 256), and ``translate``
+    deletes the valid bytes.  Above, a list's min and max beat a numpy
+    reduction's call overhead."""
+    q = alphabet.q
+    if q <= 256:
+        try:
+            return not bytes(symbols).translate(None, _BELOW[q])
+        except ValueError:
+            return False
+    return not symbols or (min(symbols) >= 0 and max(symbols) < q)
 
 
 def as_word(values, alphabet: Alphabet, n: int) -> np.ndarray:
@@ -204,8 +215,10 @@ def as_word(values, alphabet: Alphabet, n: int) -> np.ndarray:
 
 
 def _word(values, alphabet: Alphabet, n: int) -> tuple[np.ndarray, list[int]]:
-    """:func:`as_word` and the same symbols as a list, which the range
-    check reads and a packed product indexes by."""
+    """:func:`as_word` and the same symbols as a list, which a packed
+    product indexes by.  Each check runs once, and in plain Python where
+    that beats a numpy call on one word: the dtype against the cached
+    ``_I64``, then the shape, then :func:`_in_range` over the list."""
     w = _integers(values)
     if w.ndim != 1:
         raise ValueError("expected a 1-D symbol vector")
@@ -365,7 +378,7 @@ class LinearCode:
         # Patterns that reach a syndrome already held keep no row; shrinking
         # in place frees their share without a second copy of the kept rows.
         offsets.resize((kept, self.k), refcheck=False)
-        return SyndromeTable(rows, offsets, memoryview(offsets.reshape(-1)))
+        return SyndromeTable(rows, offsets)
 
     @cached_property
     def _read_packed(self) -> _PackedMatrix | None:
@@ -392,10 +405,11 @@ class LinearCode:
         i = table.rows.get(raw[:r], _ABSENT)
         if i < 0:
             return None
-        if i:  # add the negated offset row to the message bytes
-            start = i * self.k
-            offset = int.from_bytes(table.flat[start : start + keep].tobytes().translate(K.negate), "little")
-            raw = K.reduced(K.add(acc, offset << 8 * r))
+        if i:  # add the negated offset row, all k symbols, past the syndrome bytes
+            # One expression with no start index: at most one small int is
+            # alive at a time, so the call rarely takes fresh small-object memory.
+            negated = table.offsets[i].tobytes().translate(K.negate)
+            raw = K.reduced(K.add(acc, int.from_bytes(negated, "little") << 8 * r))
         return _unpack(raw[r : r + keep])
 
     def decode_bounded(self, word, t: int) -> np.ndarray | None:

@@ -247,31 +247,34 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
         if len(failures) < FAILURE_LOG_CAP:
             failures.append({"trial": trial, "stage": stage, "detail": str(detail)})
 
-    def screened(trials, maskable):
-        """The trials the block check finds maskable; each other one logs
-        the mask failure encode would raise, its text built only while the
-        log has room."""
-        for trial, fits in zip(trials, maskable.tolist()):
-            if fits:
-                yield trial
-            elif len(failures) < FAILURE_LOG_CAP:
-                log_failure(trial[0], "mask", MaskingImpossible.at(tuple(trial[2])))
+    def log_rejected(start, stuck, lo, hi):
+        """Log the mask failure encode would raise for block trials lo..hi-1,
+        which the block check rejected, in trial order while the log has room."""
+        for j in range(lo, min(hi, lo + FAILURE_LOG_CAP - len(failures))):
+            log_failure(start + j, "mask", MaskingImpossible.at(tuple(stuck[j])))
 
     for start in range(0, cfg.trials, BLOCK_TRIALS):
-        stop = min(start + BLOCK_TRIALS, cfg.trials)
-        draws = _draw(cfg, code.k1, start, stop)
-        trials = zip(range(start, stop), draws.messages, draws.stuck.tolist(), draws.errors)
-        if not guaranteed:
-            trials = screened(trials, code._maskable(draws.messages, draws.stuck))
-        for trial, m, stuck, e in trials:
+        count = min(BLOCK_TRIALS, cfg.trials - start)
+        draws = _draw(cfg, code.k1, start, start + count)
+        stuck = draws.stuck.tolist()
+        if guaranteed:
+            accepted = range(count)
+        else:
+            accepted = np.flatnonzero(code._maskable(draws.messages, draws.stuck)).tolist()
+        pending = 0  # the block's first trial neither run nor logged
+        for i in accepted:
+            if i > pending:
+                log_rejected(start, stuck, pending, i)
+            pending = i + 1
+            trial, m = start + i, draws.messages[i]
             try:
-                out = code.encode(m, StuckCellProfile._of(tuple(stuck)), probabilistic=True)
+                out = code.encode(m, StuckCellProfile._of(tuple(stuck[i])), probabilistic=True)
             except MaskingImpossible as exc:
                 where = "inside the guaranteed regime" if guaranteed else "on a trial the block check accepted"
                 raise AssertionError(f"masking failed {where} (trial {trial}, u={cfg.u})") from exc
             masked += 1
             # With no errors to inject, the stored word is read back as it is.
-            y = inject(out.codeword, e, code.alphabet) if cfg.t_inj else out.codeword
+            y = inject(out.codeword, draws.errors[i], code.alphabet) if cfg.t_inj else out.codeword
             attempts += 1
             try:
                 mhat = code.decode(y)
@@ -282,6 +285,7 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
                 decoded += 1
             else:
                 log_failure(trial, "decode", "decoded to a different message")
+        log_rejected(start, stuck, pending, count)
 
     has_trials = cfg.trials > 0
     return CampaignReport(

@@ -151,7 +151,10 @@ def test_encode_masking_impossible_exits_2(capsys):
         "--m", "1200000", "--stuck", "0,1,2", "--probabilistic",
     )
     assert code == 2
-    assert json.loads(err)["error"] == "MaskingImpossible"
+    assert json.loads(err) == {
+        "error": "MaskingImpossible",
+        "message": "no masking vector z for positions (0, 1, 2)",
+    }
 
 
 def test_budget_overrun_exits_2_with_json(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 import time
 import tracemalloc
@@ -25,7 +26,8 @@ from psmc.constructions import (
     redundancy_gain,
     stuck_redundancy_lower_bound,
 )
-from psmc.linear import TIE, BudgetExceeded, LinearCode, _PackedMatrix, _packs, _syndrome_key
+from psmc.linear import (TIE, BudgetExceeded, LinearCode, _PackedMatrix, _packs, _syndrome_key,
+                         min_distance, parity_check_matrix)
 from psmc.presets import (
     DEMO14_ECC_COLUMNS,
     PRESETS,
@@ -90,6 +92,130 @@ def test_non_integer_code_inputs_are_rejected_not_truncated():
     assert LinearCode(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8), GF3).G.dtype == np.int64
     assert PsmcMatrixCode(5, GF3, np.array([[1], [0], [2]], dtype=np.int8), t=0).r == 1
     assert Polynomial(GF3, np.array([1, 2])).coeffs == (1, 2)
+
+
+# One code each over GF(3), GF(8) and GF(256), for the input-checking table.
+INPUT_CHECK_CODES = {
+    3: lambda: get_preset("masking-n8-r0"),
+    8: lambda: PsmcCyclicCode(9, field_of_order(8), (1,)),
+    256: lambda: PsmcMatrixCode(5, field_of_order(256), t=0),
+}
+
+
+@cache
+def input_check_code(q):
+    return INPUT_CHECK_CODES[q]()
+
+
+def assert_raises_exactly(exc_type, text, call, *args, **kwargs):
+    with pytest.raises(exc_type) as info:
+        call(*args, **kwargs)
+    assert type(info.value) is exc_type and str(info.value) == text
+
+
+@pytest.mark.parametrize("q", sorted(INPUT_CHECK_CODES))
+@pytest.mark.parametrize("cells, exc_type, text", [
+    ((1, 1), ValueError, "stuck positions must be distinct and non-negative"),
+    ((-1, 2), ValueError, "stuck positions must be distinct and non-negative"),
+    ((1.5,), TypeError, "'float' object cannot be interpreted as an integer"),
+    ("past the word", ValueError, "stuck position {n} outside word length {n}"),
+])
+def test_encode_rejects_bad_cells_as_before(q, cells, exc_type, text):
+    code = input_check_code(q)
+    n, m = code.n, [0] * code.k1
+    if cells == "past the word":
+        cells = (0, n)
+    text = text.format(n=n)
+    assert_raises_exactly(exc_type, text, code.encode, m, cells, probabilistic=True)
+    assert_raises_exactly(exc_type, text, code.encode, m, list(cells), probabilistic=True)
+    if cells[-1] == n:  # a profile holds any cells; encode checks them against n
+        assert_raises_exactly(exc_type, text, code.encode, m, StuckCellProfile(cells), probabilistic=True)
+    else:
+        assert_raises_exactly(exc_type, text, StuckCellProfile, cells)
+
+
+@pytest.mark.parametrize("q", sorted(INPUT_CHECK_CODES))
+def test_encode_and_decode_reject_bad_words_as_before(q):
+    code = input_check_code(q)
+    k1, n, A = code.k1, code.n, code.alphabet
+    encode = lambda m: code.encode(m, ())
+    not_integers = "symbols must be integers, got dtype float64"
+    cases = [
+        (encode, [0.0] * k1, not_integers),
+        (encode, [0] * (k1 - 1), f"expected length {k1}, got {k1 - 1}"),
+        (encode, [[0] * k1], "expected a 1-D symbol vector"),
+        (code.decode, [0.5] * n, not_integers),
+        (code.decode, [0] * (n + 1), f"expected length {n}, got {n + 1}"),
+        (code.decode, [[0] * n], "expected a 1-D symbol vector"),
+    ]
+    for s in (-1, q, 256, 2**40):
+        cases += [(encode, [0] * (k1 - 1) + [s], f"symbols out of range for {A!r}"),
+                  (code.decode, [s] + [0] * (n - 1), f"symbols out of range for {A!r}")]
+    for call, word, text in cases:
+        assert_raises_exactly(ValueError, text, call, word)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_stuck_cells_in_any_form_give_the_same_outcome(data):
+    code = input_check_code(data.draw(st.sampled_from(sorted(INPUT_CHECK_CODES))))
+    q, n = code.alphabet.q, code.n
+    m = data.draw(st.lists(st.integers(0, q - 1), min_size=code.k1, max_size=code.k1))
+    cells = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))  # any order
+    forms = [tuple(cells), list(cells), np.array(cells, dtype=np.int64), StuckCellProfile(tuple(cells))]
+    outcomes = []
+    for form in forms:
+        try:
+            out = code.encode(m, form, probabilistic=True)
+        except MaskingImpossible as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((out.codeword.tolist(), out.z, out.v))
+    assert outcomes.count(outcomes[0]) == len(forms)
+    if isinstance(outcomes[0], str):
+        assert outcomes[0] == f"no masking vector z for positions {tuple(sorted(cells))}"
+
+
+def test_masking_failure_text_is_pinned():
+    exc = MaskingImpossible.at((0, 1, 2))
+    text = "no masking vector z for positions (0, 1, 2)"
+    assert str(exc) == text and repr(exc) == f"MaskingImpossible({text!r})"
+    free = MaskingImpossible("x")
+    assert str(free) == "x" and repr(free) == "MaskingImpossible('x')"
+    for e in (exc, free):
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is MaskingImpossible and str(back) == str(e) and repr(back) == repr(e)
+    # The encode behind `psmc encode --preset masking-n8-r0 --m 1200000 --stuck 0,1,2`.
+    assert_raises_exactly(MaskingImpossible, text, get_preset("masking-n8-r0").encode,
+                          [1, 2, 0, 0, 0, 0, 0], (2, 1, 0), probabilistic=True)
+
+
+# l = 1 masking rows [1 | tail], with and without a zero entry.
+L1_MASKING_ROWS = [
+    (GF3, (1, 2, 2)), (GF3, (2, 0, 1, 1)), (GF3, (0,)),
+    (make_field(2, 3), (3, 5, 7, 1, 2)), (make_field(2, 3), (1, 0, 6, 0)),
+    (make_field(1048573), (5, 1048572, 7, 2)), (make_field(1048573), (3, 0, 0, 1, 1048572, 2, 9, 11)),
+]
+
+
+@pytest.mark.parametrize("field, tail", L1_MASKING_ROWS)
+def test_l1_d0_closed_form_matches_min_distance(field, tail):
+    code = PsmcExtendedCode(field, [[1, *tail]], t=0)
+    checked = LinearCode(parity_check_matrix(code.H0, field), field)
+    assert code.d0 == min_distance(checked).d == (1 if 0 in tail else 2)
+
+
+def test_l1_code_is_built_without_min_distance(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("min_distance called")
+
+    monkeypatch.setattr(psmc.constructions, "min_distance", refuse)
+    for field, tail in L1_MASKING_ROWS:
+        code = PsmcExtendedCode(field, [[1, *tail]], t=0)
+        assert code.d0 == (1 if 0 in tail else 2)
+        assert code.u_max == (0 if 0 in tail else min(code.n, field.q - 1))
+    with pytest.raises(AssertionError, match="min_distance called"):
+        extended8_l2_code()  # l = 2 still derives d0 by min_distance
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +797,7 @@ def test_block_masking_rule_matches_encode_exhaustively(name):
     assert outcomes == {False, True}
 
 
-# Masking rows [1 | tail] over GF(1048573) with zero entries.  Deriving d0
-# enumerates the q words of the checked code's dual, about 0.1 s a code, so
-# these few are built once each.
+# Masking rows [1 | tail] over GF(1048573) with zero entries, built once each.
 LARGE_FIELD_TAILS = [(0,), (0, 5, 1048572, 7), (3, 0, 0, 1, 1048572, 2, 9, 11)]
 
 

@@ -68,8 +68,9 @@ def test_as_word_rejects_non_integer_symbols():
 
 
 def test_as_word_range_check_covers_both_ends_of_int64():
-    # min and max over the symbols check both bounds; a uint64 above 2^63
-    # becomes a negative int64 before the check.
+    # The range check covers both bounds, over GF(3) by bytes and translate
+    # and over GF(1048573) by min and max; a uint64 above 2^63 becomes a
+    # negative int64 before the check.
     for bad in (-1, 3, 2**63 - 1, -(2**63)):
         with pytest.raises(ValueError, match="out of range"):
             as_word([0, bad, 1], GF3, 3)
@@ -78,6 +79,46 @@ def test_as_word_range_check_covers_both_ends_of_int64():
     with pytest.raises(ValueError, match="out of range"):
         as_word(np.array([2**64 - 1], dtype=np.uint64), GF3, 1)
     assert as_word([0, 2, 1], GF3, 3).tolist() == [0, 2, 1]
+    big = make_field(1048573)
+    for bad in (-1, 1048573, 2**63 - 1, -(2**63)):
+        with pytest.raises(ValueError, match="out of range"):
+            as_word([0, bad, 1], big, 3)
+    assert as_word([0, 1048572, 1], big, 3).tolist() == [0, 1048572, 1]
+
+
+# One code each over GF(3), GF(8) and GF(256), for the input-checking table.
+INPUT_CHECK_CODES = {
+    3: lambda: get_preset("masking-n8-r0").base,
+    8: lambda: build_cyclic_code(9, GF8, (1,)).to_linear_code(),
+    256: lambda: LinearCode(np.eye(4, 6, dtype=np.int64) + np.eye(4, 6, 2, dtype=np.int64), make_field(2, 8)),
+}
+
+
+@pytest.mark.parametrize("q", sorted(INPUT_CHECK_CODES))
+def test_word_methods_reject_bad_words_as_before(q):
+    code = INPUT_CHECK_CODES[q]()
+    k, n, A = code.k, code.n, code.alphabet
+    not_integers = "symbols must be integers, got dtype float64"
+    bounded = lambda y: code.decode_bounded(y, 1)
+    cases = [
+        (code.encode, [0.0] * k, not_integers),
+        (code.encode, [0] * (k - 1), f"expected length {k}, got {k - 1}"),
+        (code.encode, [[0] * k], "expected a 1-D symbol vector"),
+        (code.syndrome, [0.5] * n, not_integers),
+        (code.syndrome, [0] * (n - 1), f"expected length {n}, got {n - 1}"),
+        (code.syndrome, [[0] * n], "expected a 1-D symbol vector"),
+        (bounded, [1.5] * n, not_integers),
+        (bounded, [0] * (n + 1), f"expected length {n}, got {n + 1}"),
+        (bounded, [[0] * n], "expected a 1-D symbol vector"),
+    ]
+    for s in (-1, q, 256, 2**40):
+        cases += [(code.encode, [s] + [0] * (k - 1), f"symbols out of range for {A!r}"),
+                  (code.syndrome, [0] * (n - 1) + [s], f"symbols out of range for {A!r}"),
+                  (bounded, [0, s] + [0] * (n - 2), f"symbols out of range for {A!r}")]
+    for call, word, text in cases:
+        with pytest.raises(ValueError) as info:
+            call(word)
+        assert type(info.value) is ValueError and str(info.value) == text
 
 
 def test_parity_check_orthogonality():

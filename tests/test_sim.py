@@ -213,7 +213,7 @@ def test_csv_columns_frozen():
 # stream v3: block independence, the draws, and a trial-by-trial oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make, u, t_inj", [(demo14_code, 2, 1), (masking8_code, 7, 0)])
+@pytest.mark.parametrize("make, u, t_inj", [(demo14_code, 2, 1), (masking8_code, 7, 0), (table8_row5_code, 4, 3)])
 def test_campaign_does_not_depend_on_block_size(monkeypatch, make, u, t_inj):
     code = make()
     cfg = config_for(code, u, t_inj, 300, 2**64 - 1)
@@ -342,6 +342,22 @@ def test_campaign_matches_trial_by_trial_replay(make, u, t_inj):
     assert (report.masking_successes, report.decode_attempts, report.decode_successes) == (
         masked, attempts, decoded)
     assert report.failures == failures
+
+
+@pytest.mark.parametrize("make, u, t_inj", [(masking8_code, 7, 0), (table8_row5_code, 4, 3)])
+def test_failure_log_matches_replay_across_small_blocks(monkeypatch, make, u, t_inj):
+    # Blocks of 7 trials: rejected trials at a block's start and end, and mask
+    # failures interleaved with decode failures, log in trial order up to the cap.
+    code = make()
+    cfg = config_for(code, u, t_inj, 400, 20260811)
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", 7)
+    report = run_campaign(code, cfg)
+    masked, attempts, decoded, failures = _replay(code, cfg)
+    assert (report.masking_successes, report.decode_attempts, report.decode_successes) == (
+        masked, attempts, decoded)
+    assert report.failures == failures
+    assert len(failures) == sim.FAILURE_LOG_CAP
+    assert {f["stage"] for f in failures} == ({"mask"} if t_inj == 0 else {"mask", "decode"})
 
 
 def counting(code):
