@@ -53,9 +53,8 @@ import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import (PROB_BUDGET, BudgetExceeded, LinearCode, _integers, _pack_rows,
-                     _PackedMatrix, _packs, _unpack, _word, min_distance,
-                     parity_check_matrix)
+from .linear import (PROB_BUDGET, BudgetExceeded, LinearCode, _integers, _product, _word,
+                     min_distance, parity_check_matrix)
 
 
 class MaskingImpossible(Exception):
@@ -195,7 +194,7 @@ class _MaskingCode:
         prefixes = np.array(list(product(range(A.q), repeat=self.l - 1)), dtype=np.int64)
         return inv, A.matmul(prefixes, self.H0[:-1]).tolist()
 
-    def _first_mask(self, values: list[int] | bytes, cells) -> int | None:
+    def _first_mask(self, values: bytes | np.ndarray, cells) -> int | None:
         """Index of the first v in lexicographic order with (v H0)_j != w_j
         at every stuck cell j, or None.  For each prefix p of v, cell j rules
         out the last coordinate x = (w_j - p H0[:-1, j]) / H0[-1, j], or
@@ -248,19 +247,18 @@ class _MaskingCode:
         return found
 
     @cached_property
-    def _g1(self) -> _PackedMatrix | None:
-        """G1 packed where no byte of m G1 plus one shift can carry, else None."""
-        A = self.alphabet
-        return _PackedMatrix(self.G1, A) if _packs(A, self.k1) else None
+    def _g1(self):
+        """The word-product object of G1 (:func:`psmc.linear._product`),
+        built by the first encode."""
+        return _product(self.G1, self.alphabet)
 
     def _mask(self, i: int) -> tuple[tuple[int, ...], int | np.ndarray]:
         """(z, z H0) of the i-th candidate v (i in base q, most significant
-        digit first), z = -v, built on its first pick: the shift is packed
-        where G1 is, else an int64 row."""
+        digit first), z = -v, built on its first pick, with the shift in
+        the form G1's product object adds."""
         A, q = self.alphabet, self.alphabet.q
         z = tuple(A.neg(i // q**e % q) for e in range(self.l - 1, -1, -1))
-        shift = A.matmul(np.array([z], dtype=np.int64), self.H0)
-        self._masks[i] = entry = z, shift[0] if self._g1 is None else _pack_rows(shift)[0]
+        self._masks[i] = entry = z, self._g1.row(A.matmul(np.array([z], dtype=np.int64), self.H0)[0])
         return entry
 
     @cached_property
@@ -283,24 +281,16 @@ class _MaskingCode:
                 f"u={u} exceeds the guaranteed bound {self.u_max}; "
                 "pass probabilistic=True to attempt masking anyway"
             )
-        A, G1 = self.alphabet, self._g1
-        m, symbols = _word(message, A, self.k1)
-        if G1 is None:
-            w = A.matmul(m[None, :], self.G1)[0]
-            values = w.tolist()
-        else:
-            acc = G1.product(symbols)
-            values = G1.reduced(acc)
-        i = self._first_mask(values, cells)
+        G1 = self._g1
+        m, symbols = _word(message, self.alphabet, self.k1)
+        acc = G1.product(m, symbols)
+        i = self._first_mask(G1.reduced(acc), cells)
         if i is None:
             if u <= self.u_max:
                 raise AssertionError("guaranteed regime violated: no masking vector found")
             raise MaskingImpossible.at(cells)
         z, shift = self._masks.get(i) or self._mask(i)
-        v = i if self.l == 1 else None
-        if G1 is None:
-            return MaskingOutcome(A.add(w, shift), z, v)
-        return MaskingOutcome(_unpack(G1.reduced(G1.add(acc, shift))), z, v)
+        return MaskingOutcome(G1.vector(G1.reduced(G1.add(acc, shift))), z, i if self.l == 1 else None)
 
     def decode(self, word) -> np.ndarray:
         """Correct up to t errors and return the message m."""

@@ -33,18 +33,22 @@ to q = 256, see :func:`_syndrome_key`), and the offset rows are stored
 in that dtype too.
 
 One word kernel serves ``decode_bounded`` and the constructions, and
-the encoders' product m G1 runs on the same two forms.  Where no byte
-can carry (:func:`_packs`: characteristic 2 with q <= 256, or a prime q
-with (rows + 1)(q - 1) <= 255), a fixed matrix is held packed
-(:class:`_PackedMatrix`): one Python int per (row, symbol) with one byte
-a column, so a word's product is a sum of one int per symbol (XOR in
-characteristic 2) and one ``bytes.translate`` reduces every byte mod q.
-The syndrome key is then the product's first n - k bytes, and an offset
-row is negated by a second translate and added as one more int.  Every
-other field (q > 256, odd-characteristic extension fields, prime fields
-whose sums would carry) multiplies the word as a batch of one,
-``Alphabet.matmul(y[None, :], K)[0]``, and casts the product's first
-n - k symbols to the key dtype.  Both forms read one table.
+the encoders' product m G1 runs on the same two forms.  A fixed matrix
+gets one word-product object, its form chosen once, by
+:func:`_product`.  Where no byte can carry (:func:`_packs`:
+characteristic 2 with q <= 256, or a prime q with (rows + 1)(q - 1) <=
+255), the matrix is held packed (:class:`_PackedMatrix`): one Python
+int per (row, symbol) with one byte a column, so a word's product is a
+sum of one int per symbol (XOR in characteristic 2) and one
+``bytes.translate`` reduces every byte mod q.  The syndrome key is then
+the product's first n - k bytes, and an offset row is negated by a
+second translate and added as one more int.  Every other field (q >
+256, odd-characteristic extension fields, prime fields whose sums would
+carry) multiplies the word as a batch of one (:class:`_BatchOfOne`),
+``Alphabet.matmul(y[None, :], K)[0]``, casts the product's first n - k
+symbols to the key dtype and subtracts the offset row on the kept
+message symbols only.  Both forms offer the same methods and read one
+table, so encode and decode run one path whatever the form.
 
 Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  Work that would
@@ -62,28 +66,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabet import Alphabet
+from .alphabet import _EXPLOG_ORDER_LIMIT, Alphabet
 
 ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
 # Max q * u * bit_length(q) of an exact masking probability for u >= q, whose
 # q terms have about u log2(q) bits: q = u = 2053 computes, 4099 raises.
 PROB_BUDGET = 1 << 26
-CHUNK_WORDS = 8192        # codewords enumerated per matrix product
+BLOCK_ROWS = 8192         # rows per matrix product: codewords or error patterns
 # Max error patterns of weight <= t in one syndrome table, whatever q^(n-k).
 # Each syndrome a table holds keeps its key (a bytes object of n - k symbols,
 # one byte each up to q = 256), a k-symbol offsets row in the same dtype and
 # a dict entry: 139 B at n = 40 over GF(3), where a table at the budget would
-# need about 0.3 GB.  Building adds one block of TABLE_BLOCK patterns and,
+# need about 0.3 GB.  Building adds one block of BLOCK_ROWS patterns and,
 # until it ends, an offsets row for every pattern.
 TABLE_BUDGET = 1 << 21
-TABLE_BLOCK = 8192        # error patterns per product while a table is built
 TIE = -1                  # table entry of a syndrome whose lightest patterns tie
 _ABSENT = -2              # lookup result of a syndrome no pattern reaches
 
 
 class BudgetExceeded(Exception):
     """Raised when an enumeration, a syndrome table or a masking probability
-    would exceed its budget, or a code needs a field above ``MAX_ORDER``."""
+    would exceed its budget, or a code needs a field above ``MAX_ORDER``
+    or array arithmetic over an extension field of order above 2^16."""
 
 
 class SyndromeTable(NamedTuple):
@@ -130,49 +134,91 @@ def _byte_maps(alphabet: Alphabet) -> tuple[tuple[bytes, ...], bytes | None, byt
     return times, (bytes(range(q)) * repeat)[:256], (bytes([0, *range(q - 1, 0, -1)]) * repeat)[:256]
 
 
-def _byte_rows(matrix: np.ndarray) -> list[bytes]:
-    """Each row of a matrix of symbols below 256 as bytes."""
-    blob, width = bytes(matrix.ravel().tolist()), matrix.shape[1]
-    return [blob[i : i + width] for i in range(0, len(blob), width)]
-
-
-def _pack_rows(matrix: np.ndarray) -> list[int]:
-    """Each row of a matrix of symbols below 256 as one int, column j in byte j."""
-    return [int.from_bytes(row, "little") for row in _byte_rows(matrix)]
+_U8, _I64 = np.dtype(np.uint8), np.dtype(np.int64)
 
 
 class _PackedMatrix:
     """A fixed matrix b held for one-word products where :func:`_packs`
-    allows: ``rows[i][s]`` is the field product s b[i] packed as
-    :func:`_pack_rows` packs, so a word y gives the packed y b as the sum
-    of ``rows[i][y_i]`` under ``add`` (XOR in characteristic 2, int
-    addition over a prime field), and :meth:`reduced` then brings every
-    byte below q."""
+    allows: ``rows[i][s]`` is the field product s b[i] packed as one int,
+    column j in byte j, so a word y gives the packed y b as the sum of
+    ``rows[i][y_i]`` under ``add`` (XOR in characteristic 2, int addition
+    over a prime field), and :meth:`reduced` then brings every byte below
+    q.  ``add`` and ``product``, the sum over a word, are chosen once,
+    when built."""
 
-    __slots__ = ("rows", "cols", "add", "reduce", "negate")
+    __slots__ = ("rows", "cols", "add", "product", "reduce", "negate")
 
     def __init__(self, matrix: np.ndarray, alphabet: Alphabet):
         times, self.reduce, self.negate = _byte_maps(alphabet)
-        self.rows = [[int.from_bytes(row.translate(t), "little") for t in times] for row in _byte_rows(matrix)]
+        rows = map(bytes, matrix.tolist())  # each row of symbols below 256 as bytes
+        self.rows = [[int.from_bytes(row.translate(t), "little") for t in times] for row in rows]
         self.cols = matrix.shape[1]
-        self.add = xor if alphabet.p == 2 else add
+        self.add, self.product = (xor, self._xor_product) if alphabet.p == 2 else (add, self._sum_product)
 
-    def product(self, symbols: list[int]) -> int:
-        """The packed product of a word, bytes not yet reduced."""
-        terms = map(list.__getitem__, self.rows, symbols)
-        return sum(terms) if self.add is add else reduce(xor, terms, 0)
+    def _sum_product(self, y: np.ndarray, symbols: list[int]) -> int:
+        """The packed product of a word, bytes not yet reduced: the sum of
+        one int per symbol."""
+        return sum(map(list.__getitem__, self.rows, symbols))
 
-    def reduced(self, packed: int) -> bytes:
+    def _xor_product(self, y: np.ndarray, symbols: list[int]) -> int:
+        """The same in characteristic 2, where the ints are XORed."""
+        return reduce(xor, map(list.__getitem__, self.rows, symbols), 0)
+
+    def reduced(self, acc: int) -> bytes:
         """A packed row, a product plus shifts, as one symbol a byte."""
-        return packed.to_bytes(self.cols, "little").translate(self.reduce)
+        return acc.to_bytes(self.cols, "little").translate(self.reduce)
+
+    def row(self, shift: np.ndarray) -> int:
+        """A reduced symbol row, such as a masking shift, packed to add."""
+        return int.from_bytes(bytes(shift.tolist()), "little")
+
+    def key(self, raw: bytes, r: int) -> bytes:
+        """The syndrome key of a reduced product: its first r bytes."""
+        return raw[:r]
+
+    def minus(self, acc: int, offset: np.ndarray, r: int, keep: int) -> np.ndarray:
+        """Symbols r .. r + keep of the product less an offset row, which
+        is negated and added, all k symbols, past the syndrome bytes."""
+        # One expression with no start index: at most one small int is
+        # alive at a time, so the call rarely takes fresh small-object memory.
+        return self.vector(self.reduced(self.add(acc, int.from_bytes(
+            offset.tobytes().translate(self.negate), "little") << 8 * r))[r : r + keep])
+
+    def vector(self, raw: bytes) -> np.ndarray:
+        """Reduced packed bytes as an int64 symbol vector."""
+        return np.frombuffer(raw, _U8).astype(_I64)
 
 
-_U8, _I64 = np.dtype(np.uint8), np.dtype(np.int64)
+class _BatchOfOne:
+    """A fixed matrix M held for one-word products as a batch of one,
+    ``Alphabet.matmul(y[None, :], M)[0]``, which every field can run: the
+    product is already reduced, a shift is an int64 row added by
+    ``Alphabet.add``, and an offset row is subtracted on the kept message
+    symbols only."""
+
+    def __init__(self, matrix: np.ndarray, alphabet: Alphabet):
+        self.matrix, self.alphabet, self.add = matrix, alphabet, alphabet.add
+
+    def product(self, y: np.ndarray, symbols: list[int]) -> np.ndarray:
+        return self.alphabet.matmul(y[None, :], self.matrix)[0]
+
+    def reduced(self, acc: np.ndarray) -> np.ndarray:
+        return acc
+
+    row = vector = reduced
+
+    def key(self, raw: np.ndarray, r: int) -> bytes:
+        return _syndrome_key(raw[:r], self.alphabet)
+
+    def minus(self, acc: np.ndarray, offset: np.ndarray, r: int, keep: int) -> np.ndarray:
+        return self.alphabet.sub(acc[r : r + keep], offset[:keep].astype(_I64))
 
 
-def _unpack(packed: bytes) -> np.ndarray:
-    """Reduced packed bytes as an int64 symbol vector."""
-    return np.frombuffer(packed, _U8).astype(_I64)
+def _product(matrix: np.ndarray, alphabet: Alphabet) -> _PackedMatrix | _BatchOfOne:
+    """The one-word product object of a fixed matrix: packed where
+    :func:`_packs` allows for its rows, else a batch of one.  The only
+    place the form is chosen."""
+    return (_PackedMatrix if _packs(alphabet, matrix.shape[0]) else _BatchOfOne)(matrix, alphabet)
 
 
 def _integers(values) -> np.ndarray:
@@ -302,6 +348,8 @@ class LinearCode:
             raise ValueError("generator must be a 2-D matrix")
         if not _in_range(G.ravel().tolist(), alphabet):
             raise ValueError(f"generator entries out of range for {alphabet!r}")
+        if alphabet.m > 1 and alphabet.q > _EXPLOG_ORDER_LIMIT:
+            raise BudgetExceeded(f"array arithmetic over {alphabet!r} needs order <= {_EXPLOG_ORDER_LIMIT}")
         self.alphabet = alphabet
         self.G = G
         self.k, self.n = G.shape
@@ -381,9 +429,9 @@ class LinearCode:
         return SyndromeTable(rows, offsets)
 
     @cached_property
-    def _read_packed(self) -> _PackedMatrix | None:
-        """K packed where :func:`_packs` allows, else None."""
-        return _PackedMatrix(self._read_matrix, self.alphabet) if _packs(self.alphabet, self.n) else None
+    def _read(self) -> _PackedMatrix | _BatchOfOne:
+        """The word-product object of K, built by the first decode."""
+        return _product(self._read_matrix, self.alphabet)
 
     def _decode_word(self, y: np.ndarray, t: int, keep: int, symbols: list[int]) -> np.ndarray | None:
         """The first ``keep`` symbols of the message of the unique codeword
@@ -393,24 +441,13 @@ class LinearCode:
         if table is None:
             c = self._decode_by_enumeration(y, t)
             return None if c is None else self.message_of(c)[:keep]
-        r, K = self.n - self.k, self._read_packed
-        if K is None:
-            raw = self.alphabet.matmul(y[None, :], self._read_matrix)[0]
-            i = table.rows.get(_syndrome_key(raw[:r], self.alphabet), _ABSENT)
-            if i <= 0:  # row 0 is the zero pattern, whose offset is 0
-                return None if i else raw[r : r + keep]
-            return self.alphabet.sub(raw[r : r + keep], table.offsets[i, :keep].astype(np.int64))
-        acc = K.product(symbols)
+        r, K = self.n - self.k, self._read
+        acc = K.product(y, symbols)
         raw = K.reduced(acc)
-        i = table.rows.get(raw[:r], _ABSENT)
-        if i < 0:
-            return None
-        if i:  # add the negated offset row, all k symbols, past the syndrome bytes
-            # One expression with no start index: at most one small int is
-            # alive at a time, so the call rarely takes fresh small-object memory.
-            negated = table.offsets[i].tobytes().translate(K.negate)
-            raw = K.reduced(K.add(acc, int.from_bytes(negated, "little") << 8 * r))
-        return _unpack(raw[r : r + keep])
+        i = table.rows.get(K.key(raw, r), _ABSENT)
+        if i <= 0:  # row 0 is the zero pattern, whose offset is 0
+            return None if i else K.vector(raw[r : r + keep])
+        return K.minus(acc, table.offsets[i], r, keep)
 
     def decode_bounded(self, word, t: int) -> np.ndarray | None:
         """Unique codeword within Hamming distance t of word, or None: by
@@ -444,7 +481,7 @@ def _patterns(n: int, q: int, w: int):
     values = np.array(list(product(range(1, q), repeat=w)), dtype=np.int64)
     count = len(values)
     supports = combinations(range(n), w)
-    while block := list(islice(supports, max(1, TABLE_BLOCK // count))):
+    while block := list(islice(supports, max(1, BLOCK_ROWS // count))):
         E = np.zeros((len(block), count, n), dtype=np.int64)
         cols = np.array(block, dtype=np.intp)[:, None, :]
         E[np.arange(len(block))[:, None, None], np.arange(count)[:, None], cols] = values
@@ -466,8 +503,8 @@ def _codeword_chunks(generator: np.ndarray, alphabet: Alphabet):
     total = q ** k
     if total > ENUM_BUDGET:
         raise BudgetExceeded(f"enumeration of {total} codewords exceeds budget {ENUM_BUDGET}")
-    for start in range(0, total, CHUNK_WORDS):
-        stop = min(start + CHUNK_WORDS, total)
+    for start in range(0, total, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, total)
         yield mat_mul(_message_block(start, stop, k, q), generator, alphabet)
 
 

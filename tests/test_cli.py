@@ -157,6 +157,16 @@ def test_encode_masking_impossible_exits_2(capsys):
     }
 
 
+def test_extension_field_above_2_pow_16_exits_2_with_json(capsys):
+    # Array arithmetic over GF(2^17) would need exp/log arrays above its
+    # limit: a resource error (exit 2), not a usage error (exit 1).
+    code, out, err = run_cli(capsys, "encode", "--n", "3", "--q", "131072", "--factors", "", "--m", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        '{"error": "BudgetExceeded", "message": "array arithmetic over GF(2^17) needs order <= 65536"}\n'
+    )
+
+
 def test_budget_overrun_exits_2_with_json(capsys):
     # Deriving t for this [40, 20] code would enumerate 3^20 words on
     # either side, the code or its dual.

@@ -26,8 +26,8 @@ from psmc.constructions import (
     redundancy_gain,
     stuck_redundancy_lower_bound,
 )
-from psmc.linear import (TIE, BudgetExceeded, LinearCode, _PackedMatrix, _packs, _syndrome_key,
-                         min_distance, parity_check_matrix)
+from psmc.linear import (TIE, BudgetExceeded, LinearCode, _BatchOfOne, _PackedMatrix, _packs,
+                         _syndrome_key, min_distance, parity_check_matrix)
 from psmc.presets import (
     DEMO14_ECC_COLUMNS,
     PRESETS,
@@ -899,22 +899,88 @@ def test_gate_picks_the_packed_kernel_only_where_no_byte_can_carry(q, rows, pack
 def test_gate_picks_each_kernel_of_a_code():
     # GF(31), n = 7: m G1 sums k1 = 5 rows and y K sums n = 7, so both pack;
     # at n = 8 y K would carry, while m G1 (k1 = 6) still packs.
-    for n, read_packed in ((7, True), (8, False)):
+    for n, read_form in ((7, _PackedMatrix), (8, _BatchOfOne)):
         code = PsmcMatrixCode(n, make_field(31), np.ones((n - 2, 1), dtype=np.int64), t=0)
         assert isinstance(code._g1, _PackedMatrix)
-        assert (code.base._read_packed is not None) == read_packed
+        assert isinstance(code.base._read, read_form)
     for code in (get_preset("appendix-n14"), PsmcCyclicCode(9, make_field(2, 3), (1,))):
-        assert isinstance(code._g1, _PackedMatrix) and code.base._read_packed is not None
+        assert isinstance(code._g1, _PackedMatrix) and isinstance(code.base._read, _PackedMatrix)
     for code in (PsmcCyclicCode(10, make_field(3, 2), (1, 2)), PsmcMatrixCode(6, make_field(1048573), t=0)):
-        assert not isinstance(code._g1, _PackedMatrix) and code.base._read_packed is None
+        assert isinstance(code._g1, _BatchOfOne) and isinstance(code.base._read, _BatchOfOne)
+
+
+def test_one_gate_in_linear_chooses_the_forms_of_g1_and_k():
+    # psmc.linear._product is the only place a form is chosen: gating
+    # _packs off there alone gives both products as batches of one, and
+    # the gate is asked about k1 rows for G1 and n rows for K.
+    F = make_field(2, 3)
+    with mock.patch.object(psmc.linear, "_packs", return_value=False) as gate:
+        code = PsmcCyclicCode(9, F, (1,), t=1)
+        assert isinstance(code._g1, _BatchOfOne) and isinstance(code.base._read, _BatchOfOne)
+    assert [call.args for call in gate.call_args_list] == [(F, code.k1), (F, code.n)]
+    packed = PsmcCyclicCode(9, F, (1,), t=1)
+    assert isinstance(packed._g1, _PackedMatrix) and isinstance(packed.base._read, _PackedMatrix)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        m = rng.integers(0, F.q, code.k1)
+        out, ref = packed.encode(m, (0, 4)), code.encode(m, (0, 4))
+        assert (out.codeword.tolist(), out.z, out.v) == (ref.codeword.tolist(), ref.z, ref.v)
+        e = np.zeros(code.n, dtype=np.int64)
+        e[rng.integers(code.n)] = rng.integers(1, F.q)
+        y = F.add(out.codeword, e)
+        assert packed.decode(y).tolist() == code.decode(y).tolist() == m.tolist()
+
+
+def test_mixed_forms_match_the_numpy_twin_and_the_oracle():
+    # Cyclic n = 8 over GF(31): m G1 sums k1 = 3 rows and packs, while y K
+    # sums n = 8 rows, whose bytes could carry, so K is a batch of one.
+    F = make_field(31)
+    code = PsmcCyclicCode(8, F, (1, 2))
+    assert (code.k1, code.t) == (3, 1)
+    assert isinstance(code._g1, _PackedMatrix) and isinstance(code.base._read, _BatchOfOne)
+    with mock.patch.object(psmc.linear, "_packs", return_value=False):
+        twin = PsmcCyclicCode(8, F, (1, 2), t=1)
+        assert isinstance(twin._g1, _BatchOfOne) and isinstance(twin.base._read, _BatchOfOne)
+    rng = np.random.default_rng(20260811)
+    base, checked = code.base, 0
+    for trial in range(400):
+        m = rng.integers(0, F.q, code.k1)
+        stuck = tuple(sorted(rng.choice(code.n, size=int(rng.integers(0, code.n + 1)), replace=False).tolist()))
+        try:
+            out = code.encode(m, stuck, probabilistic=True)
+        except MaskingImpossible:
+            with pytest.raises(MaskingImpossible):
+                twin.encode(m, stuck, probabilistic=True)
+            continue
+        ref = twin.encode(m, stuck, probabilistic=True)
+        assert out.codeword.dtype == np.int64
+        assert (out.codeword.tolist(), out.z, out.v) == (ref.codeword.tolist(), ref.z, ref.v)
+        e = np.zeros(code.n, dtype=np.int64)
+        cells = rng.choice(code.n, size=int(rng.integers(0, 3)), replace=False)
+        e[cells] = rng.integers(1, F.q, len(cells))
+        y = F.add(out.codeword, e)
+        x = base._decode_word(y, 1, base.k, y.tolist())
+        other = twin.base._decode_word(y, 1, base.k, y.tolist())
+        assert (x is None) == (other is None)
+        if x is None:
+            with pytest.raises(DecodingFailure):
+                code.decode(y)
+        else:
+            assert x.dtype == np.int64 and x.tolist() == other.tolist()
+            assert code.decode(y).tolist() == twin.decode(y).tolist() == x[: code.k1].tolist()
+        if trial % 40 == 0:  # the enumeration oracle walks all 31^4 codewords
+            oracle = base._decode_by_enumeration(y, 1)
+            assert (x is None) == (oracle is None)
+            assert x is None or x.tolist() == base.message_of(oracle).tolist()
+            checked += 1
+    assert checked >= 5
 
 
 def numpy_kernel(code):
-    """A copy of code built with the packed kernel gated off everywhere."""
-    with mock.patch.object(psmc.linear, "_packs", return_value=False), \
-            mock.patch.object(psmc.constructions, "_packs", return_value=False):
+    """A copy of code built with the packed kernel gated off, at its one gate."""
+    with mock.patch.object(psmc.linear, "_packs", return_value=False):
         twin = PsmcExtendedCode(code.alphabet, code.H0, code.G1[:, code.n - code.r :], t=code.t)
-        assert twin._g1 is None and twin.base._read_packed is None
+        assert isinstance(twin._g1, _BatchOfOne) and isinstance(twin.base._read, _BatchOfOne)
     return twin
 
 

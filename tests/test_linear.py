@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import psmc.alphabet
 import psmc.linear
 from psmc.alphabet import make_field
-from psmc.constructions import DecodingFailure, PsmcCyclicCode
+from psmc.constructions import DecodingFailure, PsmcCyclicCode, PsmcMatrixCode
 from psmc.cyclic import all_cosets, build_cyclic_code
 from psmc.linear import (
     ENUM_BUDGET,
@@ -634,7 +634,7 @@ def test_syndrome_table_matches_one_pattern_at_a_time(block):
         (build_cyclic_code(9, GF8, (1,)).to_linear_code(), 2),
         (LinearCode(np.eye(4, dtype=np.int64), GF5), 1),  # empty H
     ]
-    with mock.patch.object(psmc.linear, "TABLE_BLOCK", block):
+    with mock.patch.object(psmc.linear, "BLOCK_ROWS", block):
         for code, t in cases:
             table = code._syndrome_table(t)
             reference = reference_table(code, t)
@@ -692,3 +692,20 @@ def test_decode_kernel_matches_enumeration_on_random_codes(case, t, rows, seed):
     code = LinearCode(G, field)
     rng = np.random.default_rng(seed)
     assert_kernel_matches_enumeration(code, t, words_around(code, t, rng, rows))
+
+
+def test_codes_over_extension_fields_above_2_pow_16_are_refused_as_a_resource_limit():
+    # Array arithmetic over an extension field needs exp/log arrays of q
+    # entries, up to 2^16: beyond, a code is refused when built, not on
+    # its first encode.
+    for build in (
+        lambda: LinearCode([[1, 0, 0], [0, 1, 0]], make_field(2, 17)),
+        lambda: PsmcMatrixCode(6, make_field(3, 11), t=0),
+    ):
+        with pytest.raises(BudgetExceeded, match=r"array arithmetic over GF\(\d\^1\d\) needs order <= 65536"):
+            build()
+    assert LinearCode([[1, 1]], make_field(2, 16)).n == 2  # at the limit
+    # Prime fields multiply mod q with no tables, up to 2^20.
+    big = LinearCode([[1, 0, 0], [0, 1, 0]], make_field(1048573))
+    assert big.encode([5, 7]).tolist() == [5, 7, 0]
+    assert big.decode_bounded([5, 7, 3], 0) is None
