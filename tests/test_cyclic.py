@@ -190,7 +190,7 @@ def test_minpoly_built_once_per_coset_in_n26_sweep(monkeypatch):
     for c in cosets:
         roots = [ctx.ext.pow(ctx.alpha, b) for b in c.members]
         fresh[c.representative] = Polynomial(
-            GF3, (ctx.project(x) for x in uncached(ctx.ext, roots).coeffs)
+            GF3, (ctx.project(x) for x in uncached(ctx.ext, roots))
         )
         for a in c.members:
             assert minimal_polynomial(a, 26, GF3) == fresh[c.representative]
@@ -231,9 +231,22 @@ def test_bch_bound_values(defining, n, expected):
     assert expected == longest_run_bruteforce(defining, n) + 1
 
 
+def test_bch_bound_matches_bruteforce_on_every_proper_subset():
+    for n in range(1, 10):
+        for size in range(n):
+            for defining in combinations(range(n), size):
+                assert bch_bound_from_defining_set(defining, n) == longest_run_bruteforce(defining, n) + 1
+
+
 def test_bch_bound_rejects_full_set():
     with pytest.raises(ValueError):
         bch_bound_from_defining_set(range(8), 8)
+
+
+@pytest.mark.parametrize("defining, bad", [([1, 2, 9], 9), ([30], 30), ([3, -1, 8], -1)])
+def test_bch_bound_rejects_members_outside_the_length(defining, bad):
+    with pytest.raises(ValueError, match=rf"^defining-set member {bad} is outside \[0, 8\)$"):
+        bch_bound_from_defining_set(defining, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +304,10 @@ SWEEP_DIGESTS = {
     (21, 4): ("2cebd30de9e1b6da006f13ed54b576f330972ebc9671d88ed0adf22081ae6810", 511),
     (9, 8): ("1c3d179013b8e5c48d20a41db36ab935a9be05576ad3071922459aef49c30f73", 31),
     (15, 2): ("9e9a429b6b24155a0135d4933762d685fb9c9d674e1f2d02b5a5ba39e737a7e3", 31),
+    # two-byte lanes: division by generators of up to 16 symbols over GF(7),
+    # and products of minimal polynomials over GF(11)
+    (16, 7): ("c23a1af51edc7bb8dc86832fcee08fc68008d15b7bc84a30c69edac431e794d5", 511),
+    (12, 11): ("40a5d586a349494e3c19022dd20604e84badde053ece9e6b51a66cd18710faf4", 127),
 }
 
 
