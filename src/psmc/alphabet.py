@@ -25,9 +25,7 @@ coefficient: a product is one int multiply, a division one multiply-add
 of f (-b) per quotient symbol f, read off the leading lane mod q.  w is
 the narrowest of 1, 2, 4 or 8 bytes that holds a lane's bound (given in
 ``_pmul`` and ``_pdivmod``), so no lane carries; one-byte lanes reduce
-with one ``bytes.translate``.  The warm sweep of the 1023 length-26
-generators over GF(3) went from 111 ms on the schoolbook loops to 65 ms
-(one CPU of a 2-vCPU host).  Extension fields call their scalar ops per
+with one ``bytes.translate``.  Extension fields call their scalar ops per
 symbol.
 :class:`Polynomial` wraps them, and an extension field is bootstrapped
 with them over its prime field: Rabin's irreducibility test (the only
@@ -60,7 +58,7 @@ from __future__ import annotations
 
 import math
 import struct
-from functools import cache
+from functools import cache, cached_property
 from itertools import zip_longest
 from operator import index
 from typing import Iterable, Sequence
@@ -246,10 +244,6 @@ class Alphabet:
         self.m = m
         self.q = p ** m
         self._mod_digits = _find_modulus(p, m) if m > 1 else None
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._explog_arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._primitive: int | None = None
         self._add_table: np.ndarray | None = None
 
     # -- basic structure ----------------------------------------------------
@@ -307,7 +301,7 @@ class Alphabet:
         if self.m == 1:
             return (a * b) % self.q
         if self.q <= _EXPLOG_ORDER_LIMIT:
-            exp, log = self._tables()
+            exp, log = self._tables
             return exp[log[a] + log[b]]
         return self._ext_mul_raw(a, b)
 
@@ -317,7 +311,7 @@ class Alphabet:
         if self.m == 1:
             return pow(a, -1, self.q)
         if self.q <= _EXPLOG_ORDER_LIMIT:
-            exp, log = self._tables()
+            exp, log = self._tables
             return exp[self.q - 1 - log[a]]
         return self.pow(a, self.q - 2)
 
@@ -325,7 +319,7 @@ class Alphabet:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if self.m > 1 and self.q <= _EXPLOG_ORDER_LIMIT and a:
-            exp, log = self._tables()
+            exp, log = self._tables
             return exp[log[a] * e % (self.q - 1)]
         return self._pow_raw(a, e)
 
@@ -346,16 +340,12 @@ class Alphabet:
                 order //= f
         return order
 
-    @property
+    @cached_property
     def primitive(self) -> int:
         """Smallest element generating the multiplicative group."""
-        if self._primitive is None:
-            for g in range(1, self.q):
-                if self.element_order(g) == self.q - 1:
-                    self._primitive = g
-                    break
-        return self._primitive
+        return next(g for g in range(1, self.q) if self.element_order(g) == self.q - 1)
 
+    @cached_property
     def _tables(self) -> tuple[list[int], list[int]]:
         """exp/log lists with exp[log[a] + log[b]] == a * b for every a, b.
 
@@ -364,26 +354,23 @@ class Alphabet:
         product with 0 needs neither a zero test nor a modulus.  Extension
         fields of order <= 2^16 only: prime fields multiply mod q.
         """
-        if self._exp is None:
-            g, cycle = self.primitive, self.q - 1
-            exp = [0] * (4 * cycle + 1)
-            log = [2 * cycle] * self.q
-            acc = 1
-            for i in range(cycle):
-                exp[i] = exp[i + cycle] = acc
-                log[acc] = i
-                acc = self._ext_mul_raw(acc, g)
-            self._exp, self._log = exp, log
-        return self._exp, self._log
+        g, cycle = self.primitive, self.q - 1
+        exp = [0] * (4 * cycle + 1)
+        log = [2 * cycle] * self.q
+        acc = 1
+        for i in range(cycle):
+            exp[i] = exp[i + cycle] = acc
+            log[acc] = i
+            acc = self._ext_mul_raw(acc, g)
+        return exp, log
 
+    @cached_property
     def _explog(self) -> tuple[np.ndarray, np.ndarray]:
-        """The :meth:`_tables` layout as int64 arrays, for the array products."""
-        if self._explog_arrays is None:
-            if self.q > _EXPLOG_ORDER_LIMIT:
-                raise ValueError(f"array arithmetic over {self!r} needs order <= {_EXPLOG_ORDER_LIMIT}")
-            exp, log = self._tables()
-            self._explog_arrays = np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
-        return self._explog_arrays
+        """The :attr:`_tables` layout as int64 arrays, for the array products."""
+        if self.q > _EXPLOG_ORDER_LIMIT:
+            raise ValueError(f"array arithmetic over {self!r} needs order <= {_EXPLOG_ORDER_LIMIT}")
+        exp, log = self._tables
+        return np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
 
     def _digitwise(self, a, b, sign: int):
         """a + sign * b computed on base-p digits, for ints and int64 arrays."""
@@ -408,7 +395,7 @@ class Alphabet:
     def vmul(self, a, b) -> np.ndarray:
         if self.m == 1:
             return np.multiply(a, b) % self.q
-        exp, log = self._explog()
+        exp, log = self._explog
         return exp[log[a] + log[b]]
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -172,14 +172,9 @@ def cmd_simulate(args) -> int:
     if args.json:
         _emit(args.json, report.to_json(indent=2))
     if args.csv:
-        target = Path(args.csv) if args.csv != "-" else None
-        header = target is None or not target.exists() or target.stat().st_size == 0
-        line = report.csv_line(header=header)
-        if target is None:
-            sys.stdout.write(line)
-        else:
-            with open(target, "a", encoding="ascii") as fh:
-                fh.write(line)
+        target = Path(args.csv)
+        header = args.csv == "-" or not target.exists() or target.stat().st_size == 0
+        _emit(args.csv, report.csv_line(header=header), append=True)
     if not args.json and not args.csv:
         fmt = lambda x: "n/a" if x is None else f"{x:.6f}"
         print(f"trials={cfg.trials} masked={report.masking_successes} "
@@ -191,11 +186,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _emit(dest: str, payload: str) -> None:
+def _emit(dest: str, payload: str, *, append: bool = False) -> None:
+    """Write payload, newline-terminated, to stdout for "-" or else to the
+    file dest; a file that cannot be written is a usage error."""
+    payload = payload if payload.endswith("\n") else payload + "\n"
     if dest == "-":
-        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
-    else:
-        Path(dest).write_text(payload if payload.endswith("\n") else payload + "\n", encoding="utf-8")
+        sys.stdout.write(payload)
+        return
+    try:
+        with open(dest, "a" if append else "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {dest!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import (PROB_BUDGET, BudgetExceeded, LinearCode, _integers, _product, _word,
+from .linear import (BudgetExceeded, LinearCode, _integers, _product, _word,
                      min_distance, parity_check_matrix)
 
 
@@ -388,6 +388,11 @@ class PsmcExtendedCode(_MaskingCode):
 # ---------------------------------------------------------------------------
 # masking probability and fractional-redundancy accounting
 # ---------------------------------------------------------------------------
+
+# Max q * u * bit_length(q) of an exact masking probability for u >= q, whose
+# q terms have about u log2(q) bits: q = u = 2053 computes, 4099 raises.
+PROB_BUDGET = 1 << 26
+
 
 def masking_probability(q: int, u: int) -> Fraction:
     """Probability that u uniform symbols do not cover the whole alphabet.

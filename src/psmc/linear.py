@@ -69,9 +69,6 @@ import numpy as np
 from .alphabet import _EXPLOG_ORDER_LIMIT, Alphabet, _byte_tables
 
 ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
-# Max q * u * bit_length(q) of an exact masking probability for u >= q, whose
-# q terms have about u log2(q) bits: q = u = 2053 computes, 4099 raises.
-PROB_BUDGET = 1 << 26
 BLOCK_ROWS = 8192         # rows per matrix product: codewords or error patterns
 # Max error patterns of weight <= t in one syndrome table, whatever q^(n-k).
 # Each syndrome a table holds keeps its key (a bytes object of n - k symbols,

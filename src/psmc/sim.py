@@ -5,9 +5,9 @@ positions (without replacement), encodes in probabilistic mode, stores
 the word, adds a random error of the configured Hamming weight (uniform
 positions, uniform nonzero magnitudes), and decodes.  Memory words are
 plain numpy symbol vectors.  Above the construction's guarantee, one
-array pass over each block of trials first finds the trials that no
-masking vector fits; those log their masking failure without calling
-encode, and encode must succeed on every other one.
+array pass over each block of trials gives each trial a verdict: a
+trial that no masking vector fits logs its masking failure without
+calling encode, and encode must succeed on every other one.
 
 Determinism (stream v3): a campaign reads one counter-based stream,
 ``numpy.random.Philox`` keyed with the two 64-bit words ``(seed, 3)``,
@@ -221,13 +221,13 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
     n, k1, l, u_max, alphabet, encode, decode, and _maskable above the
     guarantee).  Trial inputs come from the campaign's stream (module
     docstring), drawn a block of :data:`BLOCK_TRIALS` trials at a time.
-    Inside the guaranteed regime (u <= code.u_max), encode, inject and
-    decode run once per trial, in that order.  Above it, one block check
-    (``code._maskable``) first finds the trials no masking vector fits:
-    each logs the failure encode would raise, and only the others run
-    encode, inject and decode.  Masking runs in probabilistic mode; an
-    encode that finds no masking vector inside the guarantee, or on a
-    trial the block check accepted, is an internal error and raises
+    Each block gets one verdict per trial, walked once in trial order:
+    every verdict is True inside the guaranteed regime (u <= code.u_max),
+    and one block check (``code._maskable``) gives them above it.  A
+    rejected trial logs the failure encode would raise; an accepted one
+    runs encode, inject and decode, in that order, so every masked trial
+    is a decode attempt.  Masking runs in probabilistic mode; an encode
+    that fails on an accepted trial is an internal error and raises
     immediately.
     """
     q = code.alphabet.q
@@ -237,7 +237,6 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
         )
     masked = 0
     decoded = 0
-    attempts = 0
     failures: list[dict] = []
     guaranteed = cfg.u <= code.u_max
 
@@ -247,25 +246,17 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
         if len(failures) < FAILURE_LOG_CAP:
             failures.append({"trial": trial, "stage": stage, "detail": str(detail)})
 
-    def log_rejected(start, stuck, lo, hi):
-        """Log the mask failure encode would raise for block trials lo..hi-1,
-        which the block check rejected, in trial order while the log has room."""
-        for j in range(lo, min(hi, lo + FAILURE_LOG_CAP - len(failures))):
-            log_failure(start + j, "mask", MaskingImpossible.at(tuple(stuck[j])))
-
     for start in range(0, cfg.trials, BLOCK_TRIALS):
         count = min(BLOCK_TRIALS, cfg.trials - start)
         draws = _draw(cfg, code.k1, start, start + count)
         stuck = draws.stuck.tolist()
-        if guaranteed:
-            accepted = range(count)
-        else:
-            accepted = np.flatnonzero(code._maskable(draws.messages, draws.stuck)).tolist()
-        pending = 0  # the block's first trial neither run nor logged
-        for i in accepted:
-            if i > pending:
-                log_rejected(start, stuck, pending, i)
-            pending = i + 1
+        fits = [True] * count if guaranteed else code._maskable(draws.messages, draws.stuck).tolist()
+        for i, fit in enumerate(fits):
+            if not fit:
+                # The failure encode would raise, built only while the log has room.
+                if len(failures) < FAILURE_LOG_CAP:
+                    log_failure(start + i, "mask", MaskingImpossible.at(tuple(stuck[i])))
+                continue
             trial, m = start + i, draws.messages[i]
             try:
                 out = code.encode(m, StuckCellProfile._of(tuple(stuck[i])), probabilistic=True)
@@ -275,7 +266,6 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
             masked += 1
             # With no errors to inject, the stored word is read back as it is.
             y = inject(out.codeword, draws.errors[i], code.alphabet) if cfg.t_inj else out.codeword
-            attempts += 1
             try:
                 mhat = code.decode(y)
             except DecodingFailure as exc:
@@ -285,17 +275,16 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
                 decoded += 1
             else:
                 log_failure(trial, "decode", "decoded to a different message")
-        log_rejected(start, stuck, pending, count)
 
     has_trials = cfg.trials > 0
     return CampaignReport(
         config=cfg,
         masking_successes=masked,
-        decode_attempts=attempts,
+        decode_attempts=masked,
         decode_successes=decoded,
         masking_rate=masked / cfg.trials if has_trials else None,
         ci95=wilson_interval(masked, cfg.trials) if has_trials else None,
         expected_rate=_expected_rate(code, cfg.u),
-        decode_rate=decoded / attempts if attempts else None,
+        decode_rate=decoded / masked if masked else None,
         failures=failures,
     )

@@ -270,6 +270,21 @@ def test_tables_json(capsys):
     assert blob["rows"][0]["k1"] == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["tables", "--csv"],
+    ["tables", "--json"],
+    ["simulate", "--preset", "masking-n8-r0", "--u", "7", "--trials", "20", "--json"],
+    ["simulate", "--preset", "masking-n8-r0", "--u", "7", "--trials", "20", "--csv"],
+])
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
+    # A missing parent directory: one usage line on stderr, no traceback.
+    dest = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *argv, str(dest))
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert str(dest) in err
+
+
 def test_build_table_enumerates_each_row_once(monkeypatch):
     import psmc.constructions
     import psmc.linear

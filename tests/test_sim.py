@@ -50,6 +50,21 @@ def gf3_zero_entry_code():
     return PsmcExtendedCode(make_field(3), [[1, 0, 2]], t=0)
 
 
+def gf9_cyclic_code():
+    # u_max = 8; odd-characteristic extension-field sums.
+    return PsmcCyclicCode(10, make_field(3, 2), (1, 2))
+
+
+def gf9_zero_column_code():
+    # Column 2 is zero, so d0 = 1 and u_max = 0; l = 2 prefix rows summed digit by digit.
+    return PsmcExtendedCode(make_field(3, 2), [[1, 0, 0, 1, 2, 5], [0, 1, 0, 3, 4, 7]], t=0)
+
+
+def gf257_extended_code():
+    # q > 256: encode multiplies each word as a batch of one.
+    return PsmcExtendedCode(make_field(257), [[1, 0, 3, 5, 7, 11]], t=0)
+
+
 def config_for(code, u, t_inj, trials, seed):
     return ChannelConfig(n=code.n, q=code.alphabet.q, u=u, t_inj=t_inj, trials=trials, seed=seed)
 
@@ -328,11 +343,13 @@ def _replay(code, cfg):
 
 
 # Above the guarantee, where the block check runs: masking8 at u = 7,
-# extended8_l3 at u = 4, extended8_l2 at u = 4, table8 row 5 at u = 4 and
-# the zero-entry GF(3) code at u = 2.
+# extended8_l3 at u = 4, extended8_l2 at u = 4, table8 row 5 at u = 4, the
+# zero-entry GF(3) code at u = 2, the GF(9) cyclic code at u = 10, and the
+# GF(9) zero-column and GF(257) extended codes at u = 3.
 @pytest.mark.parametrize("make, u, t_inj", [
     (masking8_code, 7, 0), (demo14_code, 2, 1), (extended8_l3_code, 4, 1), (gf8_cyclic_code, 7, 2),
     (extended8_l2_code, 4, 1), (table8_row5_code, 4, 3), (gf3_zero_entry_code, 2, 0),
+    (gf9_cyclic_code, 10, 1), (gf9_zero_column_code, 3, 0), (gf257_extended_code, 3, 0),
 ])
 def test_campaign_matches_trial_by_trial_replay(make, u, t_inj):
     code = make()
