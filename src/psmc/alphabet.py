@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import zip_longest
 from operator import index
@@ -256,6 +257,7 @@ class Alphabet:
         return Polynomial(make_field(self.p), self._mod_digits)
 
     def check(self, a: int) -> int:
+        a = index(a)
         if not 0 <= a < self.q:
             raise ValueError(f"symbol {a!r} out of range for {self!r}")
         return a
@@ -461,8 +463,10 @@ _FIELDS: dict[tuple[int, int], Alphabet] = {}
 def make_field(p: int, m: int = 1) -> Alphabet:
     """Return GF(p^m) with the fixed deterministic modulus.
 
-    Raises ValueError for non-prime p, m < 1, or p^m > 2^20.
+    Raises TypeError for a non-integer p or m, and ValueError for
+    non-prime p, m < 1, or p^m > 2^20.
     """
+    p, m = index(p), index(m)
     key = (p, m)
     if key not in _FIELDS:
         if _prime_factors(p) != [p]:
@@ -492,6 +496,7 @@ def field_of_order(q: int) -> Alphabet:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Dense univariate polynomial over an :class:`Alphabet`.
 
@@ -499,14 +504,11 @@ class Polynomial:
     the zero polynomial has an empty coefficient tuple and degree -inf.
     """
 
-    __slots__ = ("alphabet", "coeffs")
+    alphabet: Alphabet
+    coeffs: tuple[int, ...] = ()
 
-    def __init__(self, alphabet: Alphabet, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "coeffs", _strip([alphabet.check(index(c)) for c in coeffs]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _strip([self.alphabet.check(c) for c in self.coeffs]))
 
     # -- constructors ---------------------------------------------------------
 
@@ -575,23 +577,11 @@ class Polynomial:
 
     def __call__(self, point: int) -> int:
         A = self.alphabet
-        A.check(point)
+        point = A.check(point)
         acc = 0
         for c in reversed(self.coeffs):
             acc = A.add(A.mul(acc, point), c)
         return acc
-
-    # -- identity ----------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.alphabet == other.alphabet
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.coeffs))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.alphabet!r}, {list(self.coeffs)})"

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import log10
 from pathlib import Path
 
 import numpy as np
@@ -88,10 +89,13 @@ def _probability_digits(frac: Fraction, digits: int) -> str:
     if frac == 1:
         return "1"
     num, den = frac.numerator, frac.denominator
-    # frac < 1 here; find leading zeros after the decimal point.
-    scale = 0
-    while num * 10 ** (scale + 1) < den:
+    # frac < 1 here; count the zeros after the decimal point, starting from
+    # a lower bound: den/num > 2^(b-1) for b the bit-length difference.
+    scale = max(0, int((den.bit_length() - num.bit_length() - 1) * log10(2)) - 1)
+    power = 10 ** (scale + 1)
+    while num * power < den:
         scale += 1
+        power *= 10
     quotient, rem = divmod(num * 10 ** (scale + digits), den)
     if 2 * rem >= den:
         quotient += 1

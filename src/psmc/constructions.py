@@ -53,8 +53,7 @@ import numpy as np
 
 from .alphabet import Alphabet, Polynomial
 from .cyclic import CyclicCodeSpec, build_cyclic_code
-from .linear import (BudgetExceeded, LinearCode, _integers, _product, _word,
-                     min_distance, parity_check_matrix)
+from .linear import BudgetExceeded, LinearCode, _distance, _integers, _product, _word, min_distance
 
 
 class MaskingImpossible(Exception):
@@ -373,10 +372,12 @@ class PsmcExtendedCode(_MaskingCode):
         # d0 is the exact minimum distance of the code H0 checks.  For one
         # row (1, h_1, ..., h_(n-1)), n >= 2, a zero h_j makes the unit
         # word e_j a codeword, and otherwise h_j e_0 - e_j is one of weight 2.
+        # For H0 = [I | A], [-A^T | I] generates that code.
         if l == 1:
             self.d0 = 1 if 0 in H0[0].tolist() else 2
         else:
-            self.d0 = min_distance(LinearCode(parity_check_matrix(H0, alphabet), alphabet)).d
+            checked = np.hstack([alphabet.neg(H0[:, l:].T), np.eye(n - l, dtype=np.int64)])
+            self.d0 = _distance(checked, H0, alphabet)
 
     def __repr__(self) -> str:
         return (

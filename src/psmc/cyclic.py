@@ -16,8 +16,10 @@ first root, in power order, of that element's minimal polynomial over the
 prime field.  Minimal polynomials are products of linear factors x - b
 over a Frobenius orbit.
 
-Cosets are cached per (a, n, q) and minimal polynomials per coset and
-root context.  Roots in a field above ``MAX_ORDER`` raise BudgetExceeded.
+Cosets are cached per (a, n, q), root contexts per (n, base field) by
+``functools.cache`` and minimal polynomials per coset in their context; a
+prime base field maps in and out by identity, with no per-symbol table.
+Roots in a field above ``MAX_ORDER`` raise BudgetExceeded.
 
 The BCH lower bound reported for a defining set counts the longest run of
 cyclically consecutive members (a run may wrap n-1 -> 0) plus one, which
@@ -111,9 +113,8 @@ class _RootContext:
     def _subfield_maps(self):
         base, ext = self.base, self.ext
         if base.m == 1:
-            # Prime subfield: constants of the polynomial basis.
-            emb = {a: a for a in range(base.p)}
-            return emb, dict(emb)
+            # Prime subfield: constants of the polynomial basis, by identity.
+            return range(base.p), range(base.p)
         # GF(p^e) inside GF(p^(e*m)): send the small generator to a root
         # (in the big field) of its minimal polynomial over GF(p); the
         # first root in power order fixes the map.  For m = 1 that root is
@@ -132,7 +133,7 @@ class _RootContext:
     def project(self, a: int) -> int:
         try:
             return self._project[a]
-        except KeyError:
+        except (KeyError, IndexError):
             raise ArithmeticError(
                 f"element {a} of {self.ext!r} is not in the base field {self.base!r}"
             ) from None
@@ -151,14 +152,9 @@ def _minpoly_over_prime(field: Alphabet, a: int) -> tuple[int, ...]:
     return coeffs
 
 
-_CONTEXTS: dict[tuple[int, int, int], _RootContext] = {}
-
-
+@cache
 def root_context(n: int, base: Alphabet) -> _RootContext:
-    key = (n, base.p, base.m)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = _RootContext(n, base)
-    return _CONTEXTS[key]
+    return _RootContext(n, base)
 
 
 def minimal_polynomial(a: int, n: int, base: Alphabet) -> Polynomial:

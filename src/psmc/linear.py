@@ -5,10 +5,11 @@ enumeration bounded by an explicit budget) and is meant to serve both as
 the production decode path and as the brute-force oracle that validates
 the masking constructions.
 
-The exact minimum distance of an [n, k] code enumerates the smaller of
-the code (q^k words) and its dual (q^(n-k) words).  From the dual's
-weight distribution the code's own follows by the MacWilliams identity
-(MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 5).
+One helper, :func:`_distance`, finds the exact minimum distance of the
+code with a given generator G and check matrix H: it enumerates G's row
+space (q^k words) or H's, the dual (q^(n-k) words), whichever is smaller,
+and from the dual's weight distribution gets the code's by the MacWilliams
+identity (MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 5).
 
 Decoding reads the syndrome and the message in one product.  The read
 matrix K = [H^T | R] stacks the check matrix with an n x k matrix R
@@ -512,38 +513,38 @@ class DistanceReport:
 
 
 def min_distance(code: LinearCode, *, bch_lower_bound: int | None = None) -> DistanceReport:
-    """Exact minimum Hamming weight over the nonzero codewords.
+    """Exact minimum Hamming weight over the nonzero codewords, by
+    :func:`_distance` on the code's G and H."""
+    d = _distance(code.G, code.H, code.alphabet)
+    return DistanceReport(d=d, bch_lower_bound=bch_lower_bound, t=(d - 1) // 2)
 
-    Enumerates the smaller of the code (the rows of G, q^k words) and its
-    dual (the rows of H, q^(n-k) words); ``BudgetExceeded`` is raised
-    only when that smaller side exceeds ``ENUM_BUDGET``.  From the dual,
-    the code's weight distribution follows by the MacWilliams identity
+
+def _distance(G: np.ndarray, H: np.ndarray, alphabet: Alphabet) -> int:
+    """Exact minimum distance of the code with full-rank generator G and
+    check matrix H.
+
+    Enumerates the smaller row space: G's (q^k words) directly, or H's
+    (q^(n-k) words, the dual) through the MacWilliams identity
     q^(n-k) A_i = sum_j B_j K_i(j), with K_i the q-ary Krawtchouk
     polynomial (MacWilliams & Sloane, ch. 5); d is the first i >= 1 with
-    A_i != 0.
+    A_i != 0.  ``BudgetExceeded`` is raised only when the smaller side
+    exceeds ``ENUM_BUDGET``.
     """
-    if code.k <= code.n - code.k:
-        best = code.n
-        for i, chunk in enumerate(_codeword_chunks(code.G, code.alphabet)):
+    (k, n), q = G.shape, alphabet.q
+    if k <= n - k:
+        best = n
+        for i, chunk in enumerate(_codeword_chunks(G, alphabet)):
             w = np.count_nonzero(chunk[1:] if i == 0 else chunk, axis=1)  # not the zero word
             best = int(w.min(initial=best))
-    else:
-        best = _distance_from_dual(code)
-    return DistanceReport(d=best, bch_lower_bound=bch_lower_bound, t=(best - 1) // 2)
-
-
-def _distance_from_dual(code: LinearCode) -> int:
-    """First i >= 1 with A_i != 0, from the dual's weight distribution B."""
-    q, n = code.alphabet.q, code.n
+        return best
     B = np.zeros(n + 1, dtype=np.int64)
-    for chunk in _codeword_chunks(code.H, code.alphabet):
+    for chunk in _codeword_chunks(H, alphabet):
         B += np.bincount(np.count_nonzero(chunk, axis=1), minlength=n + 1)
-    dual_size = q ** (n - code.k)
     support = [(j, int(b)) for j, b in enumerate(B) if b]
     for i in range(1, n + 1):
         total = sum(b * _krawtchouk(i, j, n, q) for j, b in support)
         if total:
-            assert total % dual_size == 0, "MacWilliams transform is not integral"
+            assert total % q ** (n - k) == 0, "MacWilliams transform is not integral"
             return i
     raise ArithmeticError("a nonzero code has no nonzero codeword")
 

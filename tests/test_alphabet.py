@@ -111,6 +111,13 @@ def test_make_field_rejects_bad_input():
         make_field(2, 21)  # 2^21 > 2^20 bound
 
 
+def test_make_field_rejects_non_integer_orders():
+    for p, m in ((5.0, 1), (3, 2.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make_field(p, m)
+    assert make_field(np.int64(5), np.int64(1)) is make_field(5)
+
+
 def test_make_field_supports_2_pow_20():
     f = make_field(2, 20)
     assert f.q == 1 << 20
@@ -132,6 +139,22 @@ def test_field_of_order():
 
 def test_alphabets_are_cached():
     assert make_field(3, 2) is make_field(3, 2)
+
+
+def test_scalar_input_checks():
+    gf7 = make_field(7)
+    with pytest.raises(ZeroDivisionError, match=r"^0 has no multiplicative inverse$"):
+        gf7.inv(0)
+    with pytest.raises(ValueError, match=r"^0 has no multiplicative order$"):
+        gf7.element_order(0)
+    with pytest.raises(ValueError, match=r"^dense tables limited to q <= 1024$"):
+        make_field(2, 11).add_table()
+    with pytest.raises(ValueError, match=r"^symbol 7 out of range for GF\(7\)$"):
+        gf7.check(7)
+    for f in (gf7, make_field(2, 3), make_field(2, 17)):
+        for a in (2, 3):
+            for e in (1, 2, 5):
+                assert f.mul(f.pow(a, -e), f.pow(a, e)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +392,42 @@ def test_poly_division_by_zero():
     gf3 = make_field(3)
     with pytest.raises(ZeroDivisionError):
         divmod(Polynomial.one(gf3), Polynomial(gf3))
+
+
+def test_poly_input_checks():
+    gf3 = make_field(3)
+    with pytest.raises(ValueError, match=r"^degree 2 does not fit in length 2$"):
+        Polynomial(gf3, [1, 0, 1]).vector(2)
+    with pytest.raises(TypeError, match=r"^expected Polynomial, got int$"):
+        Polynomial(gf3, [1]) + 1
+
+
+def test_poly_symbols_must_be_integers():
+    gf3 = make_field(3)
+    p = Polynomial(gf3, [1, 1])
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        p(1.5)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Polynomial(gf3, [1.0])
+    assert Polynomial(gf3, np.array([1, 2])).coeffs == (1, 2)
+    assert all(type(c) is int for c in Polynomial(gf3, np.array([1, 2])).coeffs)
+    assert p(np.int64(1)) == 2 and type(p(np.int64(1))) is int
+
+
+def test_poly_is_an_immutable_value():
+    gf3 = make_field(3)
+    p = Polynomial(gf3, (1, 2, 0))
+    assert p == Polynomial(gf3, [1, 2]) and hash(p) == hash((gf3, (1, 2)))
+    assert p != Polynomial(make_field(5), (1, 2)) and p != (1, 2)
+    assert len({p, Polynomial(gf3, (1, 2)), Polynomial.one(gf3)}) == 2
+    for name in ("alphabet", "coeffs"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(p, name, (1,))
+    # A frozen slots dataclass refuses other names too; Python 3.10 and 3.11
+    # raise TypeError there rather than AttributeError.
+    with pytest.raises((AttributeError, TypeError)):
+        p.other = 1
+    assert p.coeffs == (1, 2) and p.alphabet is gf3
 
 
 @st.composite

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import psmc
 from psmc.cli import main, parse_word, format_word, _probability_digits
+from psmc.constructions import masking_probability
 from psmc.presets import PRESETS, get_preset
 from psmc.sim import CSV_COLUMNS
 from fractions import Fraction
@@ -52,6 +54,52 @@ def test_probability_digits_exact():
     assert _probability_digits(Fraction(21, 27), 12) == "0.777777777778"
     assert _probability_digits(Fraction(1, 1), 12) == "1"
     assert _probability_digits(Fraction(1, 1000), 3) == "0.00100"
+
+
+def probability_digits_oracle(frac, digits):
+    """The expansion with its leading zeros counted one power of ten per zero."""
+    if frac in (0, 1):
+        return str(frac)
+    num, den = frac.numerator, frac.denominator
+    scale = 0
+    while num * 10 ** (scale + 1) < den:
+        scale += 1
+    quotient, rem = divmod(num * 10 ** (scale + digits), den)
+    quotient += 2 * rem >= den
+    if quotient == 10**digits:
+        quotient //= 10
+        scale -= 1
+        if scale < 0:
+            return "1"
+    return "0." + "0" * scale + str(quotient).rjust(digits, "0")
+
+
+@settings(max_examples=300, deadline=None)
+@given(den=st.integers(2, 10**60), data=st.data(), digits=st.integers(1, 15))
+def test_probability_digits_match_oracle(den, data, digits):
+    frac = Fraction(data.draw(st.integers(1, den - 1)), den)
+    assert _probability_digits(frac, digits) == probability_digits_oracle(frac, digits)
+
+
+def test_probability_digits_at_powers_of_ten():
+    cases = [Fraction(1, 10**k) for k in range(1, 40)]
+    cases += [Fraction(10**k - 1, 10 ** (k + 1)) for k in range(1, 40)]
+    cases += [Fraction(10**k + 1, 10 ** (k + 1)) for k in range(1, 40)]
+    cases += [masking_probability(3, u) for u in (3, 50, 500, 5000)]
+    for frac in cases:
+        for digits in (1, 3, 6, 12):
+            assert _probability_digits(frac, digits) == probability_digits_oracle(frac, digits)
+    # Rounding that crosses a power of ten drops one leading zero, or reaches 1.
+    assert _probability_digits(Fraction(1999999, 2000000), 6) == "1"
+    assert _probability_digits(Fraction(24999999, 2500000000), 6) == "0.0100000"
+
+
+def test_probability_digits_needs_one_digit():
+    from psmc.cli import UsageError
+
+    for digits in (0, -1):
+        with pytest.raises(UsageError, match=r"^digits must be >= 1$"):
+            _probability_digits(Fraction(1, 3), digits)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +275,20 @@ def test_unknown_preset_is_usage_error(capsys):
 def test_bad_flag_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "encode", "--m")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [["encode", "--m", "0"], ["encode", "--n", "8", "--m", "0"],
+                                  ["decode", "--q", "3", "--y", "0"]])
+def test_code_needs_a_preset_or_n_and_q(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "usage error: need --preset or both --n and --q\n")
+
+
+def test_config_line_without_equals_is_usage_error(capsys, tmp_path):
+    cfgfile = tmp_path / "campaign.cfg"
+    cfgfile.write_text("preset=table8-row3\nu 2\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfgfile))
+    assert (code, out, err) == (1, "", "usage error: config line 'u 2' is not key=value\n")
 
 
 def test_explicit_cyclic_code_selection(capsys):

@@ -214,8 +214,7 @@ def test_l1_code_is_built_without_min_distance(monkeypatch):
         code = PsmcExtendedCode(field, [[1, *tail]], t=0)
         assert code.d0 == (1 if 0 in tail else 2)
         assert code.u_max == (0 if 0 in tail else min(code.n, field.q - 1))
-    with pytest.raises(AssertionError, match="min_distance called"):
-        extended8_l2_code()  # l = 2 still derives d0 by min_distance
+    assert extended8_l2_code().d0 == 2  # l = 2 reads d0 off H0's rows, not min_distance
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +329,12 @@ def test_matrix_all_zero_word_decodes_to_zero():
 def test_cyclic_rejects_g1_not_dividing_g0():
     with pytest.raises(ValueError, match="divide"):
         PsmcCyclicCode(8, GF3, (0,))
+
+
+def test_cyclic_g1_must_leave_information_symbols():
+    # Cosets {1, 3}, {2, 6}, {4} and {5, 7} of 8 over GF(3): r = 7, so k1 = 0.
+    with pytest.raises(ValueError, match=r"^no room for information symbols \(deg g1 too large\)$"):
+        PsmcCyclicCode(8, GF3, (1, 2, 4, 5))
 
 
 def test_cyclic_r0_reduction():
@@ -480,6 +485,13 @@ def test_stuck_redundancy_lower_bound():
     assert stuck_redundancy_lower_bound(0) == 0
 
 
+def test_accounting_input_checks():
+    with pytest.raises(ValueError, match=r"^need q >= 2 and u >= 0$"):
+        masking_probability(1, 0)
+    with pytest.raises(ValueError, match=r"^u must be >= 0$"):
+        stuck_redundancy_lower_bound(-1)
+
+
 # ---------------------------------------------------------------------------
 # extended construction
 # ---------------------------------------------------------------------------
@@ -560,6 +572,41 @@ def test_extended_requires_systematic_check():
         PsmcExtendedCode(GF3, bad)
 
 
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("k", range(1, 6))
+@settings(max_examples=15, deadline=None)
+@given(field=st.sampled_from([GF3, make_field(2, 2), make_field(5)]), data=st.data())
+def test_extended_d0_matches_min_distance_of_the_checked_code(l, k, field, data):
+    # n = l + k from l + 1 to l + 5: the checked [n, k] code's distance is
+    # read off its generator for k <= l and off H0 through MacWilliams above.
+    # min_distance runs the same enumeration, so a scan of the checked
+    # code's nonzero words backs it up.
+    entry = st.integers(0, field.q - 1)
+    A = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=l, max_size=l))
+    H0 = np.hstack([np.eye(l, dtype=np.int64), np.array(A, dtype=np.int64)])
+    code = PsmcExtendedCode(field, H0, t=0)
+    checked = LinearCode(parity_check_matrix(H0, field), field)
+    assert code.d0 == min_distance(checked).d
+    messages = np.array(list(product(range(field.q), repeat=k))[1:], dtype=np.int64)
+    assert code.d0 == np.count_nonzero(field.matmul(messages, checked.G), axis=1).min()
+
+
+def test_extended_d0_enumerates_the_smaller_side():
+    # n = 3 < 2l: the checked code has 1048573 words and its dual 1048573^2,
+    # so d0 comes from the code's own rows, within the enumeration budget.
+    code = PsmcExtendedCode(make_field(1048573), [[1, 0, 5], [0, 1, 7]], t=0)
+    assert code.d0 == 3
+
+
+def test_extended_input_checks():
+    with pytest.raises(ValueError, match=r"^masking check must be an l x n matrix$"):
+        PsmcExtendedCode(GF3, [1, 1, 1])
+    with pytest.raises(ValueError, match=r"^no room for information symbols$"):
+        PsmcExtendedCode(GF3, [[1, 1, 1]], np.zeros((1, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"^ecc_columns must have 5 rows, got 3$"):
+        PsmcMatrixCode(8, GF3, np.zeros((3, 2), dtype=np.int64))
+
+
 def test_extended_masking_impossible_outside_regime():
     # Check columns 0, 2, 3 all lie in the projective class of (1, 0), so
     # stuck values demanding three distinct z0 lines cover all of GF(3)^2.
@@ -577,6 +624,22 @@ def test_extended_empty_profile_zero_shift():
     assert out.z == (0, 0, 0)
     assert (out.codeword == code.base.encode(np.concatenate([[1, 2], [0, 0, 0]]))).all()
     assert (code.decode(out.codeword) == [1, 2]).all()
+
+
+def test_code_reprs():
+    # bench/workloads.py describe records these strings for each built code.
+    expected = {
+        "masking-n8-r0": "PsmcMatrixCode(n=8, k1=7, r=0, t=0, GF(3))",
+        "appendix-n14": "PsmcMatrixCode(n=14, k1=10, r=3, t=1, GF(3))",
+        "table8-row5": "PsmcCyclicCode(n=8, k1=2, r=5, delta1>=5, t=2, GF(3))",
+        "extended-n8-l2": "PsmcExtendedCode(n=8, k1=3, l=2, r=3, d0=2, t=1, GF(3))",
+        "extended-n8-l3": "PsmcExtendedCode(n=8, k1=2, l=3, r=3, d0=3, t=1, GF(3))",
+    }
+    for name, text in expected.items():
+        assert repr(get_preset(name)) == text
+    assert repr(get_preset("table8-row5").base) == "LinearCode([8, 3] over GF(3))"
+    assert repr(Polynomial(GF3, [2, 0, 1, 0])) == "Polynomial(GF(3), [2, 0, 1])"
+    assert repr(Polynomial(make_field(2, 2))) == "Polynomial(GF(2^2), [])"
 
 
 # ---------------------------------------------------------------------------

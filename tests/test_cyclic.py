@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 
@@ -73,6 +74,14 @@ def test_cosets_partition():
 def test_coset_requires_coprime():
     with pytest.raises(ValueError):
         cyclotomic_coset(1, 9, 3)
+
+
+def test_coset_seed_and_extension_degree_input_checks():
+    for seed in (8, -1):
+        with pytest.raises(ValueError, match=rf"^coset seed {seed} out of range \[0, 8\)$"):
+            cyclotomic_coset(seed, 8, 3)
+    with pytest.raises(ValueError, match=r"^gcd\(n=6, q=3\) must be 1$"):
+        extension_degree(6, 3)
 
 
 def test_extension_degree():
@@ -168,7 +177,7 @@ def test_minpoly_over_extension_base_field():
 
 
 def test_minpoly_built_once_per_coset_in_n26_sweep(monkeypatch):
-    monkeypatch.setattr(psmc.cyclic, "_CONTEXTS", {})
+    root_context.cache_clear()
     products = []
     uncached = psmc.cyclic._linear_product
 
@@ -209,6 +218,38 @@ def test_embedding_is_identity_when_n_divides_q_minus_1(p, m):
         assert [ctx.project(a) for a in range(base.q)] == list(range(base.q))
         # Every n-th root of unity lies in GF(q), so each minimal polynomial is linear.
         assert all(minimal_polynomial(a, n, base).degree == 1 for a in range(n))
+
+
+def test_project_refuses_elements_outside_the_base_field():
+    # GF(3) sits in GF(9) as {0, 1, 2}, and 5 = 2 + 1*X is outside it.
+    ctx = root_context(8, GF3)
+    assert [ctx.project(ctx.embed(a)) for a in range(3)] == [0, 1, 2]
+    with pytest.raises(ArithmeticError, match=r"^element 5 of GF\(3\^2\) is not in the base field GF\(3\)$"):
+        ctx.project(5)
+    # An extension base field maps through its embedding instead.
+    gf4 = make_field(2, 2)
+    ctx = root_context(5, gf4)
+    image = [ctx.embed(a) for a in range(4)]
+    assert [ctx.project(b) for b in image] == [0, 1, 2, 3]
+    outside = next(b for b in range(ctx.ext.q) if b not in image)
+    with pytest.raises(ArithmeticError, match="is not in the base field GF\\(2\\^2\\)"):
+        ctx.project(outside)
+
+
+def test_prime_root_context_holds_no_per_symbol_maps():
+    # The prime subfield maps by identity, so a context over GF(1048573)
+    # holds nothing per symbol; two q-entry dicts would take about 112 MiB.
+    field = make_field(1048573)
+    root_context.cache_clear()
+    tracemalloc.start()
+    try:
+        ctx = root_context(4, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert root_context(4, field) is ctx
+    assert ctx.embed(1048572) == ctx.project(1048572) == 1048572
 
 
 # ---------------------------------------------------------------------------

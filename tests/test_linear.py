@@ -133,6 +133,13 @@ def test_rejects_rank_deficient_generator():
         LinearCode(np.array([[1, 2, 0], [2, 4 % 3, 0]]) % 3, GF3)
 
 
+def test_generator_must_be_a_matrix_of_symbols():
+    with pytest.raises(ValueError, match=r"^generator must be a 2-D matrix$"):
+        LinearCode([1, 2, 0], GF3)
+    with pytest.raises(ValueError, match=r"^generator entries out of range for GF\(3\)$"):
+        LinearCode([[1, 3, 0]], GF3)
+
+
 def test_message_of_inverts_encode():
     rng = np.random.default_rng(8)
     codes = [row3_code(), build_cyclic_code(9, make_field(2, 3), (1,)).to_linear_code()]

@@ -150,6 +150,13 @@ def test_wilson_interval_brackets_estimate():
         assert 0.0 <= lo <= s / n <= hi <= 1.0
 
 
+def test_inject_and_wilson_input_checks():
+    with pytest.raises(ValueError, match=r"^word and error must have the same length$"):
+        inject([0, 1, 2], [0, 1], make_field(3))
+    with pytest.raises(ValueError, match=r"^no trials$"):
+        wilson_interval(0, 0)
+
+
 def test_campaign_reproducible():
     code = table8_code(3)
     cfg = ChannelConfig(n=8, q=3, u=2, t_inj=1, trials=300, seed=99)
