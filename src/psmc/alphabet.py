@@ -10,7 +10,9 @@ constant term least significant, is smallest.  For p = 2 this reproduces
 the familiar textbook moduli (x^2+x+1, x^3+x+1, x^4+x+1, ...), so element
 labels are reproducible across runs and across ports of this library.
 
-Scalar arithmetic covers every field of order up to ``MAX_ORDER`` (2^20).
+Scalar arithmetic covers every field of order up to ``MAX_ORDER`` (2^20);
+a larger field raises :class:`BudgetExceeded`, as does array arithmetic
+over an extension field above 2^16.
 :meth:`Alphabet.add`, ``sub`` and ``neg`` take a symbol or an int64 array
 of symbols alike: prime fields reduce mod q, characteristic 2 adds,
 subtracts and negates by XOR (negation is the identity), and other
@@ -71,6 +73,14 @@ MAX_ORDER = 1 << 20
 _TABLE_ORDER_LIMIT = 1 << 10  # the dense q x q add table only below this
 _EXPLOG_ORDER_LIMIT = 1 << 16
 _MATMUL_BLOCK = 1 << 16  # products per extension-field matmul block (512 KiB of int64)
+
+
+class BudgetExceeded(Exception):
+    """Raised when work would exceed a resource limit: an enumeration, a
+    syndrome table or a masking probability over its budget, a field of
+    order above ``MAX_ORDER``, or array arithmetic over an extension
+    field of order above 2^16.  Every field-order limit is checked here,
+    in this module."""
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -366,11 +376,16 @@ class Alphabet:
             acc = self._ext_mul_raw(acc, g)
         return exp, log
 
+    def _check_arrays(self) -> None:
+        """BudgetExceeded unless the array products work over this field:
+        an extension field needs exp/log arrays of q entries."""
+        if self.m > 1 and self.q > _EXPLOG_ORDER_LIMIT:
+            raise BudgetExceeded(f"array arithmetic over {self!r} needs order <= {_EXPLOG_ORDER_LIMIT}")
+
     @cached_property
     def _explog(self) -> tuple[np.ndarray, np.ndarray]:
         """The :attr:`_tables` layout as int64 arrays, for the array products."""
-        if self.q > _EXPLOG_ORDER_LIMIT:
-            raise ValueError(f"array arithmetic over {self!r} needs order <= {_EXPLOG_ORDER_LIMIT}")
+        self._check_arrays()
         exp, log = self._tables
         return np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
 
@@ -463,8 +478,8 @@ _FIELDS: dict[tuple[int, int], Alphabet] = {}
 def make_field(p: int, m: int = 1) -> Alphabet:
     """Return GF(p^m) with the fixed deterministic modulus.
 
-    Raises TypeError for a non-integer p or m, and ValueError for
-    non-prime p, m < 1, or p^m > 2^20.
+    Raises TypeError for a non-integer p or m, ValueError for non-prime
+    p or m < 1, and BudgetExceeded for p^m above ``MAX_ORDER``.
     """
     p, m = index(p), index(m)
     key = (p, m)
@@ -474,13 +489,14 @@ def make_field(p: int, m: int = 1) -> Alphabet:
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         if p ** m > MAX_ORDER:
-            raise ValueError(f"field order {p}^{m} exceeds supported bound 2^20")
+            raise BudgetExceeded(f"GF({p}{f'^{m}' if m > 1 else ''}) is above the supported order 2^20")
         _FIELDS[key] = Alphabet(p, m)
     return _FIELDS[key]
 
 
 def field_of_order(q: int) -> Alphabet:
-    """GF(q) for a prime power q; ValueError for any other q."""
+    """GF(q) for a prime power q; ValueError for any other q, and
+    BudgetExceeded for q above ``MAX_ORDER``."""
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alphabet import field_of_order, format_poly, poly_pretty
+from .alphabet import BudgetExceeded, field_of_order, format_poly, poly_pretty
 from .constructions import (
     DecodingFailure,
     MaskingImpossible,
@@ -28,7 +28,6 @@ from .constructions import (
     masking_probability,
 )
 from .cyclic import all_cosets, minimal_polynomial
-from .linear import BudgetExceeded
 from .presets import PRESETS, get_preset
 from .sim import ChannelConfig, run_campaign
 from .tables import build_table, render_csv, render_json, render_text, table_footnotes

@@ -11,11 +11,13 @@ matrix H0 turns the masking vector z into a shift of the whole word.
 The encoder takes the first of the q^l candidates in a fixed order
 (z = -v, v lexicographic) whose shift leaves every stuck cell nonzero,
 without trying each: for each prefix of v, a stuck cell rules out one
-value of the last coordinate (or all).  Only the q^(l-1) prefix rows are
-kept, and each z the encoder picks has its shift z H0 built once, on
-first pick, never a row per candidate.  The stacked code [G1 ; H0]
-corrects t substitution errors on read-back, and the decoder reads
-[m | z] back off an information set of the stacked generator.
+value of the last coordinate (or all).  No coordinate of that first v
+exceeds u <= n, so the search keeps to the box [0, s)^l with
+s = min(n + 1, q): only the s^(l-1) prefix rows are kept, and each z the
+encoder picks has its shift z H0 built once, on first pick, never a row
+per candidate.  The stacked code [G1 ; H0] corrects t substitution
+errors on read-back, and the decoder reads [m | z] back off an
+information set of the stacked generator.
 
 The three constructors differ only in G1 and H0:
 
@@ -133,23 +135,19 @@ class MaskingOutcome(NamedTuple):
 
 def _systematic_g1(n: int, l: int, ecc_columns) -> tuple[np.ndarray, int]:
     """G1 = [0 | I_k1 | P] with l leading zero columns; returns (G1, r)."""
-    P = None if ecc_columns is None else _integers(ecc_columns)
-    r = 0 if P is None else P.shape[1]
-    k1 = n - l - r
+    P = np.zeros((max(n - l, 0), 0), dtype=np.int64) if ecc_columns is None else _integers(ecc_columns)
+    if P.ndim != 2:
+        raise ValueError(f"ecc_columns must be a k1 x r matrix, k1 = n - l - r, got shape {P.shape}")
+    k1 = n - l - P.shape[1]
     if k1 < 1:
         raise ValueError("no room for information symbols")
-    if P is None:
-        P = np.zeros((k1, 0), dtype=np.int64)
     if P.shape[0] != k1:
         raise ValueError(f"ecc_columns must have {k1} rows, got {P.shape[0]}")
-    return np.hstack([np.zeros((k1, l), dtype=np.int64), np.eye(k1, dtype=np.int64), P]), r
+    return np.hstack([np.zeros((k1, l), dtype=np.int64), np.eye(k1, dtype=np.int64), P]), P.shape[1]
 
 
-def _least_free(ruled: set[int], q: int) -> int | None:
-    """The least x in [0, q) not in ``ruled``, or None when ``ruled`` holds
-    all q; the scan would then take q steps."""
-    if len(ruled) >= q:
-        return None
+def _least_free(ruled: set[int]) -> int:
+    """The least x >= 0 not in ``ruled``: at most len(ruled)."""
     x = 0
     while x in ruled:
         x += 1
@@ -162,6 +160,16 @@ class _MaskingCode:
     Subclasses build G1 and H0 and call :meth:`_build`.  d0 is the
     minimum distance of the code H0 checks (2 for the all-ones row); at
     d0 = 1 a zero column of H0 leaves its cell unmasked, so u_max is 0.
+
+    The masking search keeps to the box [0, s)^l, s = min(n + 1, q): no
+    coordinate of the first masking vector v in lexicographic order
+    exceeds u.  Take the coordinates in turn.  A stuck cell rules out at
+    most one value of a coordinate, and a whole slice of it only when its
+    H0 column is parallel to that coordinate, so one of the first u + 1
+    slices survives.  For u < q the other cells, each ruling out a proper
+    affine hyperplane at most, cannot cover a surviving slice.  For
+    u >= q, s = q.  A zero column at a stuck cell with w_j = 0 rules out
+    every v, in the box as outside it.
     """
 
     d0 = 2
@@ -172,10 +180,13 @@ class _MaskingCode:
         self.k1, self.n = G1.shape
         self.l = H0.shape[0]
         self._ones = H0.tolist() == [[1] * self.n]
+        self._s = min(self.n + 1, alphabet.q)  # side of the masking search box
         self.base = LinearCode(np.vstack([G1, H0]), alphabet)
         self._masks: dict[int, tuple] = {}  # masking index -> (z, shift), see _mask
         if t is not None:
-            self.t = int(t)
+            self.t = index(t)
+            if self.t < 0:
+                raise ValueError(f"t = {self.t} must be >= 0")
 
     @cached_property
     def t(self) -> int:
@@ -186,21 +197,24 @@ class _MaskingCode:
     @cached_property
     def _rule(self) -> tuple[list[int], list[list[int]]]:
         """Built by the first encode: each last H0 entry's inverse (0 for 0)
-        and the rows p H0[:-1] of the q^(l-1) prefixes p in lexicographic
-        order (one zero row at l = 1)."""
+        and the rows p H0[:-1] of the s^(l-1) prefixes p in the box, in
+        lexicographic order (one zero row at l = 1)."""
         A = self.alphabet
         inv = [A.inv(h) if h else 0 for h in self.H0[-1].tolist()]
-        prefixes = np.array(list(product(range(A.q), repeat=self.l - 1)), dtype=np.int64)
+        prefixes = np.array(list(product(range(self._s), repeat=self.l - 1)), dtype=np.int64)
         return inv, A.matmul(prefixes, self.H0[:-1]).tolist()
 
     def _first_mask(self, values: bytes | np.ndarray, cells) -> int | None:
         """Index of the first v in lexicographic order with (v H0)_j != w_j
-        at every stuck cell j, or None.  For each prefix p of v, cell j rules
-        out the last coordinate x = (w_j - p H0[:-1, j]) / H0[-1, j], or
-        every x when H0[-1, j] = 0 and p H0[:-1, j] = w_j."""
-        q = self.alphabet.q
+        at every stuck cell j (v in base s), or None.  For each prefix p of
+        v, cell j rules out the last coordinate
+        x = (w_j - p H0[:-1, j]) / H0[-1, j], or every x when H0[-1, j] = 0
+        and p H0[:-1, j] = w_j.  Fewer than s ruled-out values leave a free
+        x in [0, s); as at most u <= n < n + 1 are ruled out, s or more
+        means s = q and every x is ruled out."""
         if self._ones:  # l = 1 and v H0 = (v, ..., v): v must differ from every stuck value
-            return _least_free(set(map(values.__getitem__, cells)), q)
+            ruled = set(map(values.__getitem__, cells))
+            return _least_free(ruled) if len(ruled) < self._s else None
         sub, mul = self.alphabet.sub, self.alphabet.mul
         inv, prefixes = self._rule
         for i, row in enumerate(prefixes):
@@ -212,18 +226,17 @@ class _MaskingCode:
                 elif not a:
                     break  # every x is ruled out
             else:
-                x = _least_free(ruled, q)
-                if x is not None:
-                    return i * q + x
+                if len(ruled) < self._s:
+                    return i * self._s + _least_free(ruled)
         return None
 
     def _maskable(self, messages: np.ndarray, stuck: np.ndarray) -> np.ndarray:
         """Whether encode finds a masking vector, for each row of a block of
         messages and their sorted stuck cells: :meth:`_first_mask` over the
-        block at once.  For each prefix row, a cell rules out one last
-        coordinate x, or every x, or none.  A row masks when some x in
-        0..min(u, q-1) is ruled out at none of its cells: u cells rule out
-        at most u values, so if any x is free, one of the first u+1 is.
+        block at once.  For each prefix row of the box, a cell rules out
+        one last coordinate x, or every x, or none.  A row masks when some
+        x in 0..min(u, q-1) is ruled out at none of its cells: u cells rule
+        out at most u values, so if any x is free, one of the first u+1 is.
         The prefix rows are walked only until every row has a candidate."""
         A = self.alphabet
         trials, u = stuck.shape
@@ -252,11 +265,11 @@ class _MaskingCode:
         return _product(self.G1, self.alphabet)
 
     def _mask(self, i: int) -> tuple[tuple[int, ...], int | np.ndarray]:
-        """(z, z H0) of the i-th candidate v (i in base q, most significant
+        """(z, z H0) of the i-th candidate v (i in base s, most significant
         digit first), z = -v, built on its first pick, with the shift in
         the form G1's product object adds."""
-        A, q = self.alphabet, self.alphabet.q
-        z = tuple(A.neg(i // q**e % q) for e in range(self.l - 1, -1, -1))
+        A, s = self.alphabet, self._s
+        z = tuple(A.neg(i // s**e % s) for e in range(self.l - 1, -1, -1))
         self._masks[i] = entry = z, self._g1.row(A.matmul(np.array([z], dtype=np.int64), self.H0)[0])
         return entry
 
@@ -421,9 +434,10 @@ def redundancy_gain(q: int, u: int, k1: int) -> tuple[float, float]:
     Restricting the masking value v to u+1 residues frees
     log_q(floor(q / (u+1))) information symbols, so
     k1* = k1 + log_q(floor(q/(u+1))) and l* = 1 - log_q(floor(q/(u+1))).
+    TypeError for a non-integer q or u, ValueError unless 0 <= u < q.
     """
-    if u + 1 > q:
-        raise ValueError("requires u + 1 <= q")
+    if not 0 <= index(u) < index(q):
+        raise ValueError(f"requires 0 <= u < q, got u = {u}, q = {q}")
     gain = log(floor(q / (u + 1))) / log(q)
     return k1 + gain, 1.0 - gain
 

@@ -19,7 +19,8 @@ over a Frobenius orbit.
 Cosets are cached per (a, n, q), root contexts per (n, base field) by
 ``functools.cache`` and minimal polynomials per coset in their context; a
 prime base field maps in and out by identity, with no per-symbol table.
-Roots in a field above ``MAX_ORDER`` raise BudgetExceeded.
+Roots in a field above 2^20 raise BudgetExceeded from
+:func:`psmc.alphabet.make_field`.
 
 The BCH lower bound reported for a defining set counts the longest run of
 cyclically consecutive members (a run may wrap n-1 -> 0) plus one, which
@@ -35,8 +36,8 @@ from math import gcd
 
 import numpy as np
 
-from .alphabet import MAX_ORDER, Alphabet, Polynomial, _pdivmod, _pmul, make_field
-from .linear import BudgetExceeded, LinearCode
+from .alphabet import Alphabet, Polynomial, _pdivmod, _pmul, make_field
+from .linear import LinearCode
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,7 @@ class _RootContext:
 
     def __init__(self, n: int, base: Alphabet):
         self.base = base
-        m = base.m * extension_degree(n, base.q)
-        if base.p ** m > MAX_ORDER:
-            raise BudgetExceeded(f"x^{n} - 1 over {base!r} splits in GF({base.p}^{m}), above 2^20")
-        self.ext = make_field(base.p, m)
+        self.ext = make_field(base.p, base.m * extension_degree(n, base.q))
         self._embed, self._project = self._subfield_maps()
         self.alpha = self.ext.pow(self.ext.primitive, (self.ext.q - 1) // n)
         # coset representative -> minimal polynomial over the base field

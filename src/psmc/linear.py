@@ -53,7 +53,8 @@ table, so encode and decode run one path whatever the form.
 
 Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  Work that would
-exceed an explicit budget raises :class:`BudgetExceeded`.
+exceed an explicit budget raises :class:`BudgetExceeded`, the class
+:mod:`psmc.alphabet` raises for the field-order limits it owns.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabet import _EXPLOG_ORDER_LIMIT, Alphabet, _byte_tables
+from .alphabet import Alphabet, BudgetExceeded, _byte_tables
 
 ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
 BLOCK_ROWS = 8192         # rows per matrix product: codewords or error patterns
@@ -80,12 +81,6 @@ BLOCK_ROWS = 8192         # rows per matrix product: codewords or error patterns
 TABLE_BUDGET = 1 << 21
 TIE = -1                  # table entry of a syndrome whose lightest patterns tie
 _ABSENT = -2              # lookup result of a syndrome no pattern reaches
-
-
-class BudgetExceeded(Exception):
-    """Raised when an enumeration, a syndrome table or a masking probability
-    would exceed its budget, or a code needs a field above ``MAX_ORDER``
-    or array arithmetic over an extension field of order above 2^16."""
 
 
 class SyndromeTable(NamedTuple):
@@ -343,8 +338,7 @@ class LinearCode:
             raise ValueError("generator must be a 2-D matrix")
         if not _in_range(G.ravel().tolist(), alphabet):
             raise ValueError(f"generator entries out of range for {alphabet!r}")
-        if alphabet.m > 1 and alphabet.q > _EXPLOG_ORDER_LIMIT:
-            raise BudgetExceeded(f"array arithmetic over {alphabet!r} needs order <= {_EXPLOG_ORDER_LIMIT}")
+        alphabet._check_arrays()
         self.alphabet = alphabet
         self.G = G
         self.k, self.n = G.shape

@@ -41,7 +41,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +76,8 @@ FAILURE_LOG_CAP = 100
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Campaign parameters; the seed is recorded in every output artifact."""
+    """Campaign parameters; the seed is recorded in every output artifact.
+    Each is an integer (TypeError otherwise, as for ``operator.index``)."""
 
     n: int
     q: int
@@ -85,6 +87,8 @@ class ChannelConfig:
     seed: int
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, index(getattr(self, f.name)))
         if not 0 <= self.u <= self.n:
             raise ValueError(f"u = {self.u} out of range [0, {self.n}]")
         if not 0 <= self.t_inj <= self.n:

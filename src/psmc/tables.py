@@ -5,8 +5,8 @@ code, recomputes the BCH bound under this library's deterministic alpha,
 measures the exact minimum distance of the error-correction part with
 the brute-force oracle, and evaluates the fractional-redundancy columns
 (k1*, l*).  Published designed values ride along for comparison; any row
-where the published delta1 disagrees with the recomputed bound is
-flagged, never silently corrected.
+where the published delta1 disagrees with the recomputed bound, or the
+published t with the exact one, is flagged, never silently corrected.
 
 Coset labels (which minimal polynomial is called M^(a)) depend on the
 choice of primitive root, so published label strings may differ from the
@@ -70,9 +70,9 @@ def build_table() -> list[TableRow]:
         g1_labels = "*".join(_coset_label(a, code) for a in spec["g1_reps"])
         issues = []
         if spec["stated_delta1"] != code.delta1:
-            issues.append(
-                f"published delta1={spec['stated_delta1']}, recomputed BCH bound={code.delta1}"
-            )
+            issues.append(f"published delta1={spec['stated_delta1']}, recomputed BCH bound={code.delta1}")
+        if spec["stated_t"] != report.t:
+            issues.append(f"published t={spec['stated_t']}, exact t={report.t}")
         if (g1_labels, h0_label) != (spec["published_g1"], spec["published_h0"]):
             issues.append("labels permuted vs published")
         rows.append(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import psmc.alphabet
 from psmc.alphabet import (
+    BudgetExceeded,
     Polynomial,
     _pdivmod,
     _pgcd,
@@ -107,8 +108,24 @@ def test_make_field_rejects_bad_input():
         make_field(4)
     with pytest.raises(ValueError):
         make_field(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
         make_field(2, 21)  # 2^21 > 2^20 bound
+
+
+def test_field_order_limits_are_budget_errors_raised_by_the_alphabet_module():
+    # One class for every resource limit, defined with the field-order limits.
+    import psmc
+    import psmc.linear
+
+    assert psmc.linear.BudgetExceeded is psmc.alphabet.BudgetExceeded is psmc.BudgetExceeded
+    with pytest.raises(BudgetExceeded, match=r"^GF\(2\^21\) is above the supported order 2\^20$"):
+        make_field(2, 21)
+    with pytest.raises(BudgetExceeded, match=r"^GF\(1048583\) is above the supported order 2\^20$"):
+        field_of_order(1048583)
+    with pytest.raises(BudgetExceeded, match=r"^array arithmetic over GF\(2\^17\) needs order <= 65536$"):
+        make_field(2, 17)._check_arrays()
+    make_field(2, 16)._check_arrays()
+    make_field(1048573)._check_arrays()  # prime fields need no exp/log arrays
 
 
 def test_make_field_rejects_non_integer_orders():
@@ -133,7 +150,7 @@ def test_field_of_order():
     for q in (-4, 0, 1, 6, 12, 100):
         with pytest.raises(ValueError, match="prime power"):
             field_of_order(q)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
         field_of_order(1 << 21)
 
 
@@ -340,7 +357,7 @@ def test_scalar_products_with_zero_above_2_pow_16():
 def test_array_mul_above_2_pow_16_is_refused():
     f = make_field(2, 17)
     assert f.add(np.array([3]), np.array([5])).tolist() == [6]
-    with pytest.raises(ValueError, match="65536"):
+    with pytest.raises(BudgetExceeded, match="65536"):
         f.vmul(np.array([3]), np.array([5]))
 
 

@@ -215,6 +215,14 @@ def test_extension_field_above_2_pow_16_exits_2_with_json(capsys):
     )
 
 
+def test_field_above_2_pow_20_exits_2_with_json(capsys):
+    # GF(2^21) is above the supported field order: a resource error (exit 2),
+    # not a usage error (exit 1).
+    code, out, err = run_cli(capsys, "encode", "--n", "3", "--q", "2097152", "--factors", "", "--m", "1")
+    assert code == 2 and out == ""
+    assert err == '{"error": "BudgetExceeded", "message": "GF(2^21) is above the supported order 2^20"}\n'
+
+
 def test_budget_overrun_exits_2_with_json(capsys):
     # Deriving t for this [40, 20] code would enumerate 3^20 words on
     # either side, the code or its dual.
@@ -373,6 +381,17 @@ def test_table_row_invariants():
         assert r.t == (r.d_measured - 1) // 2
         assert r.d_measured >= r.bch_bound
         assert r.delta0 == 2
+
+
+def test_build_table_flags_a_published_t_that_disagrees(monkeypatch):
+    import psmc.tables
+
+    specs = [dict(spec) for spec in psmc.tables.TABLE8_ROWS]
+    specs[2]["stated_t"] = 2  # row 3 corrects one error
+    monkeypatch.setattr(psmc.tables, "TABLE8_ROWS", specs)
+    flags = {r.row: r.flag for r in psmc.tables.build_table()}
+    assert flags[3] == "published t=2, exact t=1; labels permuted vs published"
+    assert [row for row, flag in flags.items() if "published t=" in flag] == [3]
 
 
 def test_simulate_command(capsys, tmp_path):

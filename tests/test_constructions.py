@@ -94,6 +94,19 @@ def test_non_integer_code_inputs_are_rejected_not_truncated():
     assert Polynomial(GF3, np.array([1, 2])).coeffs == (1, 2)
 
 
+def test_error_counts_are_checked_integers_when_the_code_is_built():
+    # t = 1.5 was once truncated to 1, and t = -1 failed only on the first decode.
+    for t in (1.5, "1"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            PsmcMatrixCode(8, GF3, t=t)
+    with pytest.raises(ValueError, match=r"^t = -1 must be >= 0$"):
+        PsmcMatrixCode(8, GF3, t=-1)
+    with pytest.raises(ValueError, match=r"^t = -2 must be >= 0$"):
+        PsmcExtendedCode(GF3, [[1, 0, 1, 1, 1]], t=-2)
+    code = PsmcMatrixCode(8, GF3, t=np.int64(0))
+    assert code.t == 0 and type(code.t) is int
+
+
 # One code each over GF(3), GF(8) and GF(256), for the input-checking table.
 INPUT_CHECK_CODES = {
     3: lambda: get_preset("masking-n8-r0"),
@@ -462,6 +475,35 @@ def test_masking_probability_monotone_in_u():
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def traced_first_encode(code, m, stuck):
+    """The outcome of a code's first encode and its traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        out = code.encode(m, stuck)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_first_encode_of_an_l2_code_over_a_large_prime_field_stays_small():
+    # The box has side min(n + 1, q) = 4, not q: 4 prefix rows, where a
+    # table of q^(l-1) = 1048573 rows once took 230 MB and about a second.
+    code = PsmcExtendedCode(make_field(1048573), [[1, 0, 5], [0, 1, 7]], t=0)
+    out, peak = traced_first_encode(code, [3], (0, 1, 2))
+    assert out.codeword.tolist() == [1048572, 1048572, 1048564] and out.z == (1048572, 1048572)
+    assert peak < 2**20, peak
+
+
+def test_first_encode_of_an_l3_code_over_gf256_stays_small():
+    # s = min(n + 1, q) = 6, so 36 prefix rows, not q^(l-1) = 65 536.
+    code = PsmcExtendedCode(make_field(2, 8), [[1, 0, 0, 1, 2], [0, 1, 0, 3, 4], [0, 0, 1, 5, 7]], t=0)
+    m, stuck = [7, 200], (0, 1, 2, 3, 4)
+    out, peak = traced_first_encode(code, m, stuck)
+    assert (out.codeword.tolist(), out.z) == scalar_first_mask(code, m, stuck)
+    assert peak < 2**20, peak
+
+
 def test_masking_probability_matches_direct_count():
     # Oracle: count vectors of [q]^u that miss at least one symbol.
     for q, u in [(2, 3), (3, 4), (3, 5), (4, 4)]:
@@ -476,8 +518,14 @@ def test_redundancy_gain_published_values():
     assert round(k1s, 3) == 1.387 and round(ls, 3) == 0.613
     k1s, ls = redundancy_gain(5, 4, 9)
     assert k1s == 9.0 and ls == 1.0  # floor(q/q) = 1, zero gain
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^requires 0 <= u < q, got u = 3, q = 3$"):
         redundancy_gain(3, 3, 5)
+    # u = -1 once divided by zero in floor(q / (u + 1)).
+    with pytest.raises(ValueError, match=r"^requires 0 <= u < q, got u = -1, q = 6$"):
+        redundancy_gain(6, -1, 3)
+    for q, u in ((6.0, 2), (6, 2.5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            redundancy_gain(q, u, 3)
 
 
 def test_stuck_redundancy_lower_bound():
@@ -605,6 +653,11 @@ def test_extended_input_checks():
         PsmcExtendedCode(GF3, [[1, 1, 1]], np.zeros((1, 2), dtype=np.int64))
     with pytest.raises(ValueError, match=r"^ecc_columns must have 5 rows, got 3$"):
         PsmcMatrixCode(8, GF3, np.zeros((3, 2), dtype=np.int64))
+    # A one-dimensional P is refused before its shape is read.
+    with pytest.raises(ValueError, match=r"^ecc_columns must be a k1 x r matrix, k1 = n - l - r, got shape \(3,\)$"):
+        PsmcMatrixCode(8, GF3, [1, 2, 3])
+    with pytest.raises(ValueError, match=r"^ecc_columns must be a k1 x r matrix, k1 = n - l - r, got shape \(2,\)$"):
+        PsmcExtendedCode(GF3, [[1, 0, 1, 1, 1]], [1, 2])
 
 
 def test_extended_masking_impossible_outside_regime():
@@ -804,6 +857,51 @@ def test_masking_rule_matches_a_scan_of_every_candidate(code, data):
     assert (code.decode(out.codeword) == m).all()
 
 
+@st.composite
+def boxed_masking_codes(draw):
+    """PsmcExtendedCode over GF(7), GF(8), GF(9), GF(11), GF(13) or GF(16)
+    with a random systematic l x n masking check, l in {2, 3} and
+    n <= l + 3, so that the masking search box [0, min(n + 1, q))^l is
+    smaller than GF(q)^l for every field but GF(7) at n = 6.  Entries are
+    often 0, and a drawn column may be zero (d0 = 1)."""
+    field = draw(st.sampled_from([make_field(7), make_field(2, 3), make_field(3, 2),
+                                  make_field(11), make_field(13), make_field(2, 4)]))
+    l = draw(st.integers(2, 3))
+    n = draw(st.integers(l + 1, l + 3))
+    entry = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    A = np.array(draw(st.lists(entry, min_size=l * (n - l), max_size=l * (n - l))), dtype=np.int64)
+    A = A.reshape(l, n - l)
+    if draw(st.booleans()):
+        A[:, draw(st.integers(0, n - l - 1))] = 0
+    return PsmcExtendedCode(field, np.hstack([np.eye(l, dtype=np.int64), A]), t=0)
+
+
+@given(code=boxed_masking_codes(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_masking_search_in_the_box_matches_a_walk_of_every_candidate(code, data):
+    # No coordinate of the first masking vector v exceeds u, so the search
+    # keeps to the box; the full walk of all q^l candidates must agree with
+    # encode, and the block check must agree with both.
+    A, n = code.alphabet, code.n
+    assert code._s == min(n + 1, A.q)
+    symbol = st.one_of(st.sampled_from([0, 1, A.q - 1]), st.integers(0, A.q - 1))
+    rows = data.draw(st.integers(1, 4))
+    messages = np.array(
+        [data.draw(st.lists(symbol, min_size=code.k1, max_size=code.k1)) for _ in range(rows)], dtype=np.int64)
+    u = data.draw(st.integers(1, n))
+    stuck = np.array([sorted(data.draw(st.permutations(range(n)))[:u]) for _ in range(rows)], dtype=np.int64)
+    for m, cells in zip(messages.tolist(), stuck.tolist()):
+        expected = scalar_first_mask(code, m, cells)
+        if expected is None:
+            with pytest.raises(MaskingImpossible):
+                code.encode(m, cells, probabilistic=True)
+            continue
+        out = code.encode(m, cells, probabilistic=True)
+        assert (out.codeword.tolist(), out.z) == expected
+        assert max(A.neg(z) for z in out.z) <= u
+    assert_block_rule_matches_encode(code, messages, stuck)
+
+
 def test_zero_column_in_masking_check_guarantees_nothing():
     code = PsmcExtendedCode(GF3, [[1, 0, 2]], t=0)  # cell 1 is never shifted
     assert code.d0 == 1 and code.u_max == 0
@@ -912,9 +1010,9 @@ def test_first_encode_over_a_large_prime_field_stays_small():
 
 
 def test_first_encode_of_an_l2_code_over_gf256_stays_small():
-    # The masking search keeps the q^(l-1) = 256 prefix rows and builds the
-    # shift of the one z it picks, never a row for each of the q^l = 65 536
-    # candidates.
+    # The masking search keeps the s^(l-1) = 7 prefix rows of its box,
+    # s = min(n + 1, q), and builds the shift of the one z it picks, never
+    # a row for each of the q^l = 65 536 candidates.
     code = PsmcExtendedCode(make_field(2, 8), [[1, 0, 1, 1, 1, 1], [0, 1, 1, 2, 3, 4]], t=0)
     m, stuck = [7, 0, 200, 13], (0, 1, 2, 3, 4, 5)
     tracemalloc.start()

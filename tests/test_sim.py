@@ -78,6 +78,16 @@ def test_config_validation():
         ChannelConfig(n=8, q=3, u=1, t_inj=0, trials=-1, seed=0)
 
 
+@pytest.mark.parametrize("name", ["n", "q", "u", "t_inj", "trials", "seed"])
+def test_config_rejects_non_integer_counts(name):
+    # u = 2.5 once built a config whose campaign failed in a slice.
+    values = dict(n=8, q=3, u=2, t_inj=1, trials=10, seed=1) | {name: 2.5}
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        ChannelConfig(**values)
+    cfg = ChannelConfig(**dict(values, **{name: np.int64(2)}))
+    assert type(getattr(cfg, name)) is int
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_config_rejects_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match="seed"):
