@@ -69,6 +69,8 @@ def parse_positions(text: str | None) -> tuple[int, ...]:
 
 def _resolve_code(args):
     if args.preset:
+        if (args.n, args.q, args.factors) != (None, None, None):
+            raise UsageError("--preset cannot be combined with --n, --q or --factors")
         try:
             return get_preset(args.preset)
         except KeyError as exc:

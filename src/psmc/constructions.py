@@ -302,7 +302,7 @@ class _MaskingCode:
                 raise AssertionError("guaranteed regime violated: no masking vector found")
             raise MaskingImpossible.at(cells)
         z, shift = self._masks.get(i) or self._mask(i)
-        return MaskingOutcome(G1.vector(G1.reduced(G1.add(acc, shift))), z, i if self.l == 1 else None)
+        return MaskingOutcome(G1.plus(acc, shift), z, i if self.l == 1 else None)
 
     def decode(self, word) -> np.ndarray:
         """Correct up to t errors and return the message m."""
@@ -378,6 +378,8 @@ class PsmcExtendedCode(_MaskingCode):
         if H0.ndim != 2:
             raise ValueError("masking check must be an l x n matrix")
         l, n = H0.shape
+        if l > n:
+            raise ValueError(f"masking check must be an l x n matrix with l <= n, got {l} x {n}")
         if (H0[:, :l] != np.eye(l, dtype=np.int64)).any():
             raise ValueError("masking check must be systematic in its first l columns")
         G1, self.r = _systematic_g1(n, l, ecc_columns)

@@ -19,37 +19,49 @@ other rows are zero, so a word y = x G + e gives
     y K = [e H^T | x + e R].
 
 The syndrome table maps each syndrome of the error patterns E of weight
-<= t to a row of the offsets array O = E R, the row of the lightest
-pattern e that has it, and the decoder subtracts that row from the
-second half: x = y R - e R.  A syndrome whose lightest patterns are two
-or more of equal weight maps to the tie marker :data:`TIE` instead, and
-a syndrome that no pattern has is absent.  Both decode as failures
-rather than an arbitrary pick, and a caller can tell a tie from a word
-beyond the radius.  The table holds the patterns of weight <= t whatever
-the redundancy n - k; past their budget, decoding enumerates codewords.
-The first decode at radius t builds the table, and the first table
-builds K, so constructing a code builds neither.  A key is the syndrome
-in the narrowest unsigned dtype that holds q - 1 (one byte a symbol up
-to q = 256, see :func:`_syndrome_key`), and the offset rows are stored
-in that dtype too.
+<= t to a row of the corrections array -E R, the row of the lightest
+pattern e that has it, and the decoder adds that row to the second
+half, x = y R + (-e R), as the encoder adds a masking shift.  A syndrome
+whose lightest patterns are two or more of equal weight maps to the tie
+marker :data:`TIE` instead, and a syndrome that no pattern has is
+absent.  Both decode as failures rather than an arbitrary pick, and a
+caller can tell a tie from a word beyond the radius.  The table holds
+the patterns of weight <= t whatever the redundancy n - k; past their
+budget, decoding enumerates codewords.  The first decode at radius t
+builds the table, and the first table builds K, so constructing a code
+builds neither.  A key is the syndrome in the narrowest unsigned dtype
+that holds q - 1 (one byte a symbol up to q = 256, see
+:func:`_syndrome_key`), and the corrections are stored in that dtype
+too.
 
-One word kernel serves ``decode_bounded`` and the constructions, and
-the encoders' product m G1 runs on the same two forms.  A fixed matrix
-gets one word-product object, its form chosen once, by
-:func:`_product`.  Where no byte can carry (:func:`_packs`:
-characteristic 2 with q <= 256, or a prime q with (rows + 1)(q - 1) <=
-255), the matrix is held packed (:class:`_PackedMatrix`): one Python
-int per (row, symbol) with one byte a column, so a word's product is a
-sum of one int per symbol (XOR in characteristic 2) and one
-``bytes.translate`` reduces every byte mod q.  The syndrome key is then
-the product's first n - k bytes, and an offset row is negated by a
-second translate and added as one more int.  Every other field (q >
-256, odd-characteristic extension fields, prime fields whose sums would
-carry) multiplies the word as a batch of one (:class:`_BatchOfOne`),
-``Alphabet.matmul(y[None, :], K)[0]``, casts the product's first n - k
-symbols to the key dtype and subtracts the offset row on the kept
-message symbols only.  Both forms offer the same methods and read one
-table, so encode and decode run one path whatever the form.
+A fixed matrix, K for decoding and G1 for the encoders' m G1, gets one
+word-product object, its form chosen once, by :func:`_product`.  Both
+forms offer the same five members, so encode and decode run one path
+whatever the form:
+
+* ``product(y, symbols)``, the word's product, and ``reduced(acc)``,
+  that product with every symbol below q;
+* ``row(shift)``, a masking shift in the form's own representation,
+  built once per masking index;
+* ``plus(acc, row)``, the int64 symbols of a product plus a stored row,
+  the last step of an encode;
+* ``read(y, symbols, table, r, keep)``, a whole table decode of one
+  word: the product, the syndrome key, the lookup and the correction,
+  giving the ``keep`` message symbols, or None for ``TIE`` or an absent
+  key.
+
+Where no byte can carry (:func:`_packs`: characteristic 2 with q <= 256,
+or a prime q with (rows + 1)(q - 1) <= 255), the matrix is held packed
+(:class:`_PackedMatrix`): one Python int per (row, symbol) with one byte
+a column, so a word's product is a sum of one int per symbol (XOR in
+characteristic 2) and one ``bytes.translate`` reduces every byte mod q.
+The syndrome key is then the product's first n - k bytes, and a stored
+row, a shift or a correction, is one more int added before the
+translate.  Every other field (q > 256, odd-characteristic extension
+fields, prime fields whose sums would carry) multiplies the word as a
+batch of one (:class:`_BatchOfOne`), ``Alphabet.matmul(y[None, :],
+K)[0]``, casts the product's first n - k symbols to the key dtype and
+adds a correction on the kept message symbols only.
 
 Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  Work that would
@@ -74,10 +86,10 @@ ENUM_BUDGET = 10_000_000  # max codewords a brute-force enumeration may touch
 BLOCK_ROWS = 8192         # rows per matrix product: codewords or error patterns
 # Max error patterns of weight <= t in one syndrome table, whatever q^(n-k).
 # Each syndrome a table holds keeps its key (a bytes object of n - k symbols,
-# one byte each up to q = 256), a k-symbol offsets row in the same dtype and
+# one byte each up to q = 256), a k-symbol correction row in the same dtype and
 # a dict entry: 139 B at n = 40 over GF(3), where a table at the budget would
 # need about 0.3 GB.  Building adds one block of BLOCK_ROWS patterns and,
-# until it ends, an offsets row for every pattern.
+# until it ends, a correction row for every pattern.
 TABLE_BUDGET = 1 << 21
 TIE = -1                  # table entry of a syndrome whose lightest patterns tie
 _ABSENT = -2              # lookup result of a syndrome no pattern reaches
@@ -85,8 +97,11 @@ _ABSENT = -2              # lookup result of a syndrome no pattern reaches
 
 class SyndromeTable(NamedTuple):
     """Syndrome key (:func:`_syndrome_key`) -> row of ``offsets`` holding
-    e R for the lightest pattern e with that syndrome, or ``TIE``.  The
-    offsets are stored in the key dtype, :func:`_symbol_dtype`."""
+    the correction -e R for the lightest pattern e with that syndrome, or
+    ``TIE``; a key no pattern reaches is absent.  Row 0 is the zero
+    pattern's.  A decode adds the row, as an encode adds its masking
+    shift.  The corrections are stored in the key dtype,
+    :func:`_symbol_dtype`."""
 
     rows: dict[bytes, int]
     offsets: np.ndarray
@@ -114,14 +129,14 @@ def _packs(alphabet: Alphabet, rows: int) -> bool:
 
 
 @cache
-def _byte_maps(alphabet: Alphabet) -> tuple[tuple[bytes, ...], bytes | None, bytes | None]:
+def _byte_maps(alphabet: Alphabet) -> tuple[tuple[bytes, ...], bytes | None]:
     """``bytes.translate`` tables of a packed field, built once per field:
-    ``times[s]`` maps each symbol b to the field product s b, ``reduce``
-    maps each byte to itself mod q and ``negate`` to its negation mod q;
-    the last two are None, the identity, in characteristic 2."""
+    ``times[s]`` maps each symbol b to the field product s b, and
+    ``reduce`` maps each byte to itself mod q, or is None, the identity,
+    in characteristic 2."""
     q, mul = alphabet.q, alphabet.mul
     times = tuple(bytes(mul(s, b) for b in range(q)) + bytes(256 - q) for s in range(q))
-    return (times, None, None) if alphabet.p == 2 else (times, *_byte_tables(q))
+    return times, None if alphabet.p == 2 else _byte_tables(q)[0]
 
 
 _U8, _I64 = np.dtype(np.uint8), np.dtype(np.int64)
@@ -129,79 +144,80 @@ _U8, _I64 = np.dtype(np.uint8), np.dtype(np.int64)
 
 class _PackedMatrix:
     """A fixed matrix b held for one-word products where :func:`_packs`
-    allows: ``rows[i][s]`` is the field product s b[i] packed as one int,
+    allows: ``_rows[i][s]`` is the field product s b[i] packed as one int,
     column j in byte j, so a word y gives the packed y b as the sum of
-    ``rows[i][y_i]`` under ``add`` (XOR in characteristic 2, int addition
-    over a prime field), and :meth:`reduced` then brings every byte below
-    q.  ``add`` and ``product``, the sum over a word, are chosen once,
-    when built."""
+    ``_rows[i][y_i]`` under ``_add`` (XOR in characteristic 2, int
+    addition over a prime field), and :meth:`reduced` then brings every
+    byte below q.  ``_add`` and ``product``, the sum over a word, are
+    chosen once, when built."""
 
-    __slots__ = ("rows", "cols", "add", "product", "reduce", "negate")
+    __slots__ = ("_rows", "_cols", "_add", "_reduce", "product")
 
     def __init__(self, matrix: np.ndarray, alphabet: Alphabet):
-        times, self.reduce, self.negate = _byte_maps(alphabet)
+        times, self._reduce = _byte_maps(alphabet)
         rows = map(bytes, matrix.tolist())  # each row of symbols below 256 as bytes
-        self.rows = [[int.from_bytes(row.translate(t), "little") for t in times] for row in rows]
-        self.cols = matrix.shape[1]
-        self.add, self.product = (xor, self._xor_product) if alphabet.p == 2 else (add, self._sum_product)
+        self._rows = [[int.from_bytes(row.translate(t), "little") for t in times] for row in rows]
+        self._cols = matrix.shape[1]
+        self._add, self.product = (xor, self._xor_product) if alphabet.p == 2 else (add, self._sum_product)
 
     def _sum_product(self, y: np.ndarray, symbols: list[int]) -> int:
         """The packed product of a word, bytes not yet reduced: the sum of
         one int per symbol."""
-        return sum(map(list.__getitem__, self.rows, symbols))
+        return sum(map(list.__getitem__, self._rows, symbols))
 
     def _xor_product(self, y: np.ndarray, symbols: list[int]) -> int:
         """The same in characteristic 2, where the ints are XORed."""
-        return reduce(xor, map(list.__getitem__, self.rows, symbols), 0)
+        return reduce(xor, map(list.__getitem__, self._rows, symbols), 0)
 
     def reduced(self, acc: int) -> bytes:
-        """A packed row, a product plus shifts, as one symbol a byte."""
-        return acc.to_bytes(self.cols, "little").translate(self.reduce)
+        """A packed row, a product plus stored rows, as one symbol a byte."""
+        return acc.to_bytes(self._cols, "little").translate(self._reduce)
 
     def row(self, shift: np.ndarray) -> int:
         """A reduced symbol row, such as a masking shift, packed to add."""
         return int.from_bytes(bytes(shift.tolist()), "little")
 
-    def key(self, raw: bytes, r: int) -> bytes:
-        """The syndrome key of a reduced product: its first r bytes."""
-        return raw[:r]
+    def plus(self, acc: int, row: int) -> np.ndarray:
+        """The int64 symbols of a product plus a stored row."""
+        return np.frombuffer(self.reduced(self._add(acc, row)), _U8).astype(_I64)
 
-    def minus(self, acc: int, offset: np.ndarray, r: int, keep: int) -> np.ndarray:
-        """Symbols r .. r + keep of the product less an offset row, which
-        is negated and added, all k symbols, past the syndrome bytes."""
-        # One expression with no start index: at most one small int is
-        # alive at a time, so the call rarely takes fresh small-object memory.
-        return self.vector(self.reduced(self.add(acc, int.from_bytes(
-            offset.tobytes().translate(self.negate), "little") << 8 * r))[r : r + keep])
-
-    def vector(self, raw: bytes) -> np.ndarray:
-        """Reduced packed bytes as an int64 symbol vector."""
-        return np.frombuffer(raw, _U8).astype(_I64)
+    def read(self, y: np.ndarray, symbols: list[int], table: SyndromeTable, r: int, keep: int) -> np.ndarray | None:
+        """Symbols r .. r + keep of y's product, corrected by the table's
+        row for the syndrome key, its first r bytes; None for ``TIE`` or
+        an absent key.  A correction is added, packed past the syndrome
+        bytes, as one more int."""
+        acc = self.product(y, symbols)
+        raw = self.reduced(acc)
+        i = table.rows.get(raw[:r], _ABSENT)
+        if i > 0:  # row 0 is the zero pattern's, which corrects nothing
+            return self.plus(acc, int.from_bytes(table.offsets[i].tobytes(), "little") << 8 * r)[r : r + keep]
+        return None if i else np.frombuffer(raw[r : r + keep], _U8).astype(_I64)
 
 
 class _BatchOfOne:
     """A fixed matrix M held for one-word products as a batch of one,
     ``Alphabet.matmul(y[None, :], M)[0]``, which every field can run: the
-    product is already reduced, a shift is an int64 row added by
-    ``Alphabet.add``, and an offset row is subtracted on the kept message
+    product is already reduced, a stored row is an int64 row added by
+    ``Alphabet.add``, and a correction is added on the kept message
     symbols only."""
 
     def __init__(self, matrix: np.ndarray, alphabet: Alphabet):
-        self.matrix, self.alphabet, self.add = matrix, alphabet, alphabet.add
+        self._matrix, self._alphabet, self.plus = matrix, alphabet, alphabet.add
 
     def product(self, y: np.ndarray, symbols: list[int]) -> np.ndarray:
-        return self.alphabet.matmul(y[None, :], self.matrix)[0]
+        return self._alphabet.matmul(y[None, :], self._matrix)[0]
 
     def reduced(self, acc: np.ndarray) -> np.ndarray:
         return acc
 
-    row = vector = reduced
+    row = reduced
 
-    def key(self, raw: np.ndarray, r: int) -> bytes:
-        return _syndrome_key(raw[:r], self.alphabet)
-
-    def minus(self, acc: np.ndarray, offset: np.ndarray, r: int, keep: int) -> np.ndarray:
-        return self.alphabet.sub(acc[r : r + keep], offset[:keep].astype(_I64))
+    def read(self, y: np.ndarray, symbols: list[int], table: SyndromeTable, r: int, keep: int) -> np.ndarray | None:
+        acc = self.product(y, symbols)
+        i = table.rows.get(_syndrome_key(acc[:r], self._alphabet), _ABSENT)
+        if i > 0:
+            return self.plus(acc[r : r + keep], table.offsets[i, :keep].astype(_I64))
+        return None if i else acc[r : r + keep]
 
 
 def _product(matrix: np.ndarray, alphabet: Alphabet) -> _PackedMatrix | _BatchOfOne:
@@ -336,6 +352,8 @@ class LinearCode:
         G = _integers(generator)
         if G.ndim != 2:
             raise ValueError("generator must be a 2-D matrix")
+        if not G.shape[0]:
+            raise ValueError("generator has no rows: the code has no nonzero word")
         if not _in_range(G.ravel().tolist(), alphabet):
             raise ValueError(f"generator entries out of range for {alphabet!r}")
         alphabet._check_arrays()
@@ -389,13 +407,13 @@ class LinearCode:
 
     def _build_table(self, t: int, count: int) -> SyndromeTable:
         """Patterns in order of weight: the first to reach a syndrome keeps
-        it, and a second of the same weight turns it into a tie."""
+        it, and its correction -e R, and a second of the same weight turns
+        it into a tie."""
         K, r = self._read_matrix, self.n - self.k
         dtype = _symbol_dtype(self.alphabet.q)
         width = dtype.itemsize * r  # bytes of a key
-        rows = {bytes(width): 0}  # the zero pattern: zero syndrome, zero offset
-        offsets = np.empty((count, self.k), dtype=dtype)
-        offsets[0] = 0
+        rows = {bytes(width): 0}  # the zero pattern: zero syndrome, zero correction
+        offsets = np.zeros((count, self.k), dtype=dtype)
         kept = 1
         for w in range(1, t + 1):
             first = kept  # rows below this one belong to lighter patterns
@@ -411,7 +429,7 @@ class LinearCode:
                         kept += 1
                     elif j >= first:
                         rows[key] = TIE
-                offsets[start:kept] = raw[keep, r:]
+                offsets[start:kept] = self.alphabet.neg(raw[keep, r:])
         # Patterns that reach a syndrome already held keep no row; shrinking
         # in place frees their share without a second copy of the kept rows.
         offsets.resize((kept, self.k), refcheck=False)
@@ -430,13 +448,7 @@ class LinearCode:
         if table is None:
             c = self._decode_by_enumeration(y, t)
             return None if c is None else self.message_of(c)[:keep]
-        r, K = self.n - self.k, self._read
-        acc = K.product(y, symbols)
-        raw = K.reduced(acc)
-        i = table.rows.get(K.key(raw, r), _ABSENT)
-        if i <= 0:  # row 0 is the zero pattern, whose offset is 0
-            return None if i else K.vector(raw[r : r + keep])
-        return K.minus(acc, table.offsets[i], r, keep)
+        return self._read.read(y, symbols, table, self.n - self.k, keep)
 
     def decode_bounded(self, word, t: int) -> np.ndarray | None:
         """Unique codeword within Hamming distance t of word, or None: by
@@ -453,10 +465,8 @@ class LinearCode:
             dist = (chunk != y[None, :]).sum(axis=1)
             dmin = int(dist.min())
             if dmin < best_d:
-                best_d = dmin
-                best_count = int((dist == dmin).sum())
-                best_cw = chunk[int(dist.argmin())].copy()
-            elif dmin == best_d:
+                best_d, best_count, best_cw = dmin, 0, chunk[int(dist.argmin())].copy()
+            if dmin == best_d:
                 best_count += int((dist == dmin).sum())
         return best_cw if best_d <= t and best_count == 1 else None
 

@@ -53,6 +53,7 @@ from .constructions import (
     StuckCellProfile,
     masking_probability,
 )
+from .linear import _in_range, _integers
 
 STREAM_VERSION = 3
 
@@ -126,9 +127,7 @@ class CampaignReport:
     rng: str = RNG_SPEC
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["config"] = asdict(self.config)
-        return d
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -156,16 +155,20 @@ class CampaignReport:
 
 
 def inject(word, error, alphabet) -> np.ndarray:
-    """Read-back word y = c + e over the alphabet.
+    """Read-back word y = c + e over the alphabet; both words are checked
+    as encode and decode check theirs.
 
     The stuck cells play no part: they are not re-clamped after the error
     is added, because errors model read noise downstream of the physical
     cell.
     """
-    c = np.asarray(word, dtype=np.int64)
-    e = np.asarray(error, dtype=np.int64)
+    c, e = _integers(word), _integers(error)
     if c.shape != e.shape:
         raise ValueError("word and error must have the same length")
+    if c.ndim != 1:
+        raise ValueError("expected 1-D symbol vectors")
+    if not _in_range(c.tolist() + e.tolist(), alphabet):
+        raise ValueError(f"symbols out of range for {alphabet!r}")
     return alphabet.add(c, e)
 
 

@@ -292,6 +292,19 @@ def test_code_needs_a_preset_or_n_and_q(capsys, argv):
     assert (code, out, err) == (1, "", "usage error: need --preset or both --n and --q\n")
 
 
+@pytest.mark.parametrize("flags", [["--n", "5"], ["--q", "3"], ["--factors", ""], ["--n", "8", "--q", "3"]])
+def test_preset_with_an_explicit_code_is_usage_error(capsys, tmp_path, flags):
+    expected = (1, "", "usage error: --preset cannot be combined with --n, --q or --factors\n")
+    assert run_cli(capsys, "encode", "--preset", "masking-n8-r0", *flags, "--m", "1111111") == expected
+    assert run_cli(capsys, "decode", *flags, "--preset", "masking-n8-r0", "--y", "11111111") == expected
+    # The same from a --config file, on either side.
+    cfgfile = tmp_path / "campaign.cfg"
+    cfgfile.write_text("preset=masking-n8-r0\nu=2\n")
+    assert run_cli(capsys, "simulate", "--config", str(cfgfile), *flags) == expected
+    cfgfile.write_text("u=2\n" + "".join(f"{k[2:]}={v}\n" for k, v in zip(flags[::2], flags[1::2])))
+    assert run_cli(capsys, "simulate", "--config", str(cfgfile), "--preset", "masking-n8-r0") == expected
+
+
 def test_config_line_without_equals_is_usage_error(capsys, tmp_path):
     cfgfile = tmp_path / "campaign.cfg"
     cfgfile.write_text("preset=table8-row3\nu 2\n")

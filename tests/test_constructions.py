@@ -639,6 +639,11 @@ def test_extended_d0_matches_min_distance_of_the_checked_code(l, k, field, data)
     assert code.d0 == np.count_nonzero(field.matmul(messages, checked.G), axis=1).min()
 
 
+def test_extended_check_with_more_rows_than_columns_is_refused():
+    with pytest.raises(ValueError, match=r"^masking check must be an l x n matrix with l <= n, got 3 x 2$"):
+        PsmcExtendedCode(GF3, [[1, 0], [0, 1], [0, 0]])
+
+
 def test_extended_d0_enumerates_the_smaller_side():
     # n = 3 < 2l: the checked code has 1048573 words and its dual 1048573^2,
     # so d0 comes from the code's own rows, within the enumeration budget.
@@ -1068,6 +1073,47 @@ def test_gate_picks_each_kernel_of_a_code():
         assert isinstance(code._g1, _PackedMatrix) and isinstance(code.base._read, _PackedMatrix)
     for code in (PsmcCyclicCode(10, make_field(3, 2), (1, 2)), PsmcMatrixCode(6, make_field(1048573), t=0)):
         assert isinstance(code._g1, _BatchOfOne) and isinstance(code.base._read, _BatchOfOne)
+
+
+def test_both_word_forms_share_one_protocol():
+    # Cyclic n = 8 over GF(31) holds G1 packed and K as a batch of one.
+    code = PsmcCyclicCode(8, make_field(31), (1, 2), t=1)
+    packed, batch = code._g1, code.base._read
+    assert isinstance(packed, _PackedMatrix) and isinstance(batch, _BatchOfOne)
+    public = [{name for name in dir(form) if not name.startswith("_")} for form in (packed, batch)]
+    assert public[0] == public[1] == {"product", "reduced", "row", "plus", "read"}
+
+
+@pytest.mark.parametrize("build, form", [
+    (lambda: get_preset("appendix-n14"), _PackedMatrix),
+    (lambda: PsmcCyclicCode(9, make_field(2, 3), (1, 3)), _PackedMatrix),  # not perfect: words fail
+    (lambda: PsmcCyclicCode(10, make_field(3, 2), (1, 2)), _BatchOfOne),
+])
+def test_a_table_decode_reads_each_word_in_one_call(build, form):
+    code = build()
+    base, A = code.base, code.alphabet
+    assert isinstance(base._read, form)
+    rng = np.random.default_rng(26)
+    words = []
+    for i in range(30):  # errors of weight 0 .. t + 1: corrected words and failures
+        e = np.zeros(code.n, dtype=np.int64)
+        cells = rng.choice(code.n, size=i % (code.t + 2), replace=False)
+        e[cells] = rng.integers(1, A.q, len(cells))
+        words.append(A.add(code.encode(rng.integers(0, A.q, code.k1)).codeword, e))
+    while len(words) < 40:  # uniform words that fail: a tie or an absent syndrome
+        y = rng.integers(0, A.q, code.n)
+        if base.decode_bounded(y, code.t) is None:
+            words.append(y)
+    failures = 0
+    with mock.patch.object(base, "_read", wraps=base._read) as spy:
+        for y in words:
+            try:
+                code.decode(y)
+            except DecodingFailure:
+                failures += 1
+            base.decode_bounded(y, code.t)
+    assert failures >= 10
+    assert [name for name, _, _ in spy.method_calls] == ["read"] * (2 * len(words))
 
 
 def test_one_gate_in_linear_chooses_the_forms_of_g1_and_k():

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 from unittest import mock
 
@@ -138,6 +139,12 @@ def test_generator_must_be_a_matrix_of_symbols():
         LinearCode([1, 2, 0], GF3)
     with pytest.raises(ValueError, match=r"^generator entries out of range for GF\(3\)$"):
         LinearCode([[1, 3, 0]], GF3)
+
+
+def test_generator_without_rows_is_refused():
+    # A code with no nonzero word has no minimum distance to report.
+    with pytest.raises(ValueError, match=r"^generator has no rows: the code has no nonzero word$"):
+        LinearCode(np.zeros((0, 3)), GF3)
 
 
 def test_message_of_inverts_encode():
@@ -615,9 +622,32 @@ def test_decode_kernel_ties_on_appendix_n14_single_errors():
     for y, good in zip(Y, ok):
         entry = table.rows[table_key(base, y)]
         assert (entry == TIE) == (not good)
-        if good:  # the offset is e R for the single error e
+        if good:  # the correction is -e R for the single error e
             e = GF3.sub(y, c)
-            assert (table.offsets[entry] == GF3.matmul(e[None, :], base._read_matrix[:, r:])[0]).all()
+            assert (table.offsets[entry] == GF3.matmul(GF3.neg(e)[None, :], base._read_matrix[:, r:])[0]).all()
+
+
+def test_decode_kernel_reaches_every_table_outcome_on_appendix_n14():
+    # At t = 1 the table holds all 27 syndromes of the [14, 11] code: the
+    # codeword reads row 0, 24 single errors a nonzero row and 4 a tie.  At
+    # t = 0 it holds the zero syndrome alone, so every single error is absent.
+    base = get_preset("appendix-n14").base
+    c = base.encode(np.arange(base.k) % 3)
+    x, r = base.message_of(c), base.n - base.k
+    seen = Counter()
+    for t in (0, 1):
+        table = base._syndrome_table(t)
+        for e in weight_patterns(base.n, 3, 1):
+            y = GF3.add(c, e)
+            entry = table.rows.get(table_key(base, y), psmc.linear._ABSENT)
+            got = base._read.read(y, y.tolist(), table, r, base.k)
+            assert (got is None) == (entry < 0)
+            assert got is None or (got == x).all()
+            kind = {TIE: "tie", psmc.linear._ABSENT: "absent", 0: "zero row"}.get(entry, "nonzero row")
+            seen[t, kind] += 1
+    assert seen == {
+        (0, "zero row"): 1, (0, "absent"): 28, (1, "zero row"): 1, (1, "nonzero row"): 24, (1, "tie"): 4,
+    }
 
 
 def reference_table(code: LinearCode, t: int) -> dict:
@@ -652,7 +682,7 @@ def test_syndrome_table_matches_one_pattern_at_a_time(block):
                 if e is None:
                     assert row == TIE
                 else:
-                    assert (table.offsets[row] == code.alphabet.matmul(e[None, :], R)[0]).all()
+                    assert (table.offsets[row] == code.alphabet.matmul(code.alphabet.neg(e)[None, :], R)[0]).all()
             assert len(table.offsets) == len(table.rows)  # one row per syndrome held
 
 

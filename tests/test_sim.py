@@ -154,6 +154,19 @@ def test_inject_does_not_reclamp_stuck_cells():
     assert y[0] == 0  # stuck cell may read back 0 after read noise
 
 
+def test_inject_checks_symbols_as_encode_does():
+    with pytest.raises(ValueError, match=r"^symbols out of range for "):
+        inject([0, 0], [9, 0], make_field(2, 3))
+    with pytest.raises(ValueError, match=r"^symbols out of range for "):
+        inject([0, -1], [0, 0], make_field(3))
+    with pytest.raises(ValueError, match=r"^symbols must be integers, got dtype float64$"):
+        inject([0.7], [0], make_field(3))
+    with pytest.raises(ValueError, match=r"^symbols must be integers, got dtype float64$"):
+        inject([0], [1.0], make_field(3))
+    with pytest.raises(ValueError, match=r"^expected 1-D symbol vectors$"):
+        inject([[0, 1]], [[1, 1]], make_field(3))
+
+
 def test_wilson_interval_brackets_estimate():
     for s, n in [(0, 10), (10, 10), (3, 17), (500, 1000)]:
         lo, hi = wilson_interval(s, n)
