@@ -11,13 +11,12 @@ matrix H0 turns the masking vector z into a shift of the whole word.
 The encoder takes the first of the q^l candidates in a fixed order
 (z = -v, v lexicographic) whose shift leaves every stuck cell nonzero,
 without trying each: for each prefix of v, a stuck cell rules out one
-value of the last coordinate (or all).  No coordinate of that first v
-exceeds u <= n, so the search keeps to the box [0, s)^l with
-s = min(n + 1, q): only the s^(l-1) prefix rows are kept, and each z the
-encoder picks has its shift z H0 built once, on first pick, never a row
-per candidate.  The stacked code [G1 ; H0] corrects t substitution
-errors on read-back, and the decoder reads [m | z] back off an
-information set of the stacked generator.
+value of the last coordinate (or all).  The search keeps to the box
+[0, s)^l, s = min(n + 1, q), by the box argument of :class:`_MaskingCode`,
+and each z the encoder picks has its shift z H0 built once, on first
+pick, never a row per candidate.  The stacked code [G1 ; H0] corrects t
+substitution errors on read-back, and the decoder reads [m | z] back off
+an information set of the stacked generator.
 
 The three constructors differ only in G1 and H0:
 
@@ -157,22 +156,24 @@ def _least_free(ruled: set[int]) -> int:
 class _MaskingCode:
     """The coset-shift scheme c = m G1 + z H0 shared by all constructions.
 
-    Subclasses build G1 and H0 and call :meth:`_build`.  d0 is the
-    minimum distance of the code H0 checks (2 for the all-ones row); at
+    Subclasses build G1 and H0 and call :meth:`_build`, which sets, for
+    all three, d0, the minimum distance of the code H0 checks (2 for the
+    all-ones row), and the guarantee u_max = min(n, q + d0 - 3); at
     d0 = 1 a zero column of H0 leaves its cell unmasked, so u_max is 0.
 
-    The masking search keeps to the box [0, s)^l, s = min(n + 1, q): no
-    coordinate of the first masking vector v in lexicographic order
-    exceeds u.  Take the coordinates in turn.  A stuck cell rules out at
-    most one value of a coordinate, and a whole slice of it only when its
-    H0 column is parallel to that coordinate, so one of the first u + 1
-    slices survives.  For u < q the other cells, each ruling out a proper
-    affine hyperplane at most, cannot cover a surviving slice.  For
-    u >= q, s = q.  A zero column at a stuck cell with w_j = 0 rules out
-    every v, in the box as outside it.
+    The box argument: the masking search keeps to the box [0, s)^l,
+    s = min(n + 1, q), because no coordinate of the first masking vector
+    v in lexicographic order exceeds u <= n.  Take the coordinates in
+    turn.  A stuck cell rules out at most one value of a coordinate, and
+    a whole slice of it only when its H0 column is parallel to that
+    coordinate, so one of the first u + 1 slices survives.  For u < q
+    the other cells, each ruling out a proper affine hyperplane at most,
+    cannot cover a surviving slice.  For u >= q, s = q.  So on the last
+    coordinate, for a prefix in the box, fewer than s ruled-out values
+    leave a free one among the first min(u + 1, q), and s or more mean
+    s = q and none is free.  A zero column at a stuck cell with w_j = 0
+    rules out every v, in the box as outside it.
     """
-
-    d0 = 2
 
     def _build(self, alphabet: Alphabet, G1: np.ndarray, H0: np.ndarray, t: int | None) -> None:
         self.alphabet = alphabet
@@ -182,6 +183,16 @@ class _MaskingCode:
         self._ones = H0.tolist() == [[1] * self.n]
         self._s = min(self.n + 1, alphabet.q)  # side of the masking search box
         self.base = LinearCode(np.vstack([G1, H0]), alphabet)
+        # d0, the minimum distance of the code H0 checks.  For one row
+        # (1, h_1, ..., h_(n-1)), n >= 2, a zero h_j makes the unit word e_j
+        # a codeword, and otherwise h_j e_0 - e_j is one of weight 2.  For
+        # H0 = [I | A], [-A^T | I] generates that code.
+        if self.l == 1:
+            self.d0 = 1 if 0 in H0[0].tolist() else 2
+        else:
+            checked = np.hstack([alphabet.neg(H0[:, self.l :].T), np.eye(self.n - self.l, dtype=np.int64)])
+            self.d0 = _distance(checked, H0, alphabet)
+        self.u_max = min(self.n, alphabet.q + self.d0 - 3) if self.d0 > 1 else 0
         self._masks: dict[int, tuple] = {}  # masking index -> (z, shift), see _mask
         if t is not None:
             self.t = index(t)
@@ -209,9 +220,9 @@ class _MaskingCode:
         at every stuck cell j (v in base s), or None.  For each prefix p of
         v, cell j rules out the last coordinate
         x = (w_j - p H0[:-1, j]) / H0[-1, j], or every x when H0[-1, j] = 0
-        and p H0[:-1, j] = w_j.  Fewer than s ruled-out values leave a free
-        x in [0, s); as at most u <= n < n + 1 are ruled out, s or more
-        means s = q and every x is ruled out."""
+        and p H0[:-1, j] = w_j.  By the box argument
+        (:class:`_MaskingCode`), fewer than s ruled-out values leave a free
+        x in [0, s), and s or more leave none."""
         if self._ones:  # l = 1 and v H0 = (v, ..., v): v must differ from every stuck value
             ruled = set(map(values.__getitem__, cells))
             return _least_free(ruled) if len(ruled) < self._s else None
@@ -235,9 +246,10 @@ class _MaskingCode:
         messages and their sorted stuck cells: :meth:`_first_mask` over the
         block at once.  For each prefix row of the box, a cell rules out
         one last coordinate x, or every x, or none.  A row masks when some
-        x in 0..min(u, q-1) is ruled out at none of its cells: u cells rule
-        out at most u values, so if any x is free, one of the first u+1 is.
-        The prefix rows are walked only until every row has a candidate."""
+        x in 0..min(u, q-1) is ruled out at none of its cells, which by the
+        box argument (:class:`_MaskingCode`) is where a free x lies if any
+        does.  The prefix rows are walked only until every row has a
+        candidate."""
         A = self.alphabet
         trials, u = stuck.shape
         inv, prefixes = self._rule
@@ -273,10 +285,6 @@ class _MaskingCode:
         self._masks[i] = entry = z, self._g1.row(A.matmul(np.array([z], dtype=np.int64), self.H0)[0])
         return entry
 
-    @cached_property
-    def u_max(self) -> int:
-        return min(self.n, self.alphabet.q + self.d0 - 3) if self.d0 > 1 else 0
-
     def encode(self, message, profile=(), *, probabilistic: bool = False) -> MaskingOutcome:
         """Mask the stuck positions and attach the ECC structure.
 
@@ -294,8 +302,7 @@ class _MaskingCode:
                 "pass probabilistic=True to attempt masking anyway"
             )
         G1 = self._g1
-        m, symbols = _word(message, self.alphabet, self.k1)
-        acc = G1.product(m, symbols)
+        acc = G1.product(_word(message, self.alphabet, self.k1))
         i = self._first_mask(G1.reduced(acc), cells)
         if i is None:
             if u <= self.u_max:
@@ -306,8 +313,7 @@ class _MaskingCode:
 
     def decode(self, word) -> np.ndarray:
         """Correct up to t errors and return the message m."""
-        y, symbols = _word(word, self.alphabet, self.n)
-        x = self.base._decode_word(y, self.t, self.k1, symbols)
+        x = self.base._decode_word(_word(word, self.alphabet, self.n), self.t, self.k1)
         if x is None:
             raise DecodingFailure(f"no unique codeword within distance {self.t}")
         return x
@@ -384,15 +390,6 @@ class PsmcExtendedCode(_MaskingCode):
             raise ValueError("masking check must be systematic in its first l columns")
         G1, self.r = _systematic_g1(n, l, ecc_columns)
         self._build(alphabet, G1, H0, t)
-        # d0 is the exact minimum distance of the code H0 checks.  For one
-        # row (1, h_1, ..., h_(n-1)), n >= 2, a zero h_j makes the unit
-        # word e_j a codeword, and otherwise h_j e_0 - e_j is one of weight 2.
-        # For H0 = [I | A], [-A^T | I] generates that code.
-        if l == 1:
-            self.d0 = 1 if 0 in H0[0].tolist() else 2
-        else:
-            checked = np.hstack([alphabet.neg(H0[:, l:].T), np.eye(n - l, dtype=np.int64)])
-            self.d0 = _distance(checked, H0, alphabet)
 
     def __repr__(self) -> str:
         return (
@@ -418,8 +415,10 @@ def masking_probability(q: int, u: int) -> Fraction:
     and is the masking success probability of the single-symbol
     constructions for uniform messages when the stuck positions index
     linearly independent generator columns.  BudgetExceeded for u >= q
-    when q * u * bit_length(q) exceeds ``PROB_BUDGET``.
+    when q * u * bit_length(q) exceeds ``PROB_BUDGET``, and TypeError for
+    a non-integer q or u.
     """
+    q, u = index(q), index(u)
     if q < 2 or u < 0:
         raise ValueError("need q >= 2 and u >= 0")
     if u < q:  # u symbols cannot cover q values; the sum has q big terms

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import chain
 from math import gcd
+from operator import index
 
 import numpy as np
 
@@ -48,9 +49,15 @@ class CyclotomicCoset:
     q: int
 
 
-@cache
 def cyclotomic_coset(a: int, n: int, q: int) -> CyclotomicCoset:
-    """Orbit of a under multiplication by q mod n; representative = minimum."""
+    """Orbit of a under multiplication by q mod n; representative = minimum.
+    TypeError for a non-integer a, n or q, checked before the cache, so a
+    float never keys an entry that an int would then read."""
+    return _coset(index(a), index(n), index(q))
+
+
+@cache
+def _coset(a: int, n: int, q: int) -> CyclotomicCoset:
     if gcd(n, q) != 1:
         raise ValueError(f"gcd(n={n}, q={q}) must be 1")
     if not 0 <= a < n:
@@ -178,8 +185,9 @@ def _minimal(ctx: _RootContext, coset: CyclotomicCoset) -> Polynomial:
 def bch_bound_from_defining_set(defining_set, n: int) -> int:
     """Longest cyclically consecutive run in the defining set, plus one: one
     turn round the cycle from just after a non-member, where every run ends.
-    ValueError for a member outside [0, n) or a set that covers it."""
-    defining_set = list(defining_set)
+    TypeError for a non-integer member or n, ValueError for a member
+    outside [0, n) or a set that covers it."""
+    defining_set, n = list(map(index, defining_set)), index(n)
     members = set(defining_set)
     if members and (min(members) < 0 or max(members) >= n):
         bad = next(a for a in defining_set if not 0 <= a < n)

@@ -35,33 +35,41 @@ that holds q - 1 (one byte a symbol up to q = 256, see
 too.
 
 A fixed matrix, K for decoding and G1 for the encoders' m G1, gets one
-word-product object, its form chosen once, by :func:`_product`.  Both
-forms offer the same five members, so encode and decode run one path
-whatever the form:
+word-product object, its form chosen once, by :func:`_product`.  A word
+enters as the list of Python ints :func:`_word` checked, once, and that
+list is the only word argument either form takes.  Both forms offer the
+same five members, so encode and decode run one path whatever the form:
 
-* ``product(y, symbols)``, the word's product, and ``reduced(acc)``,
-  that product with every symbol below q;
+* ``product(symbols)``, the word's product, and ``reduced(acc)``, that
+  product with every symbol below q;
 * ``row(shift)``, a masking shift in the form's own representation,
   built once per masking index;
 * ``plus(acc, row)``, the int64 symbols of a product plus a stored row,
   the last step of an encode;
-* ``read(y, symbols, table, r, keep)``, a whole table decode of one
-  word: the product, the syndrome key, the lookup and the correction,
-  giving the ``keep`` message symbols, or None for ``TIE`` or an absent
-  key.
+* ``read(symbols, table, r, keep)``, a whole table decode of one word:
+  the product, the syndrome key, the lookup and the correction, giving
+  the ``keep`` message symbols, or None for ``TIE`` or an absent key.
 
 Where no byte can carry (:func:`_packs`: characteristic 2 with q <= 256,
 or a prime q with (rows + 1)(q - 1) <= 255), the matrix is held packed
 (:class:`_PackedMatrix`): one Python int per (row, symbol) with one byte
 a column, so a word's product is a sum of one int per symbol (XOR in
-characteristic 2) and one ``bytes.translate`` reduces every byte mod q.
-The syndrome key is then the product's first n - k bytes, and a stored
-row, a shift or a correction, is one more int added before the
-translate.  Every other field (q > 256, odd-characteristic extension
-fields, prime fields whose sums would carry) multiplies the word as a
-batch of one (:class:`_BatchOfOne`), ``Alphabet.matmul(y[None, :],
-K)[0]``, casts the product's first n - k symbols to the key dtype and
-adds a correction on the kept message symbols only.
+characteristic 2), indexed by the list, and one ``bytes.translate``
+reduces every byte mod q.  The syndrome key is then the product's first
+n - k bytes, and a stored row, a shift or a correction, is one more int
+added before the translate.  Every other field (q > 256,
+odd-characteristic extension fields, prime fields whose sums would
+carry) multiplies the word as a batch of one (:class:`_BatchOfOne`): it
+builds a one-row int64 array from the list, multiplies it by
+``Alphabet.matmul``, casts the product's first n - k symbols to the key
+dtype and adds a correction on the kept message symbols only.
+
+:meth:`LinearCode.encode`, :meth:`~LinearCode.syndrome` and
+:meth:`~LinearCode.message_of` stay on ``Alphabet.matmul`` by G, H^T and
+the information-set inverse, not on the product objects: they are the
+independent references the tests check the table decode against, and
+``bench/`` reads syndromes through them, so they must not share the
+code they check.
 
 Decoding failure is an explicit result (``None``), not an exception, so
 simulation campaigns can count failures cheaply.  Work that would
@@ -145,11 +153,11 @@ _U8, _I64 = np.dtype(np.uint8), np.dtype(np.int64)
 class _PackedMatrix:
     """A fixed matrix b held for one-word products where :func:`_packs`
     allows: ``_rows[i][s]`` is the field product s b[i] packed as one int,
-    column j in byte j, so a word y gives the packed y b as the sum of
-    ``_rows[i][y_i]`` under ``_add`` (XOR in characteristic 2, int
-    addition over a prime field), and :meth:`reduced` then brings every
-    byte below q.  ``_add`` and ``product``, the sum over a word, are
-    chosen once, when built."""
+    column j in byte j, so a word's symbol list y gives the packed y b as
+    the sum of ``_rows[i][y[i]]`` under ``_add`` (XOR in characteristic 2,
+    int addition over a prime field), and :meth:`reduced` then brings
+    every byte below q.  The list is all a product reads.  ``_add`` and
+    ``product``, the sum over a word, are chosen once, when built."""
 
     __slots__ = ("_rows", "_cols", "_add", "_reduce", "product")
 
@@ -160,12 +168,12 @@ class _PackedMatrix:
         self._cols = matrix.shape[1]
         self._add, self.product = (xor, self._xor_product) if alphabet.p == 2 else (add, self._sum_product)
 
-    def _sum_product(self, y: np.ndarray, symbols: list[int]) -> int:
+    def _sum_product(self, symbols: list[int]) -> int:
         """The packed product of a word, bytes not yet reduced: the sum of
         one int per symbol."""
         return sum(map(list.__getitem__, self._rows, symbols))
 
-    def _xor_product(self, y: np.ndarray, symbols: list[int]) -> int:
+    def _xor_product(self, symbols: list[int]) -> int:
         """The same in characteristic 2, where the ints are XORed."""
         return reduce(xor, map(list.__getitem__, self._rows, symbols), 0)
 
@@ -181,12 +189,12 @@ class _PackedMatrix:
         """The int64 symbols of a product plus a stored row."""
         return np.frombuffer(self.reduced(self._add(acc, row)), _U8).astype(_I64)
 
-    def read(self, y: np.ndarray, symbols: list[int], table: SyndromeTable, r: int, keep: int) -> np.ndarray | None:
-        """Symbols r .. r + keep of y's product, corrected by the table's
-        row for the syndrome key, its first r bytes; None for ``TIE`` or
-        an absent key.  A correction is added, packed past the syndrome
-        bytes, as one more int."""
-        acc = self.product(y, symbols)
+    def read(self, symbols: list[int], table: SyndromeTable, r: int, keep: int) -> np.ndarray | None:
+        """Symbols r .. r + keep of the word's product, corrected by the
+        table's row for the syndrome key, its first r bytes; None for
+        ``TIE`` or an absent key.  A correction is added, packed past the
+        syndrome bytes, as one more int."""
+        acc = self.product(symbols)
         raw = self.reduced(acc)
         i = table.rows.get(raw[:r], _ABSENT)
         if i > 0:  # row 0 is the zero pattern's, which corrects nothing
@@ -196,24 +204,25 @@ class _PackedMatrix:
 
 class _BatchOfOne:
     """A fixed matrix M held for one-word products as a batch of one,
-    ``Alphabet.matmul(y[None, :], M)[0]``, which every field can run: the
-    product is already reduced, a stored row is an int64 row added by
-    ``Alphabet.add``, and a correction is added on the kept message
-    symbols only."""
+    which every field can run: :meth:`product` builds a one-row int64
+    array from the word's symbol list and multiplies it by M through
+    ``Alphabet.matmul``.  The product is already reduced, a stored row is
+    an int64 row added by ``Alphabet.add``, and a correction is added on
+    the kept message symbols only."""
 
     def __init__(self, matrix: np.ndarray, alphabet: Alphabet):
         self._matrix, self._alphabet, self.plus = matrix, alphabet, alphabet.add
 
-    def product(self, y: np.ndarray, symbols: list[int]) -> np.ndarray:
-        return self._alphabet.matmul(y[None, :], self._matrix)[0]
+    def product(self, symbols: list[int]) -> np.ndarray:
+        return self._alphabet.matmul(np.array([symbols], dtype=np.int64), self._matrix)[0]
 
     def reduced(self, acc: np.ndarray) -> np.ndarray:
         return acc
 
     row = reduced
 
-    def read(self, y: np.ndarray, symbols: list[int], table: SyndromeTable, r: int, keep: int) -> np.ndarray | None:
-        acc = self.product(y, symbols)
+    def read(self, symbols: list[int], table: SyndromeTable, r: int, keep: int) -> np.ndarray | None:
+        acc = self.product(symbols)
         i = table.rows.get(_syndrome_key(acc[:r], self._alphabet), _ABSENT)
         if i > 0:
             return self.plus(acc[r : r + keep], table.offsets[i, :keep].astype(_I64))
@@ -263,14 +272,15 @@ def as_word(values, alphabet: Alphabet, n: int) -> np.ndarray:
 
     A non-integer dtype raises ValueError rather than being truncated.
     """
-    return _word(values, alphabet, n)[0]
+    return np.array(_word(values, alphabet, n), dtype=np.int64)
 
 
-def _word(values, alphabet: Alphabet, n: int) -> tuple[np.ndarray, list[int]]:
-    """:func:`as_word` and the same symbols as a list, which a packed
-    product indexes by.  Each check runs once, and in plain Python where
-    that beats a numpy call on one word: the dtype against the cached
-    ``_I64``, then the shape, then :func:`_in_range` over the list."""
+def _word(values, alphabet: Alphabet, n: int) -> list[int]:
+    """A word of n symbols, checked, as the list of Python ints the
+    word-product objects take.  Each check runs once, and in plain Python
+    where that beats a numpy call on one word: the dtype against the
+    cached ``_I64``, then the shape, then :func:`_in_range` over the
+    list."""
     w = _integers(values)
     if w.ndim != 1:
         raise ValueError("expected a 1-D symbol vector")
@@ -279,7 +289,7 @@ def _word(values, alphabet: Alphabet, n: int) -> tuple[np.ndarray, list[int]]:
     symbols = w.tolist()
     if not _in_range(symbols, alphabet):
         raise ValueError(f"symbols out of range for {alphabet!r}")
-    return w, symbols
+    return symbols
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, alphabet: Alphabet) -> np.ndarray:
@@ -314,35 +324,11 @@ def rref(matrix: np.ndarray, alphabet: Alphabet) -> tuple[np.ndarray, tuple[int,
     return R, tuple(pivots)
 
 
-def _reduce_generator(generator: np.ndarray, alphabet: Alphabet):
-    """Row-reduce [G | I] once: (R, pivots, T) with T G = R and R[:, pivots] = I.
-
-    The pivots are an information set of G, and T recovers a message
-    from the codeword symbols on it: x = c[pivots] T.
-    """
-    G = np.asarray(generator, dtype=np.int64)
-    k, n = G.shape
-    R, pivots = rref(np.hstack([G, np.eye(k, dtype=np.int64)]), alphabet)
-    if pivots and pivots[-1] >= n:
-        raise ValueError("generator matrix is not full rank")
-    return R[:, :n], pivots, R[:, n:]
-
-
-def _check_from_rref(R: np.ndarray, pivots: tuple[int, ...], alphabet: Alphabet) -> np.ndarray:
-    k, n = R.shape
-    H = np.zeros((n - k, n), dtype=np.int64)
-    if k == n:  # no check rows: skip the index writes and their fixed numpy cost
-        return H
-    nonpivots = [c for c in range(n) if c not in pivots]
-    H[np.arange(n - k), nonpivots] = 1
-    H[:, list(pivots)] = alphabet.neg(R[:, nonpivots].T)
-    return H
-
-
-def parity_check_matrix(generator: np.ndarray, alphabet: Alphabet) -> np.ndarray:
-    """An (n-k) x n matrix H with G H^T = 0, in systematic-complement form."""
-    R, pivots, _ = _reduce_generator(generator, alphabet)
-    return _check_from_rref(R, pivots, alphabet)
+def parity_check_matrix(generator, alphabet: Alphabet) -> np.ndarray:
+    """An (n-k) x n matrix H with G H^T = 0, in systematic-complement form:
+    ``LinearCode(generator, alphabet).H``, so the generator's dtype, shape,
+    range and rank are checked."""
+    return LinearCode(generator, alphabet).H
 
 
 class LinearCode:
@@ -359,10 +345,20 @@ class LinearCode:
         alphabet._check_arrays()
         self.alphabet = alphabet
         self.G = G
-        self.k, self.n = G.shape
-        R, pivots, self._info_inverse = _reduce_generator(G, alphabet)
+        self.k, self.n = k, n = G.shape
+        # Row-reduce [G | I] once to [R | T], T G = R with R = I on the
+        # pivots: they are an information set, and x = c[pivots] T.
+        RT, pivots = rref(np.hstack([G, np.eye(k, dtype=np.int64)]), alphabet)
+        if pivots[-1] >= n:
+            raise ValueError("generator matrix is not full rank")
         self._info_set = np.array(pivots, dtype=np.intp)
-        self.H = _check_from_rref(R, pivots, alphabet)
+        self._info_inverse = RT[:, n:]
+        # H is I on the other columns and -R[:, others]^T on the pivots.
+        self.H = np.zeros((n - k, n), dtype=np.int64)
+        if k < n:  # at k = n there are no check rows: skip the fixed numpy cost
+            others = [c for c in range(n) if c not in pivots]
+            self.H[np.arange(n - k), others] = 1
+            self.H[:, list(pivots)] = alphabet.neg(RT[:, others].T)
         # t -> syndrome table, or None where decoding enumerates codewords
         self._tables: dict[int, SyndromeTable | None] = {}
 
@@ -378,8 +374,9 @@ class LinearCode:
         return self.alphabet.matmul(w[None, :], self.H.T)[0]
 
     def message_of(self, codeword) -> np.ndarray:
-        """The message x with x G = codeword, read off an information set."""
-        c = np.asarray(codeword, dtype=np.int64)
+        """The message x with x G = codeword, read off an information set;
+        the word is checked as :meth:`syndrome` checks its."""
+        c = as_word(codeword, self.alphabet, self.n)
         return self.alphabet.matmul(c[None, self._info_set], self._info_inverse)[0]
 
     # -- bounded-distance decoding -----------------------------------------
@@ -440,23 +437,22 @@ class LinearCode:
         """The word-product object of K, built by the first decode."""
         return _product(self._read_matrix, self.alphabet)
 
-    def _decode_word(self, y: np.ndarray, t: int, keep: int, symbols: list[int]) -> np.ndarray | None:
+    def _decode_word(self, symbols: list[int], t: int, keep: int) -> np.ndarray | None:
         """The first ``keep`` symbols of the message of the unique codeword
-        within distance t of y, which ``as_word`` checked, or None.
-        ``symbols`` is y as a list."""
+        within distance t of the word ``symbols``, which :func:`_word`
+        checked, or None."""
         table = self._syndrome_table(t)
         if table is None:
-            c = self._decode_by_enumeration(y, t)
+            c = self._decode_by_enumeration(np.array(symbols, dtype=np.int64), t)
             return None if c is None else self.message_of(c)[:keep]
-        return self._read.read(y, symbols, table, self.n - self.k, keep)
+        return self._read.read(symbols, table, self.n - self.k, keep)
 
     def decode_bounded(self, word, t: int) -> np.ndarray | None:
         """Unique codeword within Hamming distance t of word, or None: by
         syndrome table while the patterns of weight <= t fit its budget,
         otherwise by nearest-codeword enumeration."""
-        y, symbols = _word(word, self.alphabet, self.n)
-        x = self._decode_word(y, t, self.k, symbols)
-        return None if x is None else self.alphabet.matmul(x[None, :], self.G)[0]
+        x = self._decode_word(_word(word, self.alphabet, self.n), t, self.k)
+        return None if x is None else self.encode(x)
 
     def _decode_by_enumeration(self, y: np.ndarray, t: int) -> np.ndarray | None:
         """decode_bounded by a scan of every codeword for the nearest ones."""

@@ -101,10 +101,15 @@ class ChannelConfig:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval; always brackets the point estimate."""
+    """95% Wilson score interval; always brackets the point estimate.
+    TypeError for a non-integer count, ValueError unless
+    0 <= successes <= trials and trials > 0."""
     z = 1.959964  # two-sided 95% quantile of the standard normal
+    successes, trials = index(successes), index(trials)
     if trials == 0:
         raise ValueError("no trials")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"requires 0 <= successes <= trials, got successes = {successes}, trials = {trials}")
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -232,10 +237,12 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
     every verdict is True inside the guaranteed regime (u <= code.u_max),
     and one block check (``code._maskable``) gives them above it.  A
     rejected trial logs the failure encode would raise; an accepted one
-    runs encode, inject and decode, in that order, so every masked trial
-    is a decode attempt.  Masking runs in probabilistic mode; an encode
-    that fails on an accepted trial is an internal error and raises
-    immediately.
+    runs encode, adds its error and decodes, in that order, so every
+    masked trial is a decode attempt.  The error is added by
+    ``Alphabet.add`` without :func:`inject`'s checks: encode's word and
+    the drawn error are both the library's own, in range and of length
+    n.  Masking runs in probabilistic mode; an encode that fails on an
+    accepted trial is an internal error and raises immediately.
     """
     q = code.alphabet.q
     if cfg.n != code.n or cfg.q != q:
@@ -272,7 +279,7 @@ def run_campaign(code, cfg: ChannelConfig) -> CampaignReport:
                 raise AssertionError(f"masking failed {where} (trial {trial}, u={cfg.u})") from exc
             masked += 1
             # With no errors to inject, the stored word is read back as it is.
-            y = inject(out.codeword, draws.errors[i], code.alphabet) if cfg.t_inj else out.codeword
+            y = code.alphabet.add(out.codeword, draws.errors[i]) if cfg.t_inj else out.codeword
             try:
                 mhat = code.decode(y)
             except DecodingFailure as exc:

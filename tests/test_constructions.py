@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import pickle
 import random
 import time
@@ -27,7 +28,7 @@ from psmc.constructions import (
     stuck_redundancy_lower_bound,
 )
 from psmc.linear import (TIE, BudgetExceeded, LinearCode, _BatchOfOne, _PackedMatrix, _packs,
-                         _syndrome_key, min_distance, parity_check_matrix)
+                         _syndrome_key, _word, min_distance, parity_check_matrix)
 from psmc.presets import (
     DEMO14_ECC_COLUMNS,
     PRESETS,
@@ -228,6 +229,32 @@ def test_l1_code_is_built_without_min_distance(monkeypatch):
         assert code.d0 == (1 if 0 in tail else 2)
         assert code.u_max == (0 if 0 in tail else min(code.n, field.q - 1))
     assert extended8_l2_code().d0 == 2  # l = 2 reads d0 off H0's rows, not min_distance
+
+
+# (d0, u_max) of every preset and of four more codes, which must not move
+# with where they are derived: the one-row rule, or _distance for l >= 2.
+D0_AND_U_MAX = {
+    "appendix-n14": (2, 2), "appendix-n14-r0": (2, 2), "extended-n8-l2": (2, 2),
+    "extended-n8-l3": (3, 3), "masking-n8-r0": (2, 2),
+    **{f"table8-row{row}": (2, 2) for row in range(1, 8)},
+    "cyclic-n9-gf8": (2, 7), "extended-gf3-zero-entry": (1, 0),
+    "extended-gf9-zero-column": (1, 0), "matrix-n6-gf2187": (2, 6),
+}
+
+
+def test_d0_and_u_max_are_set_once_when_the_code_is_built():
+    codes = {name: get_preset(name) for name in PRESETS}
+    codes["cyclic-n9-gf8"] = PsmcCyclicCode(9, make_field(2, 3), (1,))
+    codes["extended-gf3-zero-entry"] = PsmcExtendedCode(GF3, [[1, 0, 2]], t=0)
+    codes["extended-gf9-zero-column"] = PsmcExtendedCode(
+        make_field(3, 2), [[1, 0, 0, 1, 2, 5], [0, 1, 0, 3, 4, 7]], t=0)
+    codes["matrix-n6-gf2187"] = PsmcMatrixCode(6, make_field(3, 7), None, t=0)
+    assert codes.keys() == D0_AND_U_MAX.keys()
+    for name, code in codes.items():
+        assert {"d0", "u_max"} <= vars(code).keys(), name  # before anything reads them
+        assert (code.d0, code.u_max) == D0_AND_U_MAX[name], name
+    for cls in (PsmcMatrixCode, PsmcCyclicCode, PsmcExtendedCode):
+        assert not [c for c in cls.__mro__ if {"d0", "u_max"} & vars(c).keys()]
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +553,13 @@ def test_redundancy_gain_published_values():
     for q, u in ((6.0, 2), (6, 2.5)):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             redundancy_gain(q, u, 3)
+
+
+def test_masking_probability_rejects_non_integers():
+    # (3, 2.5) used to give 1, and (3.0, 5) failed on q.bit_length.
+    for q, u in ((3, 2.5), (3.0, 5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            masking_probability(q, u)
 
 
 def test_stuck_redundancy_lower_bound():
@@ -1082,6 +1116,15 @@ def test_both_word_forms_share_one_protocol():
     assert isinstance(packed, _PackedMatrix) and isinstance(batch, _BatchOfOne)
     public = [{name for name in dir(form) if not name.startswith("_")} for form in (packed, batch)]
     assert public[0] == public[1] == {"product", "reduced", "row", "plus", "read"}
+    # A word enters once, as the checked symbol list: its only form in either call.
+    params = lambda method: [(p.name, p.annotation) for p in inspect.signature(method).parameters.values()]
+    word = ("symbols", "list[int]")
+    assert params(packed.product) == params(batch.product) == [word]
+    assert params(packed.read) == params(batch.read) == [word, ("table", "SyndromeTable"), ("r", "int"),
+                                                         ("keep", "int")]
+    assert params(code.base._decode_word) == [word, ("t", "int"), ("keep", "int")]
+    symbols = _word(np.array([0, 30, 7], dtype=np.int64), code.alphabet, 3)
+    assert type(symbols) is list and [type(s) for s in symbols] == [int] * 3 and symbols == [0, 30, 7]
 
 
 @pytest.mark.parametrize("build, form", [
@@ -1166,8 +1209,8 @@ def test_mixed_forms_match_the_numpy_twin_and_the_oracle():
         cells = rng.choice(code.n, size=int(rng.integers(0, 3)), replace=False)
         e[cells] = rng.integers(1, F.q, len(cells))
         y = F.add(out.codeword, e)
-        x = base._decode_word(y, 1, base.k, y.tolist())
-        other = twin.base._decode_word(y, 1, base.k, y.tolist())
+        x = base._decode_word(y.tolist(), 1, base.k)
+        other = twin.base._decode_word(y.tolist(), 1, base.k)
         assert (x is None) == (other is None)
         if x is None:
             with pytest.raises(DecodingFailure):
@@ -1238,9 +1281,9 @@ def test_packed_kernel_matches_the_numpy_kernel_and_the_oracle(code, data):
         e[cells] = rng.integers(1, A.q, len(cells))
         c = base.encode(rng.integers(0, A.q, base.k)) if out is None else out.codeword
         for y in (A.add(c, e), rng.integers(0, A.q, n)):
-            x = base._decode_word(y, t, base.k, y.tolist())
+            x = base._decode_word(y.tolist(), t, base.k)
             assert x is None or x.dtype == np.int64
-            ref = other._decode_word(y, t, base.k, y.tolist())
+            ref = other._decode_word(y.tolist(), t, base.k)
             oracle = base._decode_by_enumeration(y, t)
             assert (x is None) == (ref is None) == (oracle is None)
             key = _syndrome_key(base.syndrome(y), A)

@@ -84,6 +84,18 @@ def test_coset_seed_and_extension_degree_input_checks():
         extension_degree(6, 3)
 
 
+def test_a_float_coset_argument_is_refused_before_the_cache():
+    # cyclotomic_coset(1.0, 8, 3) used to cache members (1.0, 3.0) under the key
+    # of (1, 8, 3), and build_cyclic_code(8, GF(3), (1,)) then failed on them.
+    psmc.cyclic._coset.cache_clear()
+    for args in ((1.0, 8, 3), (1, 8.0, 3), (1, 8, 3.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            cyclotomic_coset(*args)
+    coset = cyclotomic_coset(1, 8, 3)
+    assert coset.members == (1, 3) and [type(m) for m in coset.members] == [int, int]
+    assert build_cyclic_code(8, make_field(3), (1,)).defining_set == (1, 3)
+
+
 def test_extension_degree():
     assert extension_degree(8, 3) == 2
     assert extension_degree(13, 3) == 3
@@ -277,6 +289,13 @@ def test_bch_bound_matches_bruteforce_on_every_proper_subset():
         for size in range(n):
             for defining in combinations(range(n), size):
                 assert bch_bound_from_defining_set(defining, n) == longest_run_bruteforce(defining, n) + 1
+
+
+def test_bch_bound_rejects_non_integers():
+    # [1.5] used to give a bound of 1.
+    for defining, n in (([1.5], 8), ([1], 8.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            bch_bound_from_defining_set(defining, n)
 
 
 def test_bch_bound_rejects_full_set():

@@ -156,6 +156,26 @@ def test_message_of_inverts_encode():
             assert (code.message_of(code.encode(m)) == m).all()
 
 
+def test_message_of_and_parity_check_matrix_check_their_inputs():
+    code = LinearCode([[1, 0, 1], [0, 1, 1]], GF3)
+    assert code.message_of([2, 1, 0]).tolist() == [2, 1]
+    # A short word and out-of-range or fractional symbols used to give [0 1] and [0 2].
+    with pytest.raises(ValueError, match=r"^expected length 3, got 2$"):
+        code.message_of([0, 1])
+    with pytest.raises(ValueError, match=r"^symbols must be integers, got dtype float64$"):
+        code.message_of([0.7, 5, 1])
+    with pytest.raises(ValueError, match=r"^symbols out of range for GF\(3\)$"):
+        code.message_of([0, 5, 1])
+    # parity_check_matrix checks its generator as LinearCode does; both used to give [[1 1]].
+    assert parity_check_matrix([[1, 2]], GF3).tolist() == [[1, 1]]
+    with pytest.raises(ValueError, match=r"^generator entries out of range for GF\(3\)$"):
+        parity_check_matrix([[1, 5]], GF3)
+    with pytest.raises(ValueError, match=r"^symbols must be integers, got dtype float64$"):
+        parity_check_matrix([[1.5, 2]], GF3)
+    with pytest.raises(ValueError, match=r"^generator matrix is not full rank$"):
+        parity_check_matrix([[1, 2], [2, 1]], GF3)
+
+
 def test_gf2048_linear_code_builds_encodes_decodes():
     F = make_field(2, 11)
     parity = LinearCode(np.array([[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 1500]]), F)
@@ -557,7 +577,7 @@ def assert_kernel_matches_enumeration(code: LinearCode, t: int, Y: np.ndarray) -
     row, and decode_bounded with the oracle's codeword; returns ok."""
     ok = []
     for y in Y:
-        x = code._decode_word(y, t, code.k, y.tolist())
+        x = code._decode_word(y.tolist(), t, code.k)
         c = code._decode_by_enumeration(y, t)
         assert (x is not None) == (c is not None)
         got = code.decode_bounded(y, t)
@@ -566,7 +586,7 @@ def assert_kernel_matches_enumeration(code: LinearCode, t: int, Y: np.ndarray) -
         else:
             assert x.shape == (code.k,) and (x == code.message_of(c)).all() and (got == c).all()
             # Keeping fewer symbols keeps a prefix of the same message.
-            assert (code._decode_word(y, t, 1, y.tolist()) == x[:1]).all()
+            assert (code._decode_word(y.tolist(), t, 1) == x[:1]).all()
         ok.append(x is not None)
     return np.array(ok, dtype=bool).reshape(len(Y))
 
@@ -602,7 +622,7 @@ def test_decode_kernel_matches_enumeration_on_presets(name):
     ok = assert_kernel_matches_enumeration(base, t, Y)
     for y, good in zip(Y, ok):
         if good:
-            assert (code.decode(y) == base._decode_word(y, t, base.k, y.tolist())[: code.k1]).all()
+            assert (code.decode(y) == base._decode_word(y.tolist(), t, base.k)[: code.k1]).all()
         else:
             with pytest.raises(DecodingFailure, match=f"no unique codeword within distance {t}$"):
                 code.decode(y)
@@ -640,7 +660,7 @@ def test_decode_kernel_reaches_every_table_outcome_on_appendix_n14():
         for e in weight_patterns(base.n, 3, 1):
             y = GF3.add(c, e)
             entry = table.rows.get(table_key(base, y), psmc.linear._ABSENT)
-            got = base._read.read(y, y.tolist(), table, r, base.k)
+            got = base._read.read(y.tolist(), table, r, base.k)
             assert (got is None) == (entry < 0)
             assert got is None or (got == x).all()
             kind = {TIE: "tie", psmc.linear._ABSENT: "absent", 0: "zero row"}.get(entry, "nonzero row")
@@ -702,11 +722,11 @@ def test_decode_kernel_on_empty_check_matrix():
     assert base.H.shape == (0, 8)
     rng = np.random.default_rng(5)
     Y = rng.integers(0, 3, (40, 8))
-    assert all((base.encode(base._decode_word(y, 0, base.k, y.tolist())) == y).all() for y in Y)
+    assert all((base.encode(base._decode_word(y.tolist(), 0, base.k)) == y).all() for y in Y)
     assert list(base._tables[0].rows) == [b""]
     # At t = 1 the single errors share the zero pattern's empty syndrome but
     # weigh more, so the zero pattern keeps it and there is no tie.
-    assert all((base.encode(base._decode_word(y, 1, base.k, y.tolist())) == y).all() for y in Y)
+    assert all((base.encode(base._decode_word(y.tolist(), 1, base.k)) == y).all() for y in Y)
 
 
 def test_decode_kernel_on_gf2048_codes():

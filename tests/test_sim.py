@@ -180,6 +180,17 @@ def test_inject_and_wilson_input_checks():
         wilson_interval(0, 0)
 
 
+def test_wilson_interval_checks_its_counts():
+    # (3, 2) and (-1, 3) used to fail in math.sqrt, and (1.5, 2) gave an interval.
+    for successes, trials in ((3, 2), (-1, 3), (0, -4)):
+        with pytest.raises(ValueError, match=rf"^requires 0 <= successes <= trials, "
+                                             rf"got successes = {successes}, trials = {trials}$"):
+            wilson_interval(successes, trials)
+    for successes, trials in ((1.5, 2), (1, 2.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            wilson_interval(successes, trials)
+
+
 def test_campaign_reproducible():
     code = table8_code(3)
     cfg = ChannelConfig(n=8, q=3, u=2, t_inj=1, trials=300, seed=99)
@@ -526,3 +537,17 @@ def test_campaign_outputs_match_recorded_stream_v3_digests():
             blob = json.dumps(report.to_dict(), sort_keys=True).encode()
             got[name, u, t_inj] = hashlib.sha256(blob).hexdigest()
     assert got == CAMPAIGN_DIGESTS
+
+
+def test_a_campaign_adds_its_errors_without_inject(monkeypatch):
+    # Encode's word and the drawn error are the library's own, so the campaign
+    # adds them without inject's checks, and its report stays the recorded one.
+    def refuse(*args, **kwargs):
+        raise AssertionError("inject called")
+
+    monkeypatch.setattr(sim, "inject", refuse)
+    for name, code, u, t_inj in (("appendix-n14", get_preset("appendix-n14"), 2, 1),
+                                 ("cyclic-n9-gf8", gf8_cyclic_code(), 9, 2)):
+        report = run_campaign(code, config_for(code, u, t_inj, 1000, CAMPAIGN_DIGEST_SEED))
+        blob = json.dumps(report.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == CAMPAIGN_DIGESTS[name, u, t_inj]
