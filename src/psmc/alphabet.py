@@ -29,10 +29,15 @@ the narrowest of 1, 2, 4 or 8 bytes that holds a lane's bound (given in
 ``_pmul`` and ``_pdivmod``), so no lane carries; one-byte lanes reduce
 with one ``bytes.translate``.  Extension fields call their scalar ops per
 symbol.
-:class:`Polynomial` wraps them, and an extension field is bootstrapped
-with them over its prime field: Rabin's irreducibility test (the only
-user of gcd) picks the modulus, and the primitive element and the
-exp/log tables are found by multiplying digit tuples modulo it.
+:class:`Polynomial` wraps them.  An extension field is bootstrapped by
+multiply-by-x steps on digit lists over its prime field, not by
+polynomial products: Ben-Or's irreducibility test (the only user of gcd)
+reaches x^(p^i) mod each candidate f one step at a time to pick the
+modulus.  Up to 2^16, one successor list a -> a * g over every symbol,
+built by linearity from the m products g x^j, is walked from 1 to fill the
+exp/log tables; the primitive element is the first g whose walk closes
+only after q - 1 steps.  Larger fields have no tables: they multiply
+digit tuples modulo f and find the primitive element by powering.
 
 The array products (:meth:`Alphabet.vmul` and :meth:`Alphabet.matmul`)
 act on int64 arrays of symbols: prime fields reduce mod q, and
@@ -211,14 +216,24 @@ def _ppowmod(A: "Alphabet", a: Sequence[int], e: int, f: Sequence[int]) -> tuple
     return result
 
 
+def _times_x(r: list[int], f: Sequence[int], p: int) -> list[int]:
+    """x * r mod the monic f over GF(p), on digit lists of length deg f:
+    a shift up one place, then the top digit times f subtracted."""
+    top = r[-1]
+    r = [0, *r[:-1]]
+    return [(c - top * fc) % p for c, fc in zip(r, f)] if top else r
+
+
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Rabin test for a monic polynomial of degree >= 2 over GF(p)."""
-    m = len(f) - 1
-    F, x = make_field(p), (0, 1)
-    if _ppowmod(F, x, p ** m, f) != x:
-        return False
-    for d in _prime_factors(m):
-        if len(_pgcd(F, _pzip(F.sub, _ppowmod(F, x, p ** (m // d), f), x), f)) > 1:
+    """Ben-Or's test for a monic f of degree m >= 2 over GF(p): f is
+    irreducible iff gcd(x^(p^i) - x, f) = 1 for every i <= m/2.  x^(p^i)
+    mod f is reached by multiply-by-x steps, p^(m//2) of them at most."""
+    F, m = make_field(p), len(f) - 1
+    power, steps = [1] + [0] * (m - 1), 0  # x^steps mod f
+    for i in range(1, m // 2 + 1):
+        while steps < p ** i:
+            power, steps = _times_x(power, f, p), steps + 1
+        if len(_pgcd(F, f, _pzip(F.sub, _strip(power[:]), (0, 1)))) > 1:
             return False
     return True
 
@@ -304,7 +319,8 @@ class Alphabet:
         return a if self.p == 2 else self._digitwise(0, a, -1)
 
     def _ext_mul_raw(self, a: int, b: int) -> int:
-        # Table-free product of digit tuples modulo the field's modulus.
+        # Table-free product of digit tuples modulo the field's modulus, for
+        # fields above 2^16; the tests check the tables against it.
         F = make_field(self.p)
         prod = _pmul(F, _strip(list(self.digits(a))), _strip(list(self.digits(b))))
         return self.from_digits(_pdivmod(F, prod, self._mod_digits)[1])
@@ -336,16 +352,22 @@ class Alphabet:
         return self._pow_raw(a, e)
 
     def _pow_raw(self, a: int, e: int) -> int:
-        # Table-free powering, usable while exp/log tables are being built.
+        # Table-free powering: prime fields, and extension fields above 2^16.
         if self.m == 1:
             return pow(a, e, self.q)
         return self.from_digits(_ppowmod(make_field(self.p), self.digits(a), e, self._mod_digits))
 
     def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero field element."""
+        """Multiplicative order of a nonzero symbol: (q-1) / gcd(log a, q-1)
+        where exp/log tables exist, else the least divisor of q-1 that
+        powering reaches.  TypeError for a non-integer, ValueError for 0
+        or a value outside [0, q)."""
+        a = self.check(a)
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         n = self.q - 1
+        if self.m > 1 and self.q <= _EXPLOG_ORDER_LIMIT:
+            return n // math.gcd(self._tables[1][a], n)
         order = n
         for f in _prime_factors(n):
             while order % f == 0 and self._pow_raw(a, order // f) == 1:
@@ -354,8 +376,22 @@ class Alphabet:
 
     @cached_property
     def primitive(self) -> int:
-        """Smallest element generating the multiplicative group."""
+        """Smallest element generating the multiplicative group: the
+        generator the exp/log tables walk where they exist, else the first
+        element of order q - 1."""
+        if self.m > 1 and self.q <= _EXPLOG_ORDER_LIMIT:
+            return self._tables[0][1]
         return next(g for g in range(1, self.q) if self.element_order(g) == self.q - 1)
+
+    def _times(self, g: int) -> list[int]:
+        """The successor list a -> a * g over every symbol, by linearity:
+        the image of d p^j + i, for i < p^j, is the image of i plus d g x^j.
+        Each step over j is one array add per digit value d."""
+        succ, row = np.zeros(1, dtype=np.int64), list(self.digits(g))  # row: g x^j
+        for _ in range(self.m):
+            succ = np.concatenate([self.add(succ, self.from_digits(d * c for c in row)) for d in range(self.p)])
+            row = _times_x(row, self._mod_digits, self.p)
+        return succ.tolist()
 
     @cached_property
     def _tables(self) -> tuple[list[int], list[int]]:
@@ -365,16 +401,28 @@ class Alphabet:
         then a run of zeros; log[0] = 2(q-1) points into that run, so a
         product with 0 needs neither a zero test nor a modulus.  Extension
         fields of order <= 2^16 only: prime fields multiply mod q.
+
+        The powers come from one walk 1, g, g^2, ... along the successor
+        list of g (:meth:`_times`).  The primitive element is the first
+        candidate g whose walk closes only after q - 1 steps.  Candidates
+        below p lie in the prime field, and an element met on a shorter
+        walk generates a smaller group, so neither is walked.
         """
-        g, cycle = self.primitive, self.q - 1
-        exp = [0] * (4 * cycle + 1)
+        cycle, skip = self.q - 1, set()
+        for g in range(self.p, self.q):
+            if g in skip:
+                continue
+            times_g, walk, acc = self._times(g), [1], g
+            while acc != 1:
+                walk.append(acc)
+                acc = times_g[acc]
+            if len(walk) == cycle:
+                break
+            skip.update(walk)
         log = [2 * cycle] * self.q
-        acc = 1
-        for i in range(cycle):
-            exp[i] = exp[i + cycle] = acc
-            log[acc] = i
-            acc = self._ext_mul_raw(acc, g)
-        return exp, log
+        for i, a in enumerate(walk):
+            log[a] = i
+        return walk * 2 + [0] * (2 * cycle + 1), log
 
     def _check_arrays(self) -> None:
         """BudgetExceeded unless the array products work over this field:

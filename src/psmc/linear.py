@@ -450,9 +450,10 @@ class LinearCode:
     def decode_bounded(self, word, t: int) -> np.ndarray | None:
         """Unique codeword within Hamming distance t of word, or None: by
         syndrome table while the patterns of weight <= t fit its budget,
-        otherwise by nearest-codeword enumeration."""
+        otherwise by nearest-codeword enumeration.  The word is checked
+        once; its decoded message is re-encoded without a second check."""
         x = self._decode_word(_word(word, self.alphabet, self.n), t, self.k)
-        return None if x is None else self.encode(x)
+        return None if x is None else self.alphabet.matmul(x[None, :], self.G)[0]
 
     def _decode_by_enumeration(self, y: np.ndarray, t: int) -> np.ndarray | None:
         """decode_bounded by a scan of every codeword for the nearest ones."""

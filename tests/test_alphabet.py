@@ -1,5 +1,8 @@
+import hashlib
 import math
 import random
+import re
+import time
 from itertools import zip_longest
 from unittest import mock
 
@@ -84,9 +87,11 @@ def _candidates(p, m):
         yield Polynomial(gf, [v // p ** i % p for i in range(m)] + [1])
 
 
-@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in range(2, 10) if p ** m <= 729])
+@pytest.mark.parametrize(
+    "p,m", [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 13) if p ** m <= 4096]
+)
 def test_modulus_is_first_candidate_without_a_small_factor(p, m):
-    # Oracle independent of the Rabin test: trial division by every monic
+    # Oracle independent of Ben-Or's test: trial division by every monic
     # polynomial of degree 1..m/2.
     divisors = [d for k in range(1, m // 2 + 1) for d in _candidates(p, k)]
     first = next(f for f in _candidates(p, m) if all(not (f % d).is_zero for d in divisors))
@@ -99,6 +104,133 @@ def test_canonical_binary_moduli():
     assert make_field(2, 3).modulus.coeffs == (1, 1, 0, 1)
     assert make_field(2, 4).modulus.coeffs == (1, 1, 0, 0, 1)
     assert make_field(2, 5).modulus.coeffs == (1, 0, 1, 0, 0, 1)
+
+
+# (modulus, primitive element, sha256 of repr(_tables)) of every extension
+# field with p <= 13 and q <= 2^20, recorded when the tables were built by
+# q - 1 polynomial products; fields above 2^16 have no tables.
+BOOTSTRAP_PINS = {
+    (2, 2): ((1, 1, 1), 2,
+             "fc0e82ee9bfd0514628565b4d5ea75b30e0ca0da9de26ae914541cae687b4829"),
+    (2, 3): ((1, 1, 0, 1), 2,
+             "a57351b17ea7efb15d531711905f1fd5eb0d0782b8e9f5ce110333be0946c926"),
+    (2, 4): ((1, 1, 0, 0, 1), 2,
+             "9391506b6e46d20c84d0bb730fae486d3ae0bf2deb8479ff69bc1ba7859b257b"),
+    (2, 5): ((1, 0, 1, 0, 0, 1), 2,
+             "a3f0a82fa049c92fa1f569f82b896a2804746f955a48e3eadce6ef801e67400a"),
+    (2, 6): ((1, 1, 0, 0, 0, 0, 1), 2,
+             "5659f9b7863034f9f8e2280a2a32c146735d1d0ab65d4275c7387ebebc38168e"),
+    (2, 7): ((1, 1, 0, 0, 0, 0, 0, 1), 2,
+             "ff4de26b91f64c1f2484e9e256f71997a789394ca4b677b590974a5688e02797"),
+    (2, 8): ((1, 1, 0, 1, 1, 0, 0, 0, 1), 3,
+             "f06ae3277eddb501a7c0ec789d08a3f7bf23c97b4e15017df0ceb4ddbd8fff7f"),
+    (2, 9): ((1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 7,
+             "b5d8e04609db8943490c42c835e1a06721a473be7b2ee1191d895bff674bbb11"),
+    (2, 10): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2,
+              "38572052f7b735fcae0e78f37874b5a8238dc10951aedb80ebc89afc0839d8f7"),
+    (2, 11): ((1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2,
+              "af06accd5b4539a550f8414335829578bb52d468263ba1ea343f5a41838d1859"),
+    (2, 12): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3,
+              "1997a4015be58bd2eea3b9414ebcf8163b1c28e6156dacc67ea2c8da413d311e"),
+    (2, 13): ((1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2,
+              "768303f77bb82397093195726bd4d96a0e3904d1e3c9ac04194e6ec1cbf4aa4a"),
+    (2, 14): ((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 7,
+              "885871fff611f6584751ade217d53850853302c0ca0668454a07a57a65947e00"),
+    (2, 15): ((1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2,
+              "d6b1c03d5f4310476eec82f38643df39086859abb7cb98cdc0ccdc4507dcbdbb"),
+    (2, 16): ((1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3,
+              "e696b56bb18d2cdf5c89ec10b26e5fa4abcd28ce64990e7e47be9791bc8ec797"),
+    (2, 17): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2, None),
+    (2, 18): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 10, None),
+    (2, 19): ((1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2, None),
+    (2, 20): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2, None),
+    (3, 2): ((1, 0, 1), 4,
+             "231f938b670f5d1a611cc85d95503017d4eba86e2e50ae2713c8c0834c28d630"),
+    (3, 3): ((1, 2, 0, 1), 3,
+             "591c1eab7152f0f77e812cdaee731ba4449e5f37de0b766befd9469d76457411"),
+    (3, 4): ((2, 1, 0, 0, 1), 3,
+             "e4fe7075930823bee03c391c826c04db1863b2d7db13a6e335e7cef37540c1f7"),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3,
+             "a7ad5e04dca4cd913e073723958d9d018bba0a526779ee7f98d59a07bc8be319"),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), 3,
+             "be14635b031e280697546b1aa9b31f3091d5aec65627a20a4ef7c32c2f019861"),
+    (3, 7): ((2, 0, 1, 0, 0, 0, 0, 1), 5,
+             "f5547572da8d97824fffa31a857c97fbb451454c61624df2b7b31fe46bd0897e"),
+    (3, 8): ((2, 0, 1, 0, 0, 0, 0, 0, 1), 38,
+             "aa704dd05466a4632d2033bbfd72056313a54650cf659b7d0bc1575563edc499"),
+    (3, 9): ((1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 3,
+             "c5e15da03cd7358a903bbb7413111fcc26d50313127e7d1e1ff1d9a756cd6011"),
+    (3, 10): ((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), 34,
+              "925dd52ce43e091beddc34b64ae979840d6b9beb8bcf1e7dd260742e31dd2bd7"),
+    (3, 11): ((2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 5, None),
+    (3, 12): ((2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 14, None),
+    (5, 2): ((2, 0, 1), 6,
+             "551e179e4089531974e539bf376f96a5d5f0663b7f5982ed9c93172dabbf003d"),
+    (5, 3): ((1, 1, 0, 1), 9,
+             "e2dd0f25b81e8ba8b83964225fc885a7f8909c76c12ef25a92bef2979ebb841f"),
+    (5, 4): ((2, 0, 0, 0, 1), 6,
+             "8e37719fbaee013b057cf0fe95dc2e0b797eb341e95d0a3569e91d88a46d0e03"),
+    (5, 5): ((1, 4, 0, 0, 0, 1), 10,
+             "b15b750071c11fa656f8b72e34001d28358804ca8192b8e3e839301af33824a7"),
+    (5, 6): ((2, 1, 0, 0, 0, 0, 1), 5,
+             "037a8e8ab757e9b81834bd4c0e226475e4f2f8844aaf9bea6ec35f194868b863"),
+    (5, 7): ((1, 1, 0, 0, 0, 0, 0, 1), 9, None),
+    (5, 8): ((2, 0, 0, 0, 0, 0, 0, 0, 1), 6, None),
+    (7, 2): ((1, 0, 1), 9,
+             "316fb94acd8deca640e994c8463a9e9ce076638d5c5691fb8a583a26549440da"),
+    (7, 3): ((2, 0, 0, 1), 22,
+             "5653a0a489bb950b2d7ad135e3a20108d7c4fce1905ecfa0078c6a86c767584b"),
+    (7, 4): ((1, 1, 0, 0, 1), 12,
+             "ac5b0268f0213748294702636f527039e0df36e15e86931f249059ec6b4a550a"),
+    (7, 5): ((3, 1, 0, 0, 0, 1), 9,
+             "85928015ee8188d29e02d735ac20a477085e32efbe44715bdb39469bb7af1673"),
+    (7, 6): ((2, 0, 0, 0, 0, 0, 1), 8, None),
+    (7, 7): ((1, 6, 0, 0, 0, 0, 0, 1), 14, None),
+    (11, 2): ((1, 0, 1), 15,
+              "85dec61de9a774d5dcdfae2f9ba966f6d3e4ada8846474645fbd26e28e68b637"),
+    (11, 3): ((4, 1, 0, 1), 11,
+              "9846970ce6d83cbea0ca62ae6a199b5aaade391a8d1e80fd34b04d40de1e4503"),
+    (11, 4): ((2, 1, 0, 0, 1), 11,
+              "a37a2bf02028f7d4adc035deb1cb619f7a866bbbf0b79e43fa6dd942679c806a"),
+    (11, 5): ((2, 0, 0, 0, 0, 1), 13, None),
+    (13, 2): ((2, 0, 1), 15,
+              "2dfbbacfd95a7da319bfa9076d01ac37201507df6684fa352420c7dfb817f11c"),
+    (13, 3): ((2, 0, 0, 1), 15,
+              "21c7b88a8a9be495fd01547faa6d84eefc6f90e7512d8d9b15c5a2516a0e65f4"),
+    (13, 4): ((2, 0, 0, 0, 1), 17,
+              "28ae2de6085dddffefec765d1cf69308e98bef683a61394b514b4826c4f03240"),
+    (13, 5): ((2, 4, 0, 0, 0, 1), 13, None),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(BOOTSTRAP_PINS), ids=lambda v: str(v))
+def test_bootstrap_matches_its_pins(p, m):
+    # A fresh instance, so this test runs the bootstrap, not a cache.
+    f = psmc.alphabet.Alphabet(p, m)
+    modulus, primitive, digest = BOOTSTRAP_PINS[p, m]
+    assert f.modulus.coeffs == modulus
+    assert f.primitive == primitive
+    if digest is None:
+        assert p ** m > 1 << 16
+    else:
+        assert hashlib.sha256(repr(f._tables).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 10), (5, 6)], ids=["GF(2^16)", "GF(3^10)", "GF(5^6)"])
+def test_table_products_match_the_table_free_path(p, m):
+    f = make_field(p, m)
+    rng = random.Random(p ** m)
+    for _ in range(2000):
+        a, b = rng.randrange(f.q), rng.randrange(1, f.q)
+        assert f.mul(a, b) == f._ext_mul_raw(a, b)
+        assert f._ext_mul_raw(b, f.inv(b)) == 1
+
+
+def test_gf2_16_tables_take_well_under_a_second():
+    # One multiply-by-g walk per candidate, not q - 1 polynomial products.
+    start = time.perf_counter()
+    psmc.alphabet.Alphabet(2, 16)._tables
+    assert time.perf_counter() - start < 0.5
 
 
 def test_make_field_rejects_bad_input():
@@ -590,6 +722,30 @@ def test_poly_pretty():
     assert poly_pretty(Polynomial(gf3, (2, 1))) == "x + 2"
     assert poly_pretty(Polynomial(gf3, (2, 2, 0, 1))) == "x^3 + 2x + 2"
     assert poly_pretty(Polynomial(gf3)) == "0"
+
+
+def test_element_order_checks_its_argument():
+    for f, a in ((make_field(2, 3), 9), (make_field(7), 9), (make_field(7), -1), (make_field(2, 17), 1 << 17)):
+        with pytest.raises(ValueError, match=rf"^symbol {a} out of range for {re.escape(repr(f))}$"):
+            f.element_order(a)
+    for f in (make_field(7), make_field(2, 3), make_field(2, 17)):
+        for a in (1.0, 1.5, "1", None):
+            with pytest.raises(TypeError):
+                f.element_order(a)
+        with pytest.raises(ValueError, match=r"^0 has no multiplicative order$"):
+            f.element_order(0)
+        assert f.element_order(np.int64(1)) == 1
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (3, 3), (5, 2), (2, 17)], ids=repr)
+def test_element_order_matches_the_least_power_reaching_one(p, m):
+    # Tables read (q-1) / gcd(log a, q-1); the oracle powers without them.
+    f = make_field(p, m)
+    divisors = [d for d in range(1, f.q) if (f.q - 1) % d == 0]
+    rng = random.Random(p ** m)
+    for a in range(1, f.q) if f.q < 1000 else [rng.randrange(1, f.q) for _ in range(30)]:
+        assert f.element_order(a) == next(d for d in divisors if f._pow_raw(a, d) == 1)
+    assert f.element_order(f.primitive) == f.q - 1
 
 
 def test_random_element_order_divides_group_order():

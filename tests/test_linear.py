@@ -628,6 +628,27 @@ def test_decode_kernel_matches_enumeration_on_presets(name):
                 code.decode(y)
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_decode_bounded_checks_its_word_once(name):
+    # The decoded message is re-encoded by one matmul by G, not through
+    # encode, which would check that message a second time.
+    base, t = get_preset(name).base, get_preset(name).t
+    A, rng = base.alphabet, np.random.default_rng(sum(map(ord, name)))
+    for i in range(6):
+        message = rng.integers(0, A.q, base.k)
+        c = base.encode(message)
+        e = np.zeros(base.n, dtype=np.int64)
+        e[rng.choice(base.n, size=min(t, i % 3), replace=False)] = 1
+        y = A.add(c, e)
+        with mock.patch.object(psmc.linear, "_word", wraps=psmc.linear._word) as word:
+            got = base.decode_bounded(y, t)
+        assert word.call_count == 1
+        if got is None:  # a tie: 4 of appendix-n14's 28 single errors tie
+            assert name == "appendix-n14" and e.any()
+        else:
+            assert got.dtype == np.int64 and (got == base.encode(message)).all()
+
+
 def test_decode_kernel_ties_on_appendix_n14_single_errors():
     code = get_preset("appendix-n14")
     base, t = code.base, code.t
