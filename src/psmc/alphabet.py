@@ -30,10 +30,9 @@ the narrowest of 1, 2, 4 or 8 bytes that holds a lane's bound (given in
 with one ``bytes.translate``.  Extension fields call their scalar ops per
 symbol.
 :class:`Polynomial` wraps them.  An extension field is bootstrapped by
-multiply-by-x steps on digit lists over its prime field, not by
-polynomial products: Ben-Or's irreducibility test (the only user of gcd)
-reaches x^(p^i) mod each candidate f one step at a time to pick the
-modulus.  Up to 2^16, one successor list a -> a * g over every symbol,
+multiply-by-x steps on digit lists over its prime field: Ben-Or's
+irreducibility test (the only user of gcd) reaches x^(p^i) mod each
+candidate f one step at a time to pick the modulus.  Up to 2^16, one successor list a -> a * g over every symbol,
 built by linearity from the m products g x^j, is walked from 1 to fill the
 exp/log tables; the primitive element is the first g whose walk closes
 only after q - 1 steps.  Larger fields have no tables: they multiply
@@ -358,19 +357,16 @@ class Alphabet:
         return self.from_digits(_ppowmod(make_field(self.p), self.digits(a), e, self._mod_digits))
 
     def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero symbol: (q-1) / gcd(log a, q-1)
-        where exp/log tables exist, else the least divisor of q-1 that
-        powering reaches.  TypeError for a non-integer, ValueError for 0
-        or a value outside [0, q)."""
+        """Multiplicative order of a nonzero symbol: the least divisor of
+        q-1 that :meth:`pow` reaches, one prime factor of q-1 at a time.
+        TypeError for a non-integer, ValueError for 0 or a value outside
+        [0, q)."""
         a = self.check(a)
         if a == 0:
             raise ValueError("0 has no multiplicative order")
-        n = self.q - 1
-        if self.m > 1 and self.q <= _EXPLOG_ORDER_LIMIT:
-            return n // math.gcd(self._tables[1][a], n)
-        order = n
-        for f in _prime_factors(n):
-            while order % f == 0 and self._pow_raw(a, order // f) == 1:
+        order = self.q - 1
+        for f in _prime_factors(order):
+            while order % f == 0 and self.pow(a, order // f) == 1:
                 order //= f
         return order
 

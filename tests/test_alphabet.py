@@ -107,8 +107,7 @@ def test_canonical_binary_moduli():
 
 
 # (modulus, primitive element, sha256 of repr(_tables)) of every extension
-# field with p <= 13 and q <= 2^20, recorded when the tables were built by
-# q - 1 polynomial products; fields above 2^16 have no tables.
+# field with p <= 13 and q <= 2^20; fields above 2^16 have no tables.
 BOOTSTRAP_PINS = {
     (2, 2): ((1, 1, 1), 2,
              "fc0e82ee9bfd0514628565b4d5ea75b30e0ca0da9de26ae914541cae687b4829"),
@@ -227,10 +226,13 @@ def test_table_products_match_the_table_free_path(p, m):
 
 
 def test_gf2_16_tables_take_well_under_a_second():
-    # One multiply-by-g walk per candidate, not q - 1 polynomial products.
-    start = time.perf_counter()
-    psmc.alphabet.Alphabet(2, 16)._tables
-    assert time.perf_counter() - start < 0.5
+    # The best of three fresh builds, so a loaded runner cannot fail it alone.
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        psmc.alphabet.Alphabet(2, 16)._tables
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.5
 
 
 def test_make_field_rejects_bad_input():
@@ -739,7 +741,7 @@ def test_element_order_checks_its_argument():
 
 @pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (3, 3), (5, 2), (2, 17)], ids=repr)
 def test_element_order_matches_the_least_power_reaching_one(p, m):
-    # Tables read (q-1) / gcd(log a, q-1); the oracle powers without them.
+    # pow reads the tables where they exist; the oracle powers without them.
     f = make_field(p, m)
     divisors = [d for d in range(1, f.q) if (f.q - 1) % d == 0]
     rng = random.Random(p ** m)
