@@ -32,11 +32,12 @@ symbol.
 :class:`Polynomial` wraps them.  An extension field is bootstrapped by
 multiply-by-x steps on digit lists over its prime field: Ben-Or's
 irreducibility test (the only user of gcd) reaches x^(p^i) mod each
-candidate f one step at a time to pick the modulus.  Up to 2^16, one successor list a -> a * g over every symbol,
-built by linearity from the m products g x^j, is walked from 1 to fill the
-exp/log tables; the primitive element is the first g whose walk closes
-only after q - 1 steps.  Larger fields have no tables: they multiply
-digit tuples modulo f and find the primitive element by powering.
+candidate f one step at a time to pick the modulus.  Up to 2^16, one
+successor list a -> a * g over every symbol, built by linearity from the
+m products g x^j, is walked from 1 to fill the exp/log tables; the
+primitive element is the first g whose walk closes only after q - 1
+steps.  Larger fields have no tables: they multiply digit tuples modulo
+f and find the primitive element by powering.
 
 The array products (:meth:`Alphabet.vmul` and :meth:`Alphabet.matmul`)
 act on int64 arrays of symbols: prime fields reduce mod q, and
