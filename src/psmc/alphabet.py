@@ -27,8 +27,10 @@ coefficient: a product is one int multiply, a division one multiply-add
 of f (-b) per quotient symbol f, read off the leading lane mod q.  w is
 the narrowest of 1, 2, 4 or 8 bytes that holds a lane's bound (given in
 ``_pmul`` and ``_pdivmod``), so no lane carries; one-byte lanes reduce
-with one ``bytes.translate``.  Extension fields call their scalar ops per
-symbol.
+with one ``bytes.translate``.  A product of several polynomials,
+``_pprod``, multiplies them as one chain of packed ints and unpacks once,
+splitting the chain where its bound would outgrow 8-byte lanes.
+Extension fields call their scalar ops per symbol.
 :class:`Polynomial` wraps them.  An extension field is bootstrapped by
 multiply-by-x steps on digit lists over its prime field: Ben-Or's
 irreducibility test (the only user of gcd) reaches x^(p^i) mod each
@@ -66,7 +68,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial, reduce
 from itertools import zip_longest
 from operator import index
 from typing import Iterable, Sequence
@@ -165,6 +167,40 @@ def _pmul(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
             for j, bj in enumerate(b, i):
                 out[j] = add(out[j], mul(ai, bj))
     return _strip(out)
+
+
+def _pprod(A: "Alphabet", factors: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Product of one or more nonzero polynomials.  A prime field multiplies
+    them as packed ints in chains, unpacking once per chain.  Coefficient t
+    of head * R is the sum of head[a] R[t - a] <= max(head) R(1), so a
+    chain's lanes hold max(head) times the product of the other factors'
+    coefficient sums.  Before that bound would need more than 8 bytes the
+    chain is reduced mod q and heads the next one; a reduced head and one
+    factor always fit, since (q - 1)^2 times a length stays below 2^64 for
+    q <= ``MAX_ORDER``.  Extension fields fold ``_pmul``."""
+    if A.m > 1:
+        return reduce(partial(_pmul, A), factors)
+    chain, bound = [factors[0]], max(factors[0])
+    for f in factors[1:]:
+        s = sum(f)
+        if bound * s >= 1 << 64:
+            head = _chain_product(chain, bound, A.q)
+            chain, bound = [head], max(head)
+        chain.append(f)
+        bound *= s
+    return _chain_product(chain, bound, A.q)
+
+
+def _chain_product(chain: list[Sequence[int]], bound: int, q: int) -> tuple[int, ...]:
+    """The product of a chain whose lanes hold ``bound``, reduced mod q.
+    The lanes also hold every symbol, as ``_unpack`` reads one-byte lanes
+    only for q <= 256."""
+    w = _lane_bytes(max(bound, q - 1))
+    x = 1
+    for f in chain:
+        x *= _pack(f, w)
+    size = sum(map(len, chain)) - len(chain) + 1
+    return _unpack(x.to_bytes(size * w, "little"), w, q)
 
 
 def _pdivmod(A: "Alphabet", a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -22,22 +22,26 @@ prime base field maps in and out by identity, with no per-symbol table.
 Roots in a field above 2^20 raise BudgetExceeded from
 :func:`psmc.alphabet.make_field`.
 
-The BCH lower bound reported for a defining set counts the longest run of
-cyclically consecutive members (a run may wrap n-1 -> 0) plus one, which
-covers runs starting at any offset.
+A code's defining set is one n-bit mask, the OR of its cosets' members;
+the sorted set is read off its set bits.  The BCH lower bound is the
+longest run of cyclically consecutive members (a run may wrap n-1 -> 0)
+plus one: the longest run of set bits in the doubled mask, found by
+repeating ``x &= x >> 1`` until x is 0.  The generator g is one product of
+the cosets' minimal polynomials by ``psmc.alphabet._pprod``, a chain of
+packed ints over a prime field, and h and the exactness check are one
+division of x^n - 1 by g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
-from itertools import chain
+from functools import cache, cached_property, reduce
 from math import gcd
-from operator import index
+from operator import index, or_
 
 import numpy as np
 
-from .alphabet import Alphabet, Polynomial, _pdivmod, _pmul, make_field
+from .alphabet import Alphabet, Polynomial, _pdivmod, _pmul, _pprod, make_field
 from .linear import LinearCode
 
 
@@ -47,6 +51,11 @@ class CyclotomicCoset:
     members: tuple[int, ...]
     n: int
     q: int
+
+    @cached_property
+    def mask(self) -> int:
+        """The members as one int, bit b set for member b."""
+        return sum(1 << b for b in self.members)
 
 
 def cyclotomic_coset(a: int, n: int, q: int) -> CyclotomicCoset:
@@ -182,28 +191,30 @@ def _minimal(ctx: _RootContext, coset: CyclotomicCoset) -> Polynomial:
     return poly
 
 
+def _longest_run(mask: int, n: int) -> int:
+    """Longest cyclic run of set bits in an n-bit mask that is not all ones:
+    the longest run of the doubled mask, as each ``x &= x >> 1`` shortens
+    every run by one."""
+    x, run = mask | mask << n, 0
+    while x:
+        x &= x >> 1
+        run += 1
+    return run
+
+
 def bch_bound_from_defining_set(defining_set, n: int) -> int:
-    """Longest cyclically consecutive run in the defining set, plus one: one
-    turn round the cycle from just after a non-member, where every run ends.
-    TypeError for a non-integer member or n, ValueError for a member
+    """Longest cyclically consecutive run in the defining set, plus one.
+    TypeError for a non-integer member or n, ValueError for n < 1, a member
     outside [0, n) or a set that covers it."""
     defining_set, n = list(map(index, defining_set)), index(n)
-    members = set(defining_set)
-    if members and (min(members) < 0 or max(members) >= n):
-        bad = next(a for a in defining_set if not 0 <= a < n)
+    _check_length(n)
+    bad = next((a for a in defining_set if not 0 <= a < n), None)
+    if bad is not None:
         raise ValueError(f"defining-set member {bad} is outside [0, {n})")
-    if not members:
-        return 1
-    if len(members) >= n:
+    mask = reduce(or_, (1 << a for a in defining_set), 0)
+    if mask == (1 << n) - 1:
         raise ValueError("defining set covers all of [0, n)")
-    start = next(i for i in range(n) if i not in members)
-    longest = run = 0
-    for i in chain(range(start + 1, n), range(start + 1)):
-        if i in members:
-            run += 1
-        else:
-            longest, run = max(longest, run), 0
-    return longest + 1
+    return _longest_run(mask, n) + 1
 
 
 @dataclass
@@ -226,10 +237,10 @@ class CyclicCodeSpec:
         return self.n - len(self.defining_set)
 
     def generator_matrix(self) -> np.ndarray:
-        """k x n matrix whose rows are the cyclic shifts of g."""
-        gvec = self.g.vector(self.n)
-        rows = [np.roll(gvec, i) for i in range(self.k)]
-        return np.array(rows, dtype=np.int64)
+        """k x n matrix whose row i is g shifted cyclically by i: one gather
+        of g's coefficient vector at (j - i) mod n."""
+        n = self.n
+        return self.g.vector(n)[(np.arange(n) - np.arange(self.k)[:, None]) % n]
 
     def to_linear_code(self) -> LinearCode:
         return LinearCode(self.generator_matrix(), self.alphabet)
@@ -237,23 +248,26 @@ class CyclicCodeSpec:
 
 def build_cyclic_code(n: int, base: Alphabet, coset_representatives) -> CyclicCodeSpec:
     """Cyclic code whose defining set is the union of the given cosets."""
+    n = index(n)
+    _check_length(n)
     requested = (cyclotomic_coset(a, n, base.q) for a in coset_representatives)
     cosets = {c.representative: c for c in requested}  # distinct, in first-requested order
-    defining = sorted(set().union(*(c.members for c in cosets.values())))
-    if len(defining) >= n:
+    mask = reduce(or_, [c.mask for c in cosets.values()], 0)
+    if mask == (1 << n) - 1:
         raise ValueError("defining set covers [0, n); the code would be zero")
+    defining = tuple([i for i in range(n) if mask >> i & 1])
     g = (1,)
     if cosets:
         ctx = root_context(n, base)
-        g = reduce(partial(_pmul, base), [_minimal(ctx, c).coeffs for c in cosets.values()])
+        g = _pprod(base, [_minimal(ctx, c).coeffs for c in cosets.values()])
     h, rem = _pdivmod(base, (base.neg(1),) + (0,) * (n - 1) + (1,), g)
     if rem:
         raise ArithmeticError("generator polynomial does not divide x^n - 1")
     return CyclicCodeSpec(
         n=n,
         alphabet=base,
-        defining_set=tuple(defining),
+        defining_set=defining,
         g=Polynomial._of(base, g),
         h=Polynomial._of(base, h),
-        bch_bound=bch_bound_from_defining_set(defining, n),
+        bch_bound=_longest_run(mask, n) + 1,
     )

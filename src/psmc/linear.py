@@ -268,11 +268,14 @@ def _in_range(symbols: list[int], alphabet: Alphabet) -> bool:
 
 
 def as_word(values, alphabet: Alphabet, n: int) -> np.ndarray:
-    """Validate and convert to an int64 symbol vector of length n.
+    """Validate and convert to an int64 symbol vector of length n, a fresh
+    array that never aliases ``values``.
 
     A non-integer dtype raises ValueError rather than being truncated.
     """
-    return np.array(_word(values, alphabet, n), dtype=np.int64)
+    w = _integers(values)
+    _word(w, alphabet, n)
+    return w.copy()
 
 
 def _word(values, alphabet: Alphabet, n: int) -> list[int]:

@@ -3,12 +3,13 @@ import math
 import random
 import re
 import time
+from functools import reduce
 from itertools import zip_longest
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import psmc.alphabet
 from psmc.alphabet import (
@@ -17,6 +18,7 @@ from psmc.alphabet import (
     _pdivmod,
     _pgcd,
     _pmul,
+    _pprod,
     field_of_order,
     format_poly,
     make_field,
@@ -646,6 +648,24 @@ def test_prime_field_kernels_match_schoolbook_oracle(operands):
         assert g == ()
         return
     assert g[-1] == 1 and divides(f, g, ca) and divides(f, g, cb) and divides(f, c, g)
+
+
+@st.composite
+def chain_factors(draw):
+    f = draw(st.sampled_from(POLY_KERNEL_FIELDS))
+    symbols = st.integers(0, f.q - 1)
+    nonzero = st.builds(lambda low, top: (*low, top), st.lists(symbols, max_size=11), st.integers(1, f.q - 1))
+    return f, draw(st.lists(nonzero, min_size=1, max_size=8))
+
+
+@given(chain_factors())
+@example(case=(make_field(257), [(1, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_chain_product_matches_schoolbook_oracle(case):
+    # Over GF(1048573) a few factors outgrow 8-byte lanes and split the chain.
+    # Over GF(257) a chain of small symbols still takes two-byte lanes.
+    f, factors = case
+    assert _pprod(f, factors) == reduce(lambda a, b: int_conv(a, b, f.q), factors)
 
 
 def ones(n):

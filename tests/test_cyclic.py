@@ -1,12 +1,16 @@
 import hashlib
+import math
 import tracemalloc
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import psmc.alphabet
 import psmc.cyclic
-from psmc.alphabet import Polynomial, field_of_order, format_poly, make_field, poly_pretty
+from psmc.alphabet import Polynomial, _pmul, field_of_order, format_poly, make_field, poly_pretty
 from psmc.cyclic import (
     all_cosets,
     bch_bound_from_defining_set,
@@ -110,6 +114,20 @@ def test_nonpositive_length_is_rejected():
             all_cosets(n, 3)
         with pytest.raises(ValueError, match=f"n = {n} must be >= 1"):
             extension_degree(n, 3)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_bch_bound_rejects_a_nonpositive_length(n):
+    # The empty set used to give a bound of 1 for any n.
+    with pytest.raises(ValueError, match=rf"^length n = {n} must be >= 1$"):
+        bch_bound_from_defining_set((), n)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_build_code_rejects_a_nonpositive_length(n):
+    # The empty defining set used to be called one that covers [0, n).
+    with pytest.raises(ValueError, match=rf"^length n = {n} must be >= 1$"):
+        build_cyclic_code(n, GF3, ())
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +303,28 @@ def test_bch_bound_values(defining, n, expected):
 
 
 def test_bch_bound_matches_bruteforce_on_every_proper_subset():
-    for n in range(1, 10):
+    for n in range(1, 13):
         for size in range(n):
             for defining in combinations(range(n), size):
                 assert bch_bound_from_defining_set(defining, n) == longest_run_bruteforce(defining, n) + 1
+
+
+@st.composite
+def defining_sets(draw):
+    n = draw(st.integers(1, 200))
+    return draw(st.lists(st.integers(0, n - 1), max_size=n)), n
+
+
+@given(defining_sets())
+@settings(max_examples=200, deadline=None)
+def test_bch_bound_matches_bruteforce_on_sampled_sets(case):
+    # Members may repeat; a set that covers [0, n) has no bound.
+    defining, n = case
+    if len(set(defining)) == n:
+        with pytest.raises(ValueError, match=r"^defining set covers all of \[0, n\)$"):
+            bch_bound_from_defining_set(defining, n)
+    else:
+        assert bch_bound_from_defining_set(defining, n) == longest_run_bruteforce(defining, n) + 1
 
 
 def test_bch_bound_rejects_non_integers():
@@ -371,18 +407,67 @@ SWEEP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("n,q", list(SWEEP_DIGESTS), ids=[f"n{n}-q{q}" for n, q in SWEEP_DIGESTS])
-def test_cyclic_construction_sweep_digest(n, q):
+def sweep(n, q):
+    """(representatives, code) for every non-full union of cosets, in the
+    order of the benchmark's analysis sweep."""
     base = field_of_order(q)
     reps = [c.representative for c in all_cosets(n, q)]
-    lines = []
     for take in range(len(reps)):
         for chosen in combinations(reps, take):
-            spec = build_cyclic_code(n, base, chosen)
-            members = ",".join(map(str, spec.defining_set))
-            lines.append(f"{members};{format_poly(spec.g)};{format_poly(spec.h)};{spec.bch_bound}")
+            yield chosen, build_cyclic_code(n, base, chosen)
+
+
+SWEEP_IDS = [f"n{n}-q{q}" for n, q in SWEEP_DIGESTS]
+
+
+@pytest.mark.parametrize("n,q", list(SWEEP_DIGESTS), ids=SWEEP_IDS)
+def test_cyclic_construction_sweep_digest(n, q):
+    lines = []
+    for _, spec in sweep(n, q):
+        members = ",".join(map(str, spec.defining_set))
+        lines.append(f"{members};{format_poly(spec.g)};{format_poly(spec.h)};{spec.bch_bound}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (digest, len(lines)) == SWEEP_DIGESTS[n, q]
+
+
+@pytest.mark.parametrize("n,q", list(SWEEP_DIGESTS), ids=SWEEP_IDS)
+def test_generator_and_matrix_match_the_fold_and_the_rolled_rows(n, q):
+    # Oracles: g as a fold of pairwise products of the minimal polynomials,
+    # and G as k rolled copies of g's coefficient vector.
+    base = field_of_order(q)
+    for chosen, spec in sweep(n, q):
+        fold = reduce(partial(_pmul, base), [minimal_polynomial(r, n, base).coeffs for r in chosen], (1,))
+        assert spec.g.coeffs == fold
+        gvec = spec.g.vector(n)
+        G = spec.generator_matrix()
+        assert G.dtype == np.int64
+        assert np.array_equal(G, np.array([np.roll(gvec, i) for i in range(spec.k)]))
+
+
+def test_generator_product_splits_its_packed_chain_past_eight_bytes(monkeypatch):
+    # Eight linear factors over GF(1048573): the product of their coefficient
+    # sums has 132 bits, so no 8-byte lane holds the whole chain.
+    field = make_field(1048573)
+    chains = []
+    uncounted = psmc.alphabet._chain_product
+
+    def counted(chain, bound, q):
+        chains.append(bound)
+        return uncounted(chain, bound, q)
+
+    monkeypatch.setattr(psmc.alphabet, "_chain_product", counted)
+    spec = build_cyclic_code(12, field, range(1, 9))
+    factors = [minimal_polynomial(a, 12, field).coeffs for a in range(1, 9)]
+    assert math.prod(map(sum, factors)).bit_length() == 132
+    assert len(chains) > 1 and all(bound < 1 << 64 for bound in chains)
+    assert spec.g.coeffs == reduce(partial(_pmul, field), factors)
+    assert (spec.g * spec.h).coeffs == (field.q - 1,) + (0,) * 11 + (1,)
+
+
+def test_generator_of_small_symbols_over_a_field_above_256():
+    # x + 1 has a lane bound of 1, but its lanes must still hold any symbol of GF(257).
+    spec = build_cyclic_code(2, make_field(257), (1,))
+    assert (spec.g.coeffs, spec.h.coeffs) == ((1, 1), (256, 1))
 
 
 def test_generator_matrix_rows_are_shifts():

@@ -87,6 +87,21 @@ def test_as_word_range_check_covers_both_ends_of_int64():
     assert as_word([0, 1048572, 1], big, 3).tolist() == [0, 1048572, 1]
 
 
+def test_as_word_returns_a_fresh_array():
+    # The result is a new int64 array, whatever it was given.
+    source = np.array([2, 0, 1], dtype=np.int64)
+    for values in (source, source.astype(np.uint8), source.tolist(), tuple(source.tolist())):
+        w = as_word(values, GF3, 3)
+        assert w.dtype == np.int64 and w.tolist() == [2, 0, 1]
+        assert not isinstance(values, np.ndarray) or not np.shares_memory(w, values)
+        w[0] = 0
+        assert list(values) == [2, 0, 1]
+    with pytest.raises(ValueError, match="^expected length 4, got 3$"):
+        as_word(source, GF3, 4)
+    with pytest.raises(ValueError, match="^expected a 1-D symbol vector$"):
+        as_word(source[None, :], GF3, 3)
+
+
 # One code each over GF(3), GF(8) and GF(256), for the input-checking table.
 INPUT_CHECK_CODES = {
     3: lambda: get_preset("masking-n8-r0").base,
