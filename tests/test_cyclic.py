@@ -73,6 +73,7 @@ def test_cosets_partition():
         assert union == list(range(n))
         for c in cosets:
             assert set(m * q % n for m in c.members) == set(c.members)
+            assert [b for b in range(n) if c.mask >> b & 1] == list(c.members)
 
 
 def test_coset_requires_coprime():
@@ -118,14 +119,12 @@ def test_nonpositive_length_is_rejected():
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_bch_bound_rejects_a_nonpositive_length(n):
-    # The empty set used to give a bound of 1 for any n.
     with pytest.raises(ValueError, match=rf"^length n = {n} must be >= 1$"):
         bch_bound_from_defining_set((), n)
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_build_code_rejects_a_nonpositive_length(n):
-    # The empty defining set used to be called one that covers [0, n).
     with pytest.raises(ValueError, match=rf"^length n = {n} must be >= 1$"):
         build_cyclic_code(n, GF3, ())
 
