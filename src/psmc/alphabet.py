@@ -576,8 +576,9 @@ def make_field(p: int, m: int = 1) -> Alphabet:
 
 
 def field_of_order(q: int) -> Alphabet:
-    """GF(q) for a prime power q; ValueError for any other q, and
-    BudgetExceeded for q above ``MAX_ORDER``."""
+    """GF(q) for a prime power q; TypeError for a non-integer q, ValueError
+    for any other q, and BudgetExceeded for q above ``MAX_ORDER``."""
+    q = index(q)
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")

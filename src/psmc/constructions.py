@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabet import Alphabet, Polynomial
+from .alphabet import Alphabet
 from .cyclic import CyclicCodeSpec, build_cyclic_code
 from .linear import BudgetExceeded, LinearCode, _distance, _integers, _product, _word, min_distance
 
@@ -357,12 +357,8 @@ class PsmcCyclicCode(_MaskingCode):
         k1 = n - self.r - 1
         if k1 < 1:
             raise ValueError("no room for information symbols (deg g1 too large)")
-        g0 = Polynomial(alphabet, (1,) * n)
         self.delta1 = spec.bch_bound
-        # Sanity: g1 | g0 exactly.
-        if not (g0 % self.g1).is_zero:
-            raise ArithmeticError("g1 does not divide g0")
-        self._build(alphabet, spec.generator_matrix()[:k1], g0.vector(n)[None, :], t)
+        self._build(alphabet, spec.generator_matrix()[:k1], np.ones((1, n), dtype=np.int64), t)
 
     def __repr__(self) -> str:
         return (
@@ -435,9 +431,12 @@ def redundancy_gain(q: int, u: int, k1: int) -> tuple[float, float]:
     Restricting the masking value v to u+1 residues frees
     log_q(floor(q / (u+1))) information symbols, so
     k1* = k1 + log_q(floor(q/(u+1))) and l* = 1 - log_q(floor(q/(u+1))).
-    TypeError for a non-integer q or u, ValueError unless 0 <= u < q.
+    TypeError for a non-integer q or u, ValueError for q < 2 or unless
+    0 <= u < q.
     """
-    if not 0 <= index(u) < index(q):
+    if index(q) < 2:
+        raise ValueError(f"requires q >= 2, got q = {q}")
+    if not 0 <= index(u) < q:
         raise ValueError(f"requires 0 <= u < q, got u = {u}, q = {q}")
     gain = log(floor(q / (u + 1))) / log(q)
     return k1 + gain, 1.0 - gain
@@ -448,8 +447,9 @@ def stuck_redundancy_lower_bound(u: int) -> int:
 
     Masking u stuck-at cells needs a code with d > u, and the Singleton
     bound gives n - k >= d - 1 >= u; partially stuck cells need only a
-    single symbol whenever u < q.
+    single symbol whenever u < q.  TypeError for a non-integer u.
     """
+    u = index(u)
     if u < 0:
         raise ValueError("u must be >= 0")
     return u

@@ -28,8 +28,9 @@ longest run of cyclically consecutive members (a run may wrap n-1 -> 0)
 plus one: the longest run of set bits in the doubled mask, found by
 repeating ``x &= x >> 1`` until x is 0.  The generator g is one product of
 the cosets' minimal polynomials by ``psmc.alphabet._pprod``, a chain of
-packed ints over a prime field, and h and the exactness check are one
-division of x^n - 1 by g.
+packed ints over a prime field.  A product of minimal polynomials of
+distinct cosets divides x^n - 1 (without the coset of 0, (x^n - 1)/(x - 1)),
+so nothing divides to check g; no check polynomial h is kept.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from operator import index, or_
 
 import numpy as np
 
-from .alphabet import Alphabet, Polynomial, _pdivmod, _pmul, _pprod, make_field
+from .alphabet import Alphabet, Polynomial, _pmul, _pprod, make_field
 from .linear import LinearCode
 
 
@@ -61,12 +62,14 @@ class CyclotomicCoset:
 def cyclotomic_coset(a: int, n: int, q: int) -> CyclotomicCoset:
     """Orbit of a under multiplication by q mod n; representative = minimum.
     TypeError for a non-integer a, n or q, checked before the cache, so a
-    float never keys an entry that an int would then read."""
+    float never keys an entry that an int would then read; ValueError for
+    n < 1, gcd(n, q) != 1 or a outside [0, n)."""
     return _coset(index(a), index(n), index(q))
 
 
 @cache
 def _coset(a: int, n: int, q: int) -> CyclotomicCoset:
+    _check_length(n)
     if gcd(n, q) != 1:
         raise ValueError(f"gcd(n={n}, q={q}) must be 1")
     if not 0 <= a < n:
@@ -221,15 +224,14 @@ def bch_bound_from_defining_set(defining_set, n: int) -> int:
 class CyclicCodeSpec:
     """A built cyclic code; treat as immutable.
 
-    g * h = x^n - 1 exactly; the defining set is the union of the
-    cyclotomic cosets of the requested representatives.
+    g, the product of the requested cosets' minimal polynomials, divides
+    x^n - 1; the defining set is the union of those cosets.
     """
 
     n: int
     alphabet: Alphabet
     defining_set: tuple[int, ...]
     g: Polynomial
-    h: Polynomial
     bch_bound: int
 
     @property
@@ -260,14 +262,10 @@ def build_cyclic_code(n: int, base: Alphabet, coset_representatives) -> CyclicCo
     if cosets:
         ctx = root_context(n, base)
         g = _pprod(base, [_minimal(ctx, c).coeffs for c in cosets.values()])
-    h, rem = _pdivmod(base, (base.neg(1),) + (0,) * (n - 1) + (1,), g)
-    if rem:
-        raise ArithmeticError("generator polynomial does not divide x^n - 1")
     return CyclicCodeSpec(
         n=n,
         alphabet=base,
         defining_set=defining,
         g=Polynomial._of(base, g),
-        h=Polynomial._of(base, h),
         bch_bound=_longest_run(mask, n) + 1,
     )

@@ -288,6 +288,9 @@ def test_field_of_order():
             field_of_order(q)
     with pytest.raises(BudgetExceeded):
         field_of_order(1 << 21)
+    # Like make_field, field_of_order takes integers only.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        field_of_order(8.0)
 
 
 def test_alphabets_are_cached():

@@ -553,6 +553,9 @@ def test_redundancy_gain_published_values():
     for q, u in ((6.0, 2), (6, 2.5)):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             redundancy_gain(q, u, 3)
+    # Below q = 2 there is no log base: log(1) = 0.
+    with pytest.raises(ValueError, match=r"^requires q >= 2, got q = 1$"):
+        redundancy_gain(1, 0, 3)
 
 
 def test_masking_probability_rejects_non_integers():
@@ -565,6 +568,8 @@ def test_masking_probability_rejects_non_integers():
 def test_stuck_redundancy_lower_bound():
     assert stuck_redundancy_lower_bound(2) == 2
     assert stuck_redundancy_lower_bound(0) == 0
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        stuck_redundancy_lower_bound(2.5)
 
 
 def test_accounting_input_checks():

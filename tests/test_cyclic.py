@@ -39,6 +39,14 @@ def coset_by_iteration(a, n, q):
     return tuple(sorted(out))
 
 
+def check_polynomial(spec):
+    """h = (x^n - 1) / g, asserting that g divides x^n - 1 exactly."""
+    f = spec.alphabet
+    h, rem = divmod(Polynomial(f, (f.neg(1),) + (0,) * (spec.n - 1) + (1,)), spec.g)
+    assert rem.is_zero
+    return h
+
+
 def longest_run_bruteforce(members, n):
     """Longest cyclic run by checking every (start, length) pair."""
     best = 0
@@ -115,6 +123,13 @@ def test_nonpositive_length_is_rejected():
             all_cosets(n, 3)
         with pytest.raises(ValueError, match=f"n = {n} must be >= 1"):
             extension_degree(n, 3)
+
+
+@pytest.mark.parametrize("a,n,q", [(0, 0, 3), (0, -3, 2)])
+def test_coset_rejects_a_nonpositive_length(a, n, q):
+    # The length is checked first: the gcd and seed checks would misname n < 1.
+    with pytest.raises(ValueError, match=rf"^length n = {n} must be >= 1$"):
+        cyclotomic_coset(a, n, q)
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -373,9 +388,39 @@ def test_build_code_empty_defining_set():
 def test_build_code_g_times_h():
     for reps in [(0,), (1,), (4, 5), (0, 1, 2), (2, 5), (1, 2, 5)]:
         code = build_cyclic_code(8, GF3, reps)
-        prod = code.g * code.h
+        prod = code.g * check_polynomial(code)
         assert prod.coeffs == (2,) + (0,) * 7 + (1,)
         assert code.g.degree == len(code.defining_set)
+
+
+# (n, q) with n <= 30 coprime to q and x^n - 1 split in a field of order <= 2^16
+SPLIT_PAIRS = [
+    (n, q)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for n in range(1, 31)
+    if math.gcd(n, q) == 1 and q ** extension_degree(n, q) <= 1 << 16
+]
+
+
+@st.composite
+def coset_subsets(draw):
+    n, q = draw(st.sampled_from(SPLIT_PAIRS))
+    reps = [c.representative for c in all_cosets(n, q)]
+    chosen = draw(st.lists(st.sampled_from(reps), unique=True, max_size=len(reps) - 1))
+    return n, q, chosen
+
+
+@given(coset_subsets())
+@settings(max_examples=300, deadline=None)
+def test_generator_divides_xn_minus_1_and_without_root_1_the_all_ones_polynomial(case):
+    # A product of minimal polynomials of distinct cosets divides x^n - 1, and
+    # without the coset of 0 it divides (x^n - 1)/(x - 1) = 1 + x + ... + x^(n-1).
+    n, q, chosen = case
+    spec = build_cyclic_code(n, field_of_order(q), chosen)
+    check_polynomial(spec)
+    assert spec.g.degree == len(spec.defining_set)
+    if 0 not in spec.defining_set:
+        assert (Polynomial(spec.alphabet, (1,) * n) % spec.g).is_zero
 
 
 def test_build_code_rejects_zero_code():
@@ -393,7 +438,8 @@ def test_splitting_field_above_max_order_is_a_budget_error():
 
 
 # sha256 of one line per code, "defining set;g;h;BCH bound", over every
-# non-full union of cosets in the order of the benchmark's analysis sweep.
+# non-full union of cosets in the order of the benchmark's analysis sweep;
+# h = (x^n - 1)/g is divided out here, by check_polynomial.
 SWEEP_DIGESTS = {
     (26, 3): ("f201cac3933565376f1c4c02004f3a1387138fe8f61620149a8c42ce0eba7bf5", 1023),
     (21, 4): ("2cebd30de9e1b6da006f13ed54b576f330972ebc9671d88ed0adf22081ae6810", 511),
@@ -424,7 +470,7 @@ def test_cyclic_construction_sweep_digest(n, q):
     lines = []
     for _, spec in sweep(n, q):
         members = ",".join(map(str, spec.defining_set))
-        lines.append(f"{members};{format_poly(spec.g)};{format_poly(spec.h)};{spec.bch_bound}")
+        lines.append(f"{members};{format_poly(spec.g)};{format_poly(check_polynomial(spec))};{spec.bch_bound}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (digest, len(lines)) == SWEEP_DIGESTS[n, q]
 
@@ -460,13 +506,13 @@ def test_generator_product_splits_its_packed_chain_past_eight_bytes(monkeypatch)
     assert math.prod(map(sum, factors)).bit_length() == 132
     assert len(chains) > 1 and all(bound < 1 << 64 for bound in chains)
     assert spec.g.coeffs == reduce(partial(_pmul, field), factors)
-    assert (spec.g * spec.h).coeffs == (field.q - 1,) + (0,) * 11 + (1,)
+    assert (spec.g * check_polynomial(spec)).coeffs == (field.q - 1,) + (0,) * 11 + (1,)
 
 
 def test_generator_of_small_symbols_over_a_field_above_256():
     # x + 1 has a lane bound of 1, but its lanes must still hold any symbol of GF(257).
     spec = build_cyclic_code(2, make_field(257), (1,))
-    assert (spec.g.coeffs, spec.h.coeffs) == ((1, 1), (256, 1))
+    assert (spec.g.coeffs, check_polynomial(spec).coeffs) == ((1, 1), (256, 1))
 
 
 def test_generator_matrix_rows_are_shifts():
